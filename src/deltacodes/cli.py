@@ -115,6 +115,8 @@ def hex6(coeffs) -> list[str]:
 # ----------------------------------------------------------------------
 
 def cmd_params(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     F = make_field(args)
     if args.system == "lines":
         report = line_code(F)
@@ -299,6 +301,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         config = json.load(fh)
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
+    known = {action.dest for p in parser._deltacodes_subparsers for action in p._actions}
+    unknown = sorted(set(config) - (known - {"help", "config"}))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     for sub_parser in parser._deltacodes_subparsers:
         sub_parser.set_defaults(**config)
     return argv[:i] + argv[i + 2:]

@@ -44,10 +44,6 @@ class ConicSystem:
         if coefficient_rank(self.field, self.polys) != len(self.polys):
             raise ValueError("basis polynomials are linearly dependent")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.polys)
-
 
 def coefficient_rank(F: Field, polys: Sequence[Coeffs6]) -> int:
     rows = [list(p) for p in polys]

@@ -23,8 +23,10 @@ from .geometry import (
     Conic,
     DeltaSet,
     build_delta,
+    in_sqrt_window,
     is_degenerate,
     make_conic,
+    projective_points,
 )
 from .codes import (
     ConicSystem,
@@ -82,16 +84,6 @@ def in_lambda_orbit(E: ExtField, p: ProjPoint3) -> bool:
     return _det3(E, (p, p1, p2)) != E.zero
 
 
-def projective_points_iter(E: ExtField) -> Iterator[ProjPoint3]:
-    one, zero = E.one, E.zero
-    for y in E.elements():
-        for z in E.elements():
-            yield (one, y, z)
-    for z in E.elements():
-        yield (zero, one, z)
-    yield (zero, zero, one)
-
-
 def find_lambda_point(E: ExtField, mode: str = "seeded", seed: int = 0) -> ProjPoint3:
     """A point of the off-every-rational-line orbit.
 
@@ -100,7 +92,7 @@ def find_lambda_point(E: ExtField, mode: str = "seeded", seed: int = 0) -> ProjP
     The orbit has q^6 - q^5 - q^4 + q^3 > 0 points, so both terminate.
     """
     if mode == "scan":
-        for p in projective_points_iter(E):
+        for p in projective_points(E):
             if in_lambda_orbit(E, p):
                 return normalize_projective(E, p)
         raise RuntimeError("empty orbit")  # unreachable for q >= 2
@@ -120,7 +112,7 @@ def find_lambda_point(E: ExtField, mode: str = "seeded", seed: int = 0) -> ProjP
 
 def lambda_orbit_count(E: ExtField) -> int:
     """Exhaustive count of accepted points over all of PG(2, GF(q^3))."""
-    return sum(1 for p in projective_points_iter(E) if in_lambda_orbit(E, p))
+    return sum(1 for p in projective_points(E) if in_lambda_orbit(E, p))
 
 
 def _cross(E: ExtField, p: ProjPoint3, r: ProjPoint3) -> ProjPoint3:
@@ -355,12 +347,11 @@ def construction1_code(F: Field, point: Optional[ProjPoint3] = None,
     report["max_point_count"] = max_count
     # claimed weight window, probed in its literal reading (on w) and in the
     # intersection reading (on n - w); both results are reported
-    from .geometry import in_window_half_open
     nonzero_weights = [w for w, _ in report["weights"] if w > 0]
     report["weights_in_window_literal"] = all(
-        in_window_half_open(w, q) for w in nonzero_weights)
+        in_sqrt_window(2 * w, q) for w in nonzero_weights)
     report["weights_in_window_as_counts"] = all(
-        in_window_half_open(n - w, q) for w in nonzero_weights)
+        in_sqrt_window(2 * (n - w), q) for w in nonzero_weights)
     return report
 
 

@@ -11,15 +11,27 @@ degeneracy of C.
 
 All point counting here is exhaustive evaluation; closed-form claims about
 these curves are verified against such counts, never assumed.
+
+Each formula is written once.  F and G come from one table of terms per
+coefficient (QUARTIC_TERMS, SHEARED_TERMS).  vbar, the coefficients of H,
+the tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities of the
+reducibility criteria are functions over class columns (vbar_columns,
+cubic_h_columns, f_minus_g_columns, reducibility_columns); the scalar API
+(solve_vbar, build_family, predicted_f_minus_g, reducibility_details) is
+their one-class view.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .field import ExtField, Field
-from .geometry import Conic, DeltaSet, build_delta, count_on_delta, is_degenerate
+from .geometry import Conic, DeltaSet, build_delta, count_on_delta, in_sqrt_window, is_degenerate
 
 AnyField = Union[Field, ExtField]
 
@@ -48,9 +60,6 @@ class Poly2:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.field == other.field and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def degree(self) -> int:
         return max((i + j for i, j in self.coeffs), default=-1)
@@ -172,6 +181,131 @@ def count_affine_points(poly: Poly2, F: Field) -> int:
 
 
 # ----------------------------------------------------------------------
+# Column formulas: vbar, H and the reducibility quantities per class
+# ----------------------------------------------------------------------
+
+# A column of GF(q^2) = GF(q)[rho] values, one per class, carried as the pair
+# (c0, c1) of component columns of c0 + c1*rho; GF(q) values have c1 = 0.
+Pair = tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_extension(F: Field) -> tuple[ExtField, np.ndarray, np.ndarray]:
+    """GF(q^2) over F, with the components of the least-encoded root of
+    X^2 + X + w for every w in GF(q); all of them have a root there, since
+    the trace over GF(q^2) of a GF(q) element is zero."""
+    E = ExtField(F, 2)
+    u0 = np.zeros(F.q, dtype=F.np_dtype)
+    u1 = np.zeros(F.q, dtype=F.np_dtype)
+    for w in F.elements():
+        roots = E.solve_artin_schreier(E.embed(w))
+        if roots is None:
+            raise AssertionError(f"X^2 + X + {w} has no root in GF(q^2)")
+        u0[w], u1[w] = roots[0]
+    return E, u0, u1
+
+
+def vanishes(p: Pair) -> np.ndarray:
+    """Per class, whether a GF(q^2) column is zero."""
+    return (p[0] == 0) & (p[1] == 0)
+
+
+def _in_vbar(F: Field, powers: list[Pair], *coeffs) -> Pair:
+    """coeffs[0] + coeffs[1]*vbar + coeffs[2]*vbar^2 + coeffs[3]*vbar^3 for
+    base-field coefficient columns (None for zero), where powers holds
+    vbar, vbar^2 and vbar^3."""
+    c0 = coeffs[0].copy() if coeffs[0] is not None else np.zeros_like(powers[0][0])
+    c1 = np.zeros_like(c0)
+    for coeff, (p0, p1) in zip(coeffs[1:], powers):
+        if coeff is not None:
+            c0 ^= F.vmul(coeff, p0)
+            c1 ^= F.vmul(coeff, p1)
+    return c0, c1
+
+
+def _vbar_powers(F: Field, vbar: Pair) -> list[Pair]:
+    """vbar, vbar^2 and vbar^3."""
+    E = _quadratic_extension(F)[0]
+    v2 = E.vmul(vbar, vbar)
+    return [vbar, v2, E.vmul(v2, vbar)]
+
+
+def vbar_columns(F: Field, cols: Sequence[np.ndarray]) -> Pair:
+    """Per class, a root vbar of a22*v^2 + a12*v + a11: in GF(q) when one
+    exists there (then c1 = 0), otherwise in GF(q^2); zero where
+    a12 = a22 = 0.  When a12*a22 != 0, vbar = (a12/a22)*t for the
+    least-encoded root t of t^2 + t = a11*a22/a12^2."""
+    a11, a12, a22 = cols[0], cols[1], cols[2]
+    _, u0, u1 = _quadratic_extension(F)
+    scale = F.vdiv(a12, a22)
+    w = F.vdiv(F.vmul(a11, a22), F.vmul(a12, a12))
+    v0 = np.where(a22 == 0, F.vdiv(a11, a12),
+                  np.where(a12 == 0, F.sqrt_table[F.vdiv(a11, a22)], F.vmul(scale, u0[w])))
+    return v0, F.vmul(scale, u1[w])
+
+
+def cubic_h_columns(F: Field, cols: Sequence[np.ndarray], vbar: Pair) -> dict[tuple[int, int], Pair]:
+    """The coefficients of H(X, V) per class, keyed by exponent (i, j) of
+    X^i V^j:
+
+      a22 X^2 V + a12 X^2 + a12 X V^2 + a23 X V + (vbar^2 a12 + vbar a23 + a13) X
+      + (vbar a23 + a13) V^2 + a33 V + vbar^3 a23 + vbar^2 a13
+    """
+    a11, a12, a22, a13, a23, a33 = cols
+    powers = _vbar_powers(F, vbar)
+    zero = np.zeros_like(a11)
+    return {
+        (2, 1): (a22, zero),
+        (2, 0): (a12, zero),
+        (1, 2): (a12, zero),
+        (1, 1): (a23, zero),
+        (1, 0): _in_vbar(F, powers, a13, a23, a12),
+        (0, 2): _in_vbar(F, powers, a13, a23),
+        (0, 1): (a33, zero),
+        (0, 0): _in_vbar(F, powers, None, None, a13, a23),
+    }
+
+
+def reducibility_columns(F: Field, cols: Sequence[np.ndarray], vbar: Pair,
+                         h: dict[tuple[int, int], Pair]) -> dict[str, object]:
+    """The stated linear-component criteria for H per class, with h the
+    cubic_h_columns of the same classes and vbar.
+
+    Returns the resultant-style quantities u12, r12, r13, q12, q13 and s12
+    as cubics in vbar; `reducible`, the criterion matching each (a12, a22)
+    pattern (u12 = 0 when both are nonzero, vbar*a23 + a13 = 0 when
+    a12 = 0, s12 = 0 when a22 = 0); and the identities Q12 = a22*R12 and
+    Q13 = a22^2*R13 + a12^2*R12 as boolean columns.
+    """
+    a11, a12, a22, a13, a23, a33 = cols
+    mul = F.vmul
+    powers = _vbar_powers(F, vbar)
+    a12sq, a22sq, a23sq = mul(a12, a12), mul(a22, a22), mul(a23, a23)
+    a12cu, a22cu = mul(a12sq, a12), mul(a22sq, a22)
+    a22qu = mul(a22sq, a22sq)
+    out: dict[str, object] = {
+        "u12": _in_vbar(F, powers, mul(a12sq, a33) ^ mul(a12, mul(a13, a23)) ^ mul(a22, mul(a13, a13)),
+                        mul(a12, a23sq), mul(a22, a23sq)),
+        "r12": _in_vbar(F, powers, a12cu ^ mul(a12, mul(a22, a23)) ^ mul(a22sq, a13),
+                        mul(a22sq, a23), mul(a12, a22sq)),
+        "r13": _in_vbar(F, powers, mul(a12, mul(a22, a33)) ^ mul(a12sq, a13),
+                        mul(a12sq, a23), mul(a22sq, a13), mul(a22sq, a23)),
+        "q12": _in_vbar(F, powers, mul(a12cu, a22) ^ mul(a12, mul(a22sq, a23)) ^ mul(a22cu, a13),
+                        mul(a22cu, a23), mul(a12, a22cu)),
+        "q13": _in_vbar(F, powers, mul(a12cu, a12sq) ^ mul(a12cu, mul(a22, a23)) ^ mul(a12, mul(a22cu, a33)),
+                        None, mul(a12cu, a22sq) ^ mul(a22qu, a13), mul(a22qu, a23)),
+        "s12": _in_vbar(F, powers, mul(a12, a33) ^ mul(a13, a23), a23sq),
+    }
+    r12, r13 = out["r12"], out["r13"]
+    out["reducible"] = np.where(a22 == 0, vanishes(out["s12"]),
+                                np.where(a12 == 0, vanishes(h[(0, 2)]), vanishes(out["u12"])))
+    out["identity_q12"] = vanishes(tuple(q ^ mul(a22, r) for q, r in zip(out["q12"], r12)))
+    out["identity_q13"] = vanishes(tuple(
+        q ^ mul(a22sq, r3) ^ mul(a12sq, r2) for q, r3, r2 in zip(out["q13"], r13, r12)))
+    return out
+
+
+# ----------------------------------------------------------------------
 # The curve family of a conic
 # ----------------------------------------------------------------------
 
@@ -206,34 +340,49 @@ class CurveFamily:
         return self.vfield is not None and isinstance(self.vfield, Field)
 
 
+# Each conic coefficient (a11, a12, a22, a13, a23, a33) multiplies the sum
+# of these monomials: X^i T^j in the pullback quartic F, X^i V^j in G.
+QUARTIC_TERMS = (((2, 0),), ((3, 2), (3, 1)), ((4, 4), (4, 2)), ((1, 0),), ((2, 2), (2, 1)), ((0, 0),))
+SHEARED_TERMS = (((2, 0),), ((1, 2), (2, 1)), ((0, 4), (2, 2)), ((1, 0),), ((1, 1), (0, 2)), ((0, 0),))
+
+
+def _kept(s: int) -> list[bool]:
+    """The coefficients left in F^(s) and G^(s): splitting X^s off F drops
+    a13 (s = 2) and a33 (s >= 1), which vanish on such conics."""
+    return [min(i for i, _ in terms) >= s for terms in QUARTIC_TERMS]
+
+
 def _pullback_quartic(F: Field, conic: Conic) -> Poly2:
-    a11, a12, a22, a13, a23, a33 = conic.coeffs()
-    return Poly2(F, {
-        (2, 0): a11,
-        (3, 2): a12, (3, 1): a12,
-        (4, 4): a22, (4, 2): a22,
-        (1, 0): a13,
-        (2, 2): a23, (2, 1): a23,
-        (0, 0): a33,
-    }, ("X", "T"))
+    return Poly2(F, {e: c for c, terms in zip(conic.coeffs(), QUARTIC_TERMS) for e in terms},
+                 ("X", "T"))
 
 
 def _sheared_curve(F: Field, conic: Conic, drop: int) -> Poly2:
-    # drop = 0: keep a13 and a33; 1: no a33; 2: neither a13 nor a33
-    a11, a12, a22, a13, a23, a33 = conic.coeffs()
-    coeffs = {
-        (2, 0): a11,
-        (1, 2): a12, (2, 1): a12,
-        (0, 4): a22, (2, 2): a22,
-        (1, 1): a23, (0, 2): a23,
-    }
-    def bump(e, c):
-        coeffs[e] = F.add(coeffs.get(e, 0), c)
-    if drop < 2:
-        bump((1, 0), a13)
-    if drop < 1:
-        bump((0, 0), a33)
-    return Poly2(F, coeffs, ("X", "V"))
+    return Poly2(F, {e: c for c, terms, keep in zip(conic.coeffs(), SHEARED_TERMS, _kept(drop))
+                     if keep for e in terms}, ("X", "V"))
+
+
+def _term_values(F: Field, terms, pts, s: int, shift: int) -> list[tuple[int, ...]]:
+    """Per point, each kept coefficient's monomial sum divided by X^shift."""
+    kept = _kept(s)
+    return [
+        tuple(functools.reduce(operator.xor, (F.mul(F.pow(x, i - shift), F.pow(y, j))
+                                              for i, j in coeff_terms)) if keep else 0
+              for coeff_terms, keep in zip(terms, kept))
+        for x, y in pts
+    ]
+
+
+def quartic_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
+    """Per point (x, t), the monomial values of F^(s) = F / X^s, aligned
+    with (a11, a12, a22, a13, a23, a33); zero for coefficients F^(s) lacks."""
+    return _term_values(F, QUARTIC_TERMS, pts, s, s)
+
+
+def sheared_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
+    """Per point (x, v), the monomial values of G^(s), aligned with
+    (a11, a12, a22, a13, a23, a33); zero for coefficients G^(s) lacks."""
+    return _term_values(F, SHEARED_TERMS, pts, s, 0)
 
 
 def _split_exponent(conic: Conic) -> int:
@@ -247,50 +396,47 @@ def _split_exponent(conic: Conic) -> int:
     raise ValueError("the triple (a11, a13, a33) must be non-trivial")
 
 
+def _one_class(F: Field, conic: Conic) -> list[np.ndarray]:
+    return [np.array([c], dtype=F.np_dtype) for c in conic.coeffs()]
+
+
+def _to_pair(F: Field, K: AnyField, x) -> Pair:
+    c0, c1 = x if isinstance(K, ExtField) else (x, 0)
+    return np.array([c0], dtype=F.np_dtype), np.array([c1], dtype=F.np_dtype)
+
+
+def _from_pair(K: AnyField, p: Pair):
+    if isinstance(K, ExtField):
+        return int(p[0][0]), int(p[1][0])
+    return int(p[0][0])
+
+
 def solve_vbar(F: Field, conic: Conic) -> tuple[object, AnyField]:
-    """A root of a22*v^2 + a12*v + a11 = 0, in GF(q) when one exists there,
-    otherwise in GF(q^2).  The choice is canonical (minimal encoding)."""
-    a11, a12, a22 = conic.a11, conic.a12, conic.a22
-    if a12 == 0 and a22 == 0:
+    """The one-class view of vbar_columns: a root of a22*v^2 + a12*v + a11
+    and the field holding it, GF(q) when possible, otherwise GF(q^2)."""
+    if conic.a12 == 0 and conic.a22 == 0:
         raise ValueError("vbar needs a12 != 0 or a22 != 0")
-    if a22 == 0:
-        return F.div(a11, a12), F
-    if a12 == 0:
-        return F.sqrt(F.div(a11, a22)), F
-    w = F.div(F.mul(a11, a22), F.mul(a12, a12))
-    roots = F.solve_artin_schreier(w)
-    scale = F.div(a12, a22)
-    if roots is not None:
-        return F.mul(scale, roots[0]), F
-    E = ExtField(F, 2)
-    eroots = E.solve_artin_schreier(E.embed(w))
-    assert eroots is not None  # trace over GF(q^2) of a GF(q) element with trace 1 is 0
-    return E.mul(E.embed(scale), eroots[0]), E
+    vbar = vbar_columns(F, _one_class(F, conic))
+    K = _quadratic_extension(F)[0] if vbar[1][0] else F
+    return _from_pair(K, vbar), K
 
 
 def _cubic_h(K: AnyField, conic: Conic, vbar, ordering: int) -> Poly2:
     """The cubic image of G, from either of the two displayed coefficient
-    groupings; both must produce the same polynomial."""
+    groupings; both must produce the same polynomial.  Ordering 0 is the
+    one-class view of cubic_h_columns; ordering 1 groups by powers of V and
+    is kept as the independent check of it."""
+    if ordering == 0:
+        F = K.base if isinstance(K, ExtField) else K
+        h = cubic_h_columns(F, _one_class(F, conic), _to_pair(F, K, vbar))
+        return Poly2(K, {e: _from_pair(K, c) for e, c in h.items()}, ("X", "V"))
     if isinstance(K, ExtField):
         a11, a12, a22, a13, a23, a33 = (K.embed(c) for c in conic.coeffs())
     else:
         a11, a12, a22, a13, a23, a33 = conic.coeffs()
     v1 = vbar
     v2 = K.mul(v1, v1)
-    v3 = K.mul(v2, v1)
     mul, add = K.mul, K.add
-    if ordering == 0:
-        coeffs = {
-            (2, 1): a22,
-            (2, 0): a12,
-            (1, 2): a12,
-            (1, 1): a23,
-            (1, 0): add(add(mul(v2, a12), mul(v1, a23)), a13),
-            (0, 2): add(mul(v1, a23), a13),
-            (0, 1): a33,
-            (0, 0): add(mul(v3, a23), mul(v2, a13)),
-        }
-        return Poly2(K, coeffs, ("X", "V"))
     # grouping by powers of V: (a12 X + v a23 + a13) V^2 + (a22 X^2 + a23 X + a33) V
     #                          + (X + v^2)(a12 X + v a23 + a13)
     lin = Poly2(K, {(1, 0): a12, (0, 0): add(mul(v1, a23), a13)}, ("X", "V"))
@@ -312,24 +458,20 @@ def build_family(F: Field, conic: Conic) -> CurveFamily:
     g_s = _sheared_curve(F, conic, drop=s)
     # the split-off factor is exact: X^s * F^(s) = F
     xs = Poly2(F, {(s, 0): 1}, ("X", "T"))
-    assert xs.mul(f_s).coeffs == quartic.coeffs
+    if xs.mul(f_s).coeffs != quartic.coeffs:
+        raise AssertionError(f"X^{s} does not split off the quartic of {conic.coeffs()}")
 
     vbar = vfield = h = None
     if conic.a12 or conic.a22:
-        vbar, vfield = solve_vbar(F, conic)
-        h = _cubic_h(vfield, conic, vbar, ordering=0)
-        h_alt = _cubic_h(vfield, conic, vbar, ordering=1)
-        assert h == h_alt
-        zero = vfield.zero
-        acc = vfield.mul(vbar, vbar)
-        if isinstance(vfield, ExtField):
-            acc = vfield.add(
-                vfield.mul(vfield.embed(conic.a22), acc),
-                vfield.add(vfield.mul(vfield.embed(conic.a12), vbar), vfield.embed(conic.a11)),
-            )
-        else:
-            acc = F.mul(conic.a22, acc) ^ F.mul(conic.a12, vbar) ^ conic.a11
-        assert acc == zero
+        vbar, K = solve_vbar(F, conic)
+        a11, a12, a22 = _embed_all(K, F, conic.coeffs()[:3])
+        if K.add(K.mul(K.add(K.mul(a22, vbar), a12), vbar), a11) != K.zero:
+            raise AssertionError(f"vbar = {vbar} is not a root of a22 v^2 + a12 v + a11 "
+                                 f"for {conic.coeffs()}")
+        h = _cubic_h(K, conic, vbar, ordering=0)
+        if h != _cubic_h(K, conic, vbar, ordering=1):
+            raise AssertionError(f"the two groupings of H differ for {conic.coeffs()}")
+        vfield = K
     return CurveFamily(conic=conic, s=s, F=quartic, F_s=f_s, G=g, G_s=g_s,
                        vbar=vbar, vfield=vfield, H=h)
 
@@ -357,25 +499,24 @@ def g_axis_root_count(F: Field, conic: Conic, s: int) -> int:
     return 2 if F.trace(b) == 0 else 0
 
 
-def predicted_f_minus_g(F: Field, conic: Conic, s: int) -> int:
-    """The tabulated value of N(F^(s)) - N(G^(s)) per the three displayed
-    relation tables."""
-    a11, a22, a23, a33 = conic.a11, conic.a22, conic.a23, conic.a33
+def f_minus_g_columns(F: Field, cols: Sequence[np.ndarray], s: int) -> np.ndarray:
+    """The tabulated value of N(F^(s)) - N(G^(s)) per class, per the three
+    displayed relation tables."""
+    a11, a12, a22, a13, a23, a33 = cols
+    tr = F.trace_table
     if s == 0:
-        if a22 != 0 and a23 != 0:
-            return 0 if F.trace(F.div(F.mul(a22, a33), F.mul(a23, a23))) == 1 else -2
-        if a22 == 0 and a23 == 0:
-            return 0
-        return -1
+        b = F.vdiv(F.vmul(a22, a33), F.vmul(a23, a23))
+        return np.where((a22 != 0) & (a23 != 0), np.where(tr[b] == 1, 0, -2),
+                        np.where((a22 == 0) & (a23 == 0), 0, -1))
     if s == 1:
-        return -1 if (a23 == 0 or a22 == 0) else -2
-    # s == 2
-    if a23 == 0:
-        return -1
-    tr = F.trace(F.div(a11, a23))
-    if a22 == 0:
-        return 1 if tr == 0 else -1
-    return 0 if tr == 0 else -2
+        return np.where((a23 == 0) | (a22 == 0), -1, -2)
+    tz = tr[F.vdiv(a11, a23)] == 0
+    return np.where(a23 == 0, -1, np.where(a22 == 0, np.where(tz, 1, -1), np.where(tz, 0, -2)))
+
+
+def predicted_f_minus_g(F: Field, conic: Conic, s: int) -> int:
+    """The one-class view of f_minus_g_columns."""
+    return int(f_minus_g_columns(F, _one_class(F, conic), s)[0])
 
 
 def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> dict:
@@ -454,8 +595,7 @@ def _embed_all(K: AnyField, F: Field, values):
 
 
 def reducibility_details(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> dict:
-    """Evaluate the stated linear-component criteria for H with the actual
-    vbar.
+    """The one-class view of reducibility_columns, with the actual vbar.
 
     Returns the resultant-style quantities for the three line directions
     together with the applicable criterion value; `reducible` reflects the
@@ -469,52 +609,19 @@ def reducibility_details(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
     if fam.H is None:
         raise ValueError("H requires a12 != 0 or a22 != 0")
     K = fam.vfield
-    a11, a12, a22, a13, a23, a33 = _embed_all(K, F, conic.coeffs())
-    v1 = fam.vbar
-    v2 = K.mul(v1, v1)
-    v3 = K.mul(v2, v1)
-    mul, add = K.mul, K.add
-
-    def total(*terms):
-        acc = K.zero
-        for t in terms:
-            acc = add(acc, t)
-        return acc
-
-    a23sq = mul(a23, a23)
-    u12 = total(mul(v2, mul(a22, a23sq)), mul(v1, mul(a12, a23sq)),
-                mul(mul(a12, a12), a33), mul(a12, mul(a13, a23)), mul(a22, mul(a13, a13)))
-    r12 = total(mul(v2, mul(a12, mul(a22, a22))), mul(v1, mul(mul(a22, a22), a23)),
-                mul(a12, mul(a12, a12)), mul(a12, mul(a22, a23)), mul(mul(a22, a22), a13))
-    r13 = total(mul(v3, mul(mul(a22, a22), a23)), mul(v2, mul(mul(a22, a22), a13)),
-                mul(v1, mul(mul(a12, a12), a23)), mul(a12, mul(a22, a33)), mul(mul(a12, a12), a13))
-    q12 = total(mul(v2, mul(a12, mul(a22, mul(a22, a22)))), mul(v1, mul(mul(a22, mul(a22, a22)), a23)),
-                mul(mul(a12, mul(a12, a12)), a22), mul(a12, mul(mul(a22, a22), a23)),
-                mul(mul(a22, mul(a22, a22)), a13))
-    q13 = total(mul(v3, mul(mul(mul(a22, a22), mul(a22, a22)), a23)),
-                mul(v2, mul(mul(a12, mul(a12, a12)), mul(a22, a22))),
-                mul(v2, mul(mul(mul(a22, a22), mul(a22, a22)), a13)),
-                mul(a12, mul(mul(a12, a12), mul(a12, a12))),
-                mul(mul(a12, mul(a12, a12)), mul(a22, a23)),
-                mul(a12, mul(mul(a22, mul(a22, a22)), a33)))
-    s12 = total(mul(a12, a33), mul(a23sq, v1), mul(a13, a23))
-
+    cols = _one_class(F, conic)
+    vbar = _to_pair(F, K, fam.vbar)
+    red = reducibility_columns(F, cols, vbar, cubic_h_columns(F, cols, vbar))
     if conic.a12 and conic.a22:
-        reducible = u12 == K.zero
         criterion = "u12"
     elif conic.a22:  # a12 = 0
-        reducible = add(mul(v1, a23), a13) == K.zero
         criterion = "vbar*a23+a13"
     else:  # a22 = 0, a12 != 0
-        reducible = s12 == K.zero
         criterion = "s12"
-    return {
-        "criterion": criterion,
-        "reducible": reducible,
-        "u12": u12, "r12": r12, "r13": r13, "q12": q12, "q13": q13, "s12": s12,
-        "identity_q12": q12 == mul(a22, r12),
-        "identity_q13": q13 == add(mul(mul(a22, a22), r13), mul(mul(a12, a12), r12)),
-    }
+    out = {"criterion": criterion}
+    out.update((key, bool(red[key][0])) for key in ("reducible", "identity_q12", "identity_q13"))
+    out.update((key, _from_pair(K, red[key])) for key in ("u12", "r12", "r13", "q12", "q13", "s12"))
+    return out
 
 
 def reducibility_conditions(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> bool:
@@ -630,17 +737,6 @@ def _substitution_vanishes(p: Poly2, var: int, root) -> bool:
 # Window checks for the cubic
 # ----------------------------------------------------------------------
 
-def in_elliptic_affine_window(n: int, q: int) -> bool:
-    """q - 2*sqrt(q) - 2 <= n <= q + 2*sqrt(q) - 1, with exact arithmetic."""
-    lo_rhs = q - 2 - n
-    if lo_rhs > 0 and lo_rhs * lo_rhs > 4 * q:
-        return False
-    hi_lhs = n - q + 1
-    if hi_lhs > 0 and hi_lhs * hi_lhs > 4 * q:
-        return False
-    return True
-
-
 def in_rational_affine_window(n: int, q: int) -> bool:
     return q - 3 <= n <= q
 
@@ -659,7 +755,7 @@ def hasse_window_check(F: Field, conic: Conic, fam: Optional[CurveFamily] = None
         raise ValueError("window check applies to non-degenerate conics")
     n_g = count_affine_points(fam.G, F)
     n_h = count_affine_points(fam.H, F)
-    in_window = in_elliptic_affine_window(n_h, F.q) or in_rational_affine_window(n_h, F.q)
+    in_window = in_sqrt_window(n_h, F.q) or in_rational_affine_window(n_h, F.q)
     return {
         "conic": conic.coeffs(),
         "n_g": n_g,

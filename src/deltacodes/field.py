@@ -150,7 +150,6 @@ class Field:
         self._np_log: Optional[np.ndarray] = None
         self._trace_table: Optional[np.ndarray] = None
         self._sqrt_table: Optional[np.ndarray] = None
-        self._inv_table: Optional[np.ndarray] = None
         self._as_table: Optional[np.ndarray] = None
         self._mul_cols: dict[int, np.ndarray] = {}
         self._theta_weights: Optional[list[int]] = None
@@ -245,7 +244,8 @@ class Field:
         for w in self._theta_weights:
             t ^= self.mul(w, vp)
             vp = self.mul(vp, vp)
-        assert self.mul(t, t) ^ t == v
+        if self.mul(t, t) ^ t != v:
+            raise AssertionError(f"closed-form Artin-Schreier root {t} misses v = {v}")
         t = min(t, t ^ 1)
         return t, t ^ 1
 
@@ -320,15 +320,6 @@ class Field:
         if self._sqrt_table is None:
             self._sqrt_table = np.array([self.sqrt(a) for a in range(self.q)], dtype=self.np_dtype)
         return self._sqrt_table
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        if self._inv_table is None:
-            t = np.zeros(self.q, dtype=self.np_dtype)
-            for a in range(1, self.q):
-                t[a] = self.inv(a)
-            self._inv_table = t
-        return self._inv_table
 
     @property
     def artin_schreier_table(self) -> np.ndarray:
@@ -450,6 +441,22 @@ class ExtField:
                 for i, m in enumerate(self.modulus):
                     if m:
                         prod[k - r + i] ^= F.mul(c, m)
+        return tuple(prod[:r])
+
+    def vmul(self, a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Elementwise product of two arrays of extension elements, each
+        carried as its r component columns over the base field."""
+        F, r = self.base, self.degree
+        prod: list = [None] * (2 * r - 1)
+        for i in range(r):
+            for j in range(r):
+                term = F.vmul(a[i], b[j])
+                prod[i + j] = term if prod[i + j] is None else prod[i + j] ^ term
+        # reduce by x^r = sum modulus[i] x^i
+        for k in range(2 * r - 2, r - 1, -1):
+            for i, m in enumerate(self.modulus):
+                if m:
+                    prod[k - r + i] = prod[k - r + i] ^ F.mul_col(prod[k], m)
         return tuple(prod[:r])
 
     def scalar_mul(self, c: int, a: ExtElement) -> ExtElement:

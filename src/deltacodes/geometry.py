@@ -12,11 +12,8 @@ closed forms are never trusted without the brute-force oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .field import ExtField, Field
 
@@ -188,8 +185,6 @@ class DeltaSet:
     field: Field
     include_origin: bool
     points: list[tuple[int, int]]
-    _xs: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
-    _ys: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
     _monomials: Optional[list[tuple[int, ...]]] = dataclass_field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -197,18 +192,6 @@ class DeltaSet:
 
     def __iter__(self):
         return iter(self.points)
-
-    @property
-    def xs(self) -> np.ndarray:
-        if self._xs is None:
-            self._xs = np.array([p[0] for p in self.points], dtype=self.field.np_dtype)
-        return self._xs
-
-    @property
-    def ys(self) -> np.ndarray:
-        if self._ys is None:
-            self._ys = np.array([p[1] for p in self.points], dtype=self.field.np_dtype)
-        return self._ys
 
     def conic_monomials(self) -> list[tuple[int, ...]]:
         """Per point: (x^2, xy, y^2, x, y, 1) for conic evaluation sweeps."""
@@ -376,26 +359,19 @@ def parabola_count_closed_form(F: Field, conic: Conic, include_origin: bool) -> 
 # Generic window and exceptional families
 # ----------------------------------------------------------------------
 
-def in_window_half_open(count: int, q: int) -> bool:
-    """(q - 2*sqrt(q) - 2)/2 <= count <= (q + 2*sqrt(q) - 1)/2, exactly.
+def in_sqrt_window(n: int, q: int, hi: int = -1) -> bool:
+    """q - 2*sqrt(q) - 2 <= n <= q + 2*sqrt(q) + hi, exactly.
 
-    Comparisons against 2*sqrt(q) are done on squared integers so that odd
-    powers of two need no floating point.
+    With hi = -1 this is the affine window of an elliptic cubic.  A count c
+    on the evaluation set lies in the generic window
+    [(q - 2*sqrt(q) - 2)/2, (q + 2*sqrt(q) - 1)/2] when n = 2c lies in it,
+    and in the origin-included window, whose top is (sqrt(q) + 1)^2 / 2,
+    when 2c lies in it with hi = 1.  Comparisons against 2*sqrt(q) are done
+    on squared integers so that odd powers of two need no floating point.
     """
-    c2 = 2 * count
-    lo_rhs = q - 2 - c2  # need 2*sqrt(q) >= lo_rhs
-    if lo_rhs > 0 and lo_rhs * lo_rhs > 4 * q:
-        return False
-    hi_lhs = c2 - q + 1  # need hi_lhs <= 2*sqrt(q)
-    if hi_lhs > 0 and hi_lhs * hi_lhs > 4 * q:
-        return False
-    return True
-
-
-def window_bounds(q: int) -> tuple[float, float]:
-    """The generic window endpoints as floats, for display only."""
-    r = math.sqrt(q)
-    return (q - 2 * r - 2) / 2, (q + 2 * r - 1) / 2
+    below = q - 2 - n  # need below <= 2*sqrt(q)
+    above = n - q - hi  # need above <= 2*sqrt(q)
+    return all(gap <= 0 or gap * gap <= 4 * q for gap in (below, above))
 
 
 def classify_exceptional(F: Field, conic: Conic) -> Optional[str]:
@@ -430,6 +406,6 @@ def check_corollary_bounds(
     family = classify_exceptional(F, conic)
     if family is not None:
         return "exceptional", family, count
-    if not in_window_half_open(count, F.q):
+    if not in_sqrt_window(2 * count, F.q):
         return "out-of-window", None, count
     return "in-window", None, count

@@ -2,9 +2,13 @@
 
 Every suite checks stated closed forms and identities against brute-force
 ground truth.  The sweeps are vectorized over projective coefficient
-classes (numpy table lookups), and each vectorized path is cross-checked
-against the scalar implementations on a deterministic sample of classes,
-so a bug in the fast path cannot silently pass.
+classes (numpy table lookups); vbar, the cubic H and the reducibility
+quantities come from the column formulas in `curves`, whose one-class view
+is the scalar API.  On a deterministic sample of classes each sweep is
+cross-checked against brute force: point counts by evaluating the curves
+at every point of the plane, and linear components of H by evaluating it
+at points of each candidate line, so a bug in the fast path cannot
+silently pass.
 
 A failing check is reported with counterexample data; nothing is patched
 to make a stated claim come out true.
@@ -28,12 +32,13 @@ from .geometry import (
     count_on_delta,
     degenerate_by_singular_point,
     distinguished_points,
-    in_window_half_open,
+    in_sqrt_window,
     line_counts,
     line_delta_count_closed_form,
     make_conic,
     parabola_count_closed_form,
     pi_map,
+    projective_points,
 )
 from . import curves
 
@@ -127,65 +132,45 @@ def zero_counts(F: Field, coeff_arrays: Sequence[np.ndarray],
     n = len(coeff_arrays[0])
     counts = np.zeros(n, dtype=np.int64)
     for monos in point_monomials:
-        acc: Optional[np.ndarray] = None
-        for arr, m in zip(coeff_arrays, monos):
-            if m == 0:
-                continue
-            term = F.mul_col(arr, int(m))
-            acc = term if acc is None else acc ^ term
-        if acc is None:
-            counts += 1
-        else:
-            counts += (acc == 0)
+        acc = _combination(F, coeff_arrays, monos)
+        counts += 1 if acc is None else (acc == 0)
     return counts
 
 
-def conic_monomials_at(F: Field, pts: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    return [(F.mul(x, x), F.mul(x, y), F.mul(y, y), x, y, 1) for x, y in pts]
+def _combination(F: Field, coeff_arrays: Sequence[np.ndarray],
+                 monos: Sequence[int]) -> Optional[np.ndarray]:
+    """Per class, sum_i coeff_arrays[i] * monos[i]; None when every
+    monomial value is zero."""
+    acc: Optional[np.ndarray] = None
+    for arr, m in zip(coeff_arrays, monos):
+        if m == 0:
+            continue
+        term = F.mul_col(arr, int(m))
+        acc = term if acc is None else acc ^ term
+    return acc
+
+
+def _pair_zero_counts(F: Field, coeff_pairs: Sequence[curves.Pair],
+                      point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
+    """zero_counts for GF(q^2) coefficients carried as component pairs: a
+    class counts a point when both components of the sum vanish there.
+    Component columns that are zero on every class are skipped."""
+    n = len(coeff_pairs[0][0])
+    parts = [[(k, pair[t]) for k, pair in enumerate(coeff_pairs) if pair[t].any()]
+             for t in (0, 1)]
+    counts = np.zeros(n, dtype=np.int64)
+    for monos in point_monomials:
+        zero = np.ones(n, dtype=bool)
+        for part in parts:
+            acc = _combination(F, [arr for _, arr in part], [monos[k] for k, _ in part])
+            if acc is not None:
+                zero &= acc == 0
+        counts += zero
+    return counts
 
 
 def grid_points(F: Field) -> list[tuple[int, int]]:
     return [(x, y) for x in F.elements() for y in F.elements()]
-
-
-def quartic_f_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
-    """Monomial values of the pullback quartic divided by X^s, per point
-    (x, t), aligned with coefficient order (a11, a12, a22, a13, a23, a33);
-    entries for coefficients absent at this s are zero."""
-    out = []
-    for x, t in pts:
-        tt = F.mul(t, t) ^ t            # t^2 + t
-        t4 = F.mul(tt, tt)              # t^4 + t^2
-        xp = [1, x, F.mul(x, x)]
-        xp.append(F.mul(xp[2], x))
-        xp.append(F.mul(xp[3], x))
-        def xpow(i):
-            return xp[i - s]
-        m11 = xpow(2)
-        m12 = F.mul(tt, xpow(3))
-        m22 = F.mul(t4, xpow(4))
-        m13 = xpow(1) if s <= 1 else 0
-        m23 = F.mul(tt, xpow(2))
-        m33 = xpow(0) if s == 0 else 0
-        out.append((m11, m12, m22, m13, m23, m33))
-    return out
-
-
-def sheared_g_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
-    """Monomial values of the sheared curve per point (x, v), coefficient
-    order (a11, a12, a22, a13, a23, a33); a13/a33 entries zeroed per s."""
-    out = []
-    for x, v in pts:
-        x2 = F.mul(x, x)
-        v2 = F.mul(v, v)
-        m11 = x2
-        m12 = F.mul(x, v2) ^ F.mul(x2, v)
-        m22 = F.mul(v2, v2) ^ F.mul(v2, x2)
-        m13 = x if s <= 1 else 0
-        m23 = v2 ^ F.mul(v, x)
-        m33 = 1 if s == 0 else 0
-        out.append((m11, m12, m22, m13, m23, m33))
-    return out
 
 
 def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
@@ -218,7 +203,7 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
                 out &= comp[t] == 0
         return out
 
-    for X, Y, Z in projective_points_ext(E2):
+    for X, Y, Z in projective_points(E2):
         X2, Y2, Z2 = E2.mul(X, X), E2.mul(Y, Y), E2.mul(Z, Z)
         XY, XZ, YZ = E2.mul(X, Y), E2.mul(X, Z), E2.mul(Y, Z)
         on = gather([(a11, X2), (a12, XY), (a22, Y2), (a13, XZ), (a23, YZ), (a33, Z2)])
@@ -231,16 +216,6 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
         )
         found |= on & sing
     return found
-
-
-def projective_points_ext(E: ExtField):
-    one, zero = E.one, E.zero
-    for y in E.elements():
-        for z in E.elements():
-            yield (one, y, z)
-    for z in E.elements():
-        yield (zero, one, z)
-    yield (zero, zero, one)
 
 
 def _triples_ok_mask(cols: list[np.ndarray]) -> np.ndarray:
@@ -514,7 +489,7 @@ def verify_lemma(F: Field) -> SuiteReport:
     cols = conic_class_columns(F)
     a11, a12, a22, a13, a23, a33 = cols
     dbar = build_delta(F, include_origin=True)
-    lhs = zero_counts(F, cols, conic_monomials_at(F, dbar.points))
+    lhs = zero_counts(F, cols, dbar.conic_monomials())
     masks = _split_masks(F, cols)
     grid = grid_points(F)
     tr = F.trace_table
@@ -524,7 +499,7 @@ def verify_lemma(F: Field) -> SuiteReport:
     for s, mask in masks.items():
         if not mask.any():
             continue
-        nf = zero_counts(F, cols, quartic_f_monomials(F, grid, s))
+        nf = zero_counts(F, cols, curves.quartic_monomials(F, grid, s))
         if s in (1, 2):
             rhs = 1 + nf // 2
             if s == 2:
@@ -572,37 +547,20 @@ def verify_relations(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
     cols = conic_class_columns(F)
-    a11, a12, a22, a13, a23, a33 = cols
     masks = _split_masks(F, cols)
     grid = grid_points(F)
     axis = [(0, t) for t in F.elements()]
-    tr = F.trace_table
     bad = []
     axis_bad = []
     total = 0
     for s, mask in masks.items():
         if not mask.any():
             continue
-        nf = zero_counts(F, cols, quartic_f_monomials(F, grid, s))
-        ng = zero_counts(F, cols, sheared_g_monomials(F, grid, s))
-        f_axis = zero_counts(F, cols, quartic_f_monomials(F, axis, s))
-        g_axis = zero_counts(F, cols, sheared_g_monomials(F, axis, s))
-        if s == 0:
-            b = F.vdiv(F.vmul(a22, a33), F.vmul(a23, a23))
-            both = (a22 != 0) & (a23 != 0)
-            predicted = np.where(
-                both, np.where(tr[b] == 1, 0, -2),
-                np.where((a22 == 0) & (a23 == 0), 0, -1),
-            )
-        elif s == 1:
-            predicted = np.where((a23 == 0) | (a22 == 0), -1, -2)
-        else:
-            ratio = F.vdiv(a11, a23)
-            tz = tr[ratio] == 0
-            predicted = np.where(
-                a23 == 0, -1,
-                np.where(a22 == 0, np.where(tz, 1, -1), np.where(tz, 0, -2)),
-            )
+        nf = zero_counts(F, cols, curves.quartic_monomials(F, grid, s))
+        ng = zero_counts(F, cols, curves.sheared_monomials(F, grid, s))
+        f_axis = zero_counts(F, cols, curves.quartic_monomials(F, axis, s))
+        g_axis = zero_counts(F, cols, curves.sheared_monomials(F, axis, s))
+        predicted = curves.f_minus_g_columns(F, cols, s)
         sel = mask
         total += int(sel.sum())
         diff = nf.astype(np.int64) - ng.astype(np.int64)
@@ -636,116 +594,42 @@ def verify_relations(F: Field) -> SuiteReport:
 # Reducibility suite: degeneracy of C versus linear components of H
 # ----------------------------------------------------------------------
 
-def _ext_square(E2: ExtField, F: Field, v0, v1):
-    m0, m1 = E2.modulus
-    v1sq = F.vmul(v1, v1)
-    return F.vmul(v0, v0) ^ F.mul_col(v1sq, m0), F.mul_col(v1sq, m1)
+def _honest_linear_sweep(F: Field, cols: list[np.ndarray],
+                         h: dict[tuple[int, int], curves.Pair], red: dict) -> np.ndarray:
+    """Per-class divisibility of H by the unique candidate line of one of
+    the three pencils through its infinite points; h and red are the
+    curves.cubic_h_columns and curves.reducibility_columns of the classes."""
+    a11, a12, a22, a13, a23, a33 = cols
+    E2 = ExtField(F, 2)
+    mul = F.vmul
+    vanishes = curves.vanishes
 
+    def over(p, d):
+        return F.vdiv(p[0], d), F.vdiv(p[1], d)
 
-def _ext_mul_vec(E2: ExtField, F: Field, a0, a1, b0, b1):
-    m0, m1 = E2.modulus
-    cross = F.vmul(a1, b1)
-    return (
-        F.vmul(a0, b0) ^ F.mul_col(cross, m0),
-        F.vmul(a0, b1) ^ F.vmul(a1, b0) ^ F.mul_col(cross, m1),
-    )
-
-
-def _ext_as_tables(F: Field, E2: ExtField) -> tuple[np.ndarray, np.ndarray]:
-    """Per base element w with trace 1: the components of the minimal root
-    of X^2 + X + w over GF(q^2)."""
-    u0 = np.zeros(F.q, dtype=np.int64)
-    u1 = np.zeros(F.q, dtype=np.int64)
-    for w in F.elements():
-        if F.trace(w) == 1:
-            root = E2.solve_artin_schreier(E2.embed(w))
-            assert root is not None
-            u0[w], u1[w] = root[0]
-    return u0, u1
-
-
-
-def _vbar_component_sweep(F: Field, cols: list[np.ndarray], applicable: np.ndarray,
-                          E2: ExtField) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class components of vbar in the (1, rho) basis of GF(q^2);
-    classes with a rational vbar have a zero second component."""
-    a11, a12, a22, a13, a23, a33 = [c.astype(np.int64) for c in cols]
-    n = len(a11)
-    tr = F.trace_table.astype(np.int64)
-    v0 = np.zeros(n, dtype=np.int64)
-    v1 = np.zeros(n, dtype=np.int64)
-    both = (a12 != 0) & (a22 != 0)
-    w = F.vdiv(F.vmul(a11, a22), F.vmul(a12, a12))
-    scale = F.vdiv(a12, a22)
-    m = applicable & (a22 == 0)
-    v0[m] = F.vdiv(a11, a12)[m]
-    m = applicable & (a12 == 0) & (a22 != 0)
-    v0[m] = F.sqrt_table[F.vdiv(a11, a22)][m]
-    m = applicable & both & (tr[w] == 0)
-    u = F.artin_schreier_table[w].clip(min=0).astype(np.int64)
-    v0[m] = F.vmul(scale, u)[m]
-    m_quad = applicable & both & (tr[w] == 1)
-    if m_quad.any():
-        u0t, u1t = _ext_as_tables(F, E2)
-        v0[m_quad] = F.vmul(scale, u0t[w])[m_quad]
-        v1[m_quad] = F.vmul(scale, u1t[w])[m_quad]
-    return v0, v1
-
-
-def _honest_linear_sweep(F: Field, cols: list[np.ndarray], v0: np.ndarray,
-                         v1: np.ndarray, E2: ExtField) -> tuple[np.ndarray, ...]:
-    """Per-class divisibility of H by the unique candidate line of each of
-    the three pencils through its infinite points."""
-    a11, a12, a22, a13, a23, a33 = [c.astype(np.int64) for c in cols]
-    n = len(a11)
-    both = (a12 != 0) & (a22 != 0)
-    v20, v21 = _ext_square(E2, F, v0, v1)
-    v30, v31 = _ext_mul_vec(E2, F, v20, v21, v0, v1)
-    s0 = F.vmul(v0, a23) ^ a13
-    s1 = F.vmul(v1, a23)
+    s = h[(0, 2)]  # vbar*a23 + a13, the recurring combination
     # pencil through V-infinity: X = (vbar*a23 + a13)/a12
-    x0 = F.vdiv(s0, a12)
-    x1 = F.vdiv(s1, a12)
-    xs0, xs1 = _ext_square(E2, F, x0, x1)
-    ev0 = F.vmul(a22, xs0) ^ F.vmul(a23, x0) ^ a33
-    ev1 = F.vmul(a22, xs1) ^ F.vmul(a23, x1)
-    cond_v = np.where(a12 != 0, (ev0 == 0) & (ev1 == 0), (s0 == 0) & (s1 == 0))
-    cond_v = cond_v.astype(bool)
+    x = over(s, a12)
+    xs = E2.vmul(x, x)
+    ev = (mul(a22, xs[0]) ^ mul(a23, x[0]) ^ a33, mul(a22, xs[1]) ^ mul(a23, x[1]))
+    cond_v = np.where(a12 != 0, vanishes(ev), vanishes(s))
     # pencil through X-infinity: V = a12/a22; cleared forms R12 and R13
-    a22sq = F.vmul(a22, a22)
-    a12sq = F.vmul(a12, a12)
-    a12cu = F.vmul(a12sq, a12)
-    zero = np.zeros(n, dtype=np.int64)
-    r12_0 = F.vmul(v20, F.vmul(a12, a22sq)) ^ F.vmul(v0, F.vmul(a22sq, a23)) \
-        ^ a12cu ^ F.vmul(a12, F.vmul(a22, a23)) ^ F.vmul(a22sq, a13)
-    r12_1 = F.vmul(v21, F.vmul(a12, a22sq)) ^ F.vmul(v1, F.vmul(a22sq, a23))
-    r13_0 = F.vmul(v30, F.vmul(a22sq, a23)) ^ F.vmul(v20, F.vmul(a22sq, a13)) \
-        ^ F.vmul(v0, F.vmul(a12sq, a23)) ^ F.vmul(a12, F.vmul(a22, a33)) \
-        ^ F.vmul(a12sq, a13)
-    r13_1 = F.vmul(v31, F.vmul(a22sq, a23)) ^ F.vmul(v21, F.vmul(a22sq, a13)) \
-        ^ F.vmul(v1, F.vmul(a12sq, a23))
-    cond_x = (a22 != 0) & (r12_0 == 0) & (r12_1 == 0) & (r13_0 == 0) & (r13_1 == 0)
+    cond_x = (a22 != 0) & vanishes(red["r12"]) & vanishes(red["r13"])
     # pencil through (a22 : a12 : 0): a22*X + a12*V = w*
-    cond_q = np.zeros(n, dtype=bool)
+    both = (a12 != 0) & (a22 != 0)
+    cond_q = np.zeros(len(a11), dtype=bool)
     if both.any():
-        denom = F.vmul(a12, a22)
-        num0 = a12cu ^ F.vmul(a12, F.vmul(a22, a23)) ^ F.vmul(a22sq, s0)
-        num1 = F.vmul(a22sq, s1)
-        w0 = F.vdiv(num0, denom)
-        w1 = F.vdiv(num1, denom)
-        ws0, ws1 = _ext_square(E2, F, w0, w1)
-        inner0 = F.vmul(v20, a12) ^ F.vmul(v0, a23) ^ a13
-        inner1 = F.vmul(v21, a12) ^ F.vmul(v1, a23)
-        c1_0 = F.vmul(a12, ws0) ^ F.vmul(F.vmul(a12, a23), w0) \
-            ^ F.vmul(a12sq, inner0) ^ F.vmul(a12, F.vmul(a22, a33))
-        c1_1 = F.vmul(a12, ws1) ^ F.vmul(F.vmul(a12, a23), w1) ^ F.vmul(a12sq, inner1)
-        sw0, sw1 = _ext_mul_vec(E2, F, s0, s1, ws0, ws1)
-        tail0 = F.vmul(a12sq, F.vmul(v30, a23) ^ F.vmul(v20, a13))
-        tail1 = F.vmul(a12sq, F.vmul(v31, a23) ^ F.vmul(v21, a13))
-        c0_0 = sw0 ^ F.vmul(F.vmul(a12, a33), w0) ^ tail0
-        c0_1 = sw1 ^ F.vmul(F.vmul(a12, a33), w1) ^ tail1
-        cond_q = both & (c1_0 == 0) & (c1_1 == 0) & (c0_0 == 0) & (c0_1 == 0)
-    return cond_v, cond_x, cond_q
+        a12sq, a22sq = mul(a12, a12), mul(a22, a22)
+        num = mul(a12sq, a12) ^ mul(a12, mul(a22, a23)) ^ mul(a22sq, s[0])
+        w = over((num, mul(a22sq, s[1])), mul(a12, a22))
+        ws = E2.vmul(w, w)
+        sw = E2.vmul(s, ws)
+        inner, tail = h[(1, 0)], h[(0, 0)]
+        c1 = [mul(a12, ws[t]) ^ mul(mul(a12, a23), w[t]) ^ mul(a12sq, inner[t]) for t in (0, 1)]
+        c1[0] = c1[0] ^ mul(a12, mul(a22, a33))
+        c0 = [sw[t] ^ mul(mul(a12, a33), w[t]) ^ mul(a12sq, tail[t]) for t in (0, 1)]
+        cond_q = both & vanishes(c1) & vanishes(c0)
+    return cond_v | cond_x | cond_q
 
 
 def verify_reducibility(F: Field) -> SuiteReport:
@@ -753,57 +637,15 @@ def verify_reducibility(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
     cols = conic_class_columns(F)
-    a11, a12, a22, a13, a23, a33 = [c.astype(np.int64) for c in cols]
+    a11, a12, a22, a13, a23, a33 = cols
     hyp = _triples_ok_mask(cols)
     applicable = hyp & ((a12 != 0) | (a22 != 0))
     degenerate = degeneracy_vector(F, cols) == 0
     both = (a12 != 0) & (a22 != 0)
-    E2 = ExtField(F, 2)
-    n = len(a11)
-    zero = np.zeros(n, dtype=np.int64)
-
-    v0, v1 = _vbar_component_sweep(F, cols, applicable, E2)
-    v20, v21 = _ext_square(E2, F, v0, v1)
-    v30, v31 = _ext_mul_vec(E2, F, v20, v21, v0, v1)
-
-    def lin_comb(l3, l2, l1, l0):
-        """components of l3*vbar^3 + l2*vbar^2 + l1*vbar + l0"""
-        c0 = F.vmul(v30, l3) ^ F.vmul(v20, l2) ^ F.vmul(v0, l1) ^ l0
-        c1 = F.vmul(v31, l3) ^ F.vmul(v21, l2) ^ F.vmul(v1, l1)
-        return c0, c1
-
-    a23sq = F.vmul(a23, a23)
-    a22sq = F.vmul(a22, a22)
-    a12sq = F.vmul(a12, a12)
-    a12cu = F.vmul(a12sq, a12)
-    a22cu = F.vmul(a22sq, a22)
-
-    # the resultant-style quantities of the stated criteria, as cubics in vbar
-    u12 = lin_comb(zero, F.vmul(a22, a23sq), F.vmul(a12, a23sq),
-                   F.vmul(a12sq, a33) ^ F.vmul(a12, F.vmul(a13, a23))
-                   ^ F.vmul(a22, F.vmul(a13, a13)))
-    r12 = lin_comb(zero, F.vmul(a12, a22sq), F.vmul(a22sq, a23),
-                   a12cu ^ F.vmul(a12, F.vmul(a22, a23)) ^ F.vmul(a22sq, a13))
-    r13 = lin_comb(F.vmul(a22sq, a23), F.vmul(a22sq, a13), F.vmul(a12sq, a23),
-                   F.vmul(a12, F.vmul(a22, a33)) ^ F.vmul(a12sq, a13))
-    q12 = lin_comb(zero, F.vmul(a12, a22cu), F.vmul(a22cu, a23),
-                   F.vmul(a12cu, a22) ^ F.vmul(a12, F.vmul(a22sq, a23))
-                   ^ F.vmul(a22cu, a13))
-    q13 = lin_comb(F.vmul(F.vmul(a22sq, a22sq), a23),
-                   F.vmul(a12cu, a22sq) ^ F.vmul(F.vmul(a22sq, a22sq), a13),
-                   zero,
-                   F.vmul(a12cu, a12sq) ^ F.vmul(a12cu, F.vmul(a22, a23))
-                   ^ F.vmul(a12, F.vmul(a22cu, a33)))
-    s12 = lin_comb(zero, zero, a23sq, F.vmul(a12, a33) ^ F.vmul(a13, a23))
-    s_comb = lin_comb(zero, zero, a23, a13)  # vbar*a23 + a13
-
-    def is_zero(pair):
-        return (pair[0] == 0) & (pair[1] == 0)
-
-    stated = np.where(
-        a22 == 0, is_zero(s12),
-        np.where(a12 == 0, is_zero(s_comb), is_zero(u12)),
-    ).astype(bool)
+    vbar = curves.vbar_columns(F, cols)
+    h = curves.cubic_h_columns(F, cols, vbar)
+    red = curves.reducibility_columns(F, cols, vbar, h)
+    stated = red["reducible"]
 
     agree = stated[applicable] == degenerate[applicable]
     n_checked = int(applicable.sum())
@@ -813,19 +655,13 @@ def verify_reducibility(F: Field) -> SuiteReport:
             not bad, 0, n_checked - int(agree.sum()),
             note=f"checked {n_checked} classes" + (f"; first: {bad}" if bad else ""))
 
-    for name, lhs, rhs in (
-        ("resultant identity Q12 = a22 * R12", q12,
-         (F.vmul(a22, r12[0]), F.vmul(a22, r12[1]))),
-        ("resultant identity Q13 = a22^2 * R13 + a12^2 * R12", q13,
-         (F.vmul(a22sq, r13[0]) ^ F.vmul(a12sq, r12[0]),
-          F.vmul(a22sq, r13[1]) ^ F.vmul(a12sq, r12[1]))),
+    for name, key in (
+        ("resultant identity Q12 = a22 * R12", "identity_q12"),
+        ("resultant identity Q13 = a22^2 * R13 + a12^2 * R12", "identity_q13"),
     ):
-        sel = applicable & both
-        ok = (lhs[0][sel] == rhs[0][sel]) & (lhs[1][sel] == rhs[1][sel])
-        rep.add(name, bool(ok.all()))
+        rep.add(name, bool(red[key][applicable & both].all()))
 
-    cond_v, cond_x, cond_q = _honest_linear_sweep(F, cols, v0, v1, E2)
-    honest = cond_v | cond_x | cond_q
+    honest = _honest_linear_sweep(F, cols, h, red)
 
     hag = honest[applicable] == degenerate[applicable]
     bad_h = [(_class_tuple(cols, int(i)), bool(honest[i]), bool(degenerate[i]))
@@ -865,14 +701,11 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # Hasse suite: windows for the cubic, and the transfer between G and H
 # ----------------------------------------------------------------------
 
-def _h_monomials(F: Field, pts) -> list[tuple[int, ...]]:
-    """Monomial values (x^2 v, x^2, x v^2, x v, x, v^2, v, 1) per point."""
-    out = []
-    for x, v in pts:
-        x2 = F.mul(x, x)
-        v2 = F.mul(v, v)
-        out.append((F.mul(x2, v), x2, F.mul(x, v2), F.mul(x, v), x, v2, v, 1))
-    return out
+def _cubic_h_counts(F: Field, h: dict[tuple[int, int], curves.Pair]) -> np.ndarray:
+    """N(H) per class on the GF(q)^2 grid, in one pass over the component
+    pairs of the coefficients of H, for rational and quadratic vbar alike."""
+    monos = [tuple(F.mul(F.pow(x, i), F.pow(v, j)) for i, j in h) for x, v in grid_points(F)]
+    return _pair_zero_counts(F, list(h.values()), monos)
 
 
 def verify_hasse(F: Field) -> SuiteReport:
@@ -880,49 +713,30 @@ def verify_hasse(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("hasse", q, F.modulus)
     cols = conic_class_columns(F)
-    a11, a12, a22, a13, a23, a33 = [c.astype(np.int64) for c in cols]
+    a11, a12, a22, a13, a23, a33 = cols
     hyp = _triples_ok_mask(cols)
     nondeg = degeneracy_vector(F, cols) != 0
     applicable = hyp & nondeg & ((a12 != 0) | (a22 != 0))
-    tr = F.trace_table.astype(np.int64)
     grid = grid_points(F)
-    hmono = _h_monomials(F, grid)
 
-    n_g = zero_counts(F, cols, sheared_g_monomials(F, grid, 0))
+    n_g = zero_counts(F, cols, curves.sheared_monomials(F, grid, 0))
     # note: G always carries a13 and a33 here (s = 0 form); for classes with
     # a33 = 0 or a13 = 0 those coefficients vanish anyway.
 
-    n_h = np.zeros(len(a11), dtype=np.int64)
+    vbar = curves.vbar_columns(F, cols)
+    h = curves.cubic_h_columns(F, cols, vbar)
+    n_h = _cubic_h_counts(F, h)
+    rational = applicable & (vbar[1] == 0)
+    quad = applicable & (vbar[1] != 0)
 
-    # rational-vbar classes: evaluate H directly
-    scale = F.vdiv(a12, a22)
-    w = F.vdiv(F.vmul(a11, a22), F.vmul(a12, a12))
-    rational = applicable & (
-        (a22 == 0)
-        | ((a22 != 0) & (a12 == 0))
-        | ((a22 != 0) & (a12 != 0) & (tr[w] == 0))
-    )
     corrected_transfer: Optional[tuple[int, int]] = None
     if rational.any():
-        r = np.zeros(len(a11), dtype=np.int64)
-        m = a22 == 0
-        r[m] = F.vdiv(a11, a12)[m]
-        m = (a22 != 0) & (a12 == 0)
-        r[m] = F.sqrt_table[F.vdiv(a11, a22)][m]
-        m = (a22 != 0) & (a12 != 0) & (tr[w] == 0)
-        u = F.artin_schreier_table[w].clip(min=0).astype(np.int64)
-        r[m] = F.vmul(scale, u)[m]
-        r2 = F.vmul(r, r)
-        r3 = F.vmul(r2, r)
-        h_x = F.vmul(r2, a12) ^ F.vmul(r, a23) ^ a13
-        h_const = F.vmul(r3, a23) ^ F.vmul(r2, a13)
-        h_coeffs = [a22, a12, a12, a23, h_x, F.vmul(r, a23) ^ a13, a33, h_const]
-        n_h_rat = zero_counts(F, h_coeffs, hmono)
-        n_h[rational] = n_h_rat[rational]
-
         # corrected transfer: the quadratic map sends the (up to) k points of
         # G on the line V = vbar to one point of H, and H picks up its other
         # points on the line V = 0; bookkeeping those recovers N(H) exactly.
+        # On rational-vbar classes every value lies in the first component.
+        r, h_x, h_const = vbar[0], h[(1, 0)][0], h[(0, 0)][0]
+        r2 = F.vmul(r, r)
         xs_mono = [(F.mul(x, x), x, 1) for x in F.elements()]
         g_on_vbar = [
             a11 ^ F.vmul(a12, r) ^ F.vmul(a22, r2),
@@ -938,45 +752,6 @@ def verify_hasse(F: Field) -> SuiteReport:
         corrected = n_g - k_axis + img_pt + extra
         ok = corrected[rational] == n_h[rational]
         corrected_transfer = (int(rational.sum()), int(ok.sum()))
-
-    # quadratic-vbar classes: H = A + vbar*B; a rational point needs A = B = 0
-    quad = applicable & (a22 != 0) & (a12 != 0) & (tr[w] == 1)
-    if quad.any():
-        alpha = F.vdiv(a12, a22)
-        beta = F.vdiv(a11, a22)
-        a_coeffs = [
-            a22, a12, a12, a23,
-            F.vmul(beta, a12) ^ a13,
-            a13,
-            a33,
-            F.vmul(F.vmul(alpha, beta), a23) ^ F.vmul(beta, a13),
-        ]
-        zero = np.zeros(len(a11), dtype=np.int64)
-        b_coeffs = [
-            zero, zero, zero, zero,
-            F.vmul(alpha, a12) ^ a23,
-            a23,
-            zero,
-            F.vmul(F.vmul(alpha, alpha) ^ beta, a23) ^ F.vmul(alpha, a13),
-        ]
-        counts = np.zeros(len(a11), dtype=np.int64)
-        for monos in hmono:
-            acc_a: Optional[np.ndarray] = None
-            acc_b: Optional[np.ndarray] = None
-            for arr, mval in zip(a_coeffs, monos):
-                if mval == 0:
-                    continue
-                term = F.mul_col(arr, int(mval))
-                acc_a = term if acc_a is None else acc_a ^ term
-            for arr, mval in zip(b_coeffs, monos):
-                if mval == 0:
-                    continue
-                term = F.mul_col(arr, int(mval))
-                acc_b = term if acc_b is None else acc_b ^ term
-            za = (acc_a == 0) if acc_a is not None else np.ones(len(a11), dtype=bool)
-            zb = (acc_b == 0) if acc_b is not None else np.ones(len(a11), dtype=bool)
-            counts += za & zb
-        n_h[quad] = counts[quad]
 
     # claim 1: N(G) = N(H)
     eq_mask = n_g[applicable] == n_h[applicable]
@@ -996,7 +771,7 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     # claim 2: N(H) in the union of the elliptic and rational affine windows
     in_win = np.array([
-        curves.in_elliptic_affine_window(int(x), q) or curves.in_rational_affine_window(int(x), q)
+        in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
         for x in range(int(n_h.max()) + 1)
     ])
     win_ok = in_win[n_h[applicable]]
@@ -1021,16 +796,15 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
-    E2 = ExtField(F, 2)
-    v0, v1 = _vbar_component_sweep(F, cols, applicable, E2)
-    cond_v, cond_x, cond_q = _honest_linear_sweep(F, cols, v0, v1, E2)
-    has_line = cond_v | cond_x | cond_q
     viol = np.zeros(len(a11), dtype=bool)
     viol[np.flatnonzero(applicable)[~win_ok]] = True
-    viol_rat = viol & rational
+    viol_cols = [c[viol & rational] for c in cols]
+    viol_vbar = curves.vbar_columns(F, viol_cols)
+    viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
+    has_line = _honest_linear_sweep(
+        F, viol_cols, viol_h, curves.reducibility_columns(F, viol_cols, viol_vbar, viol_h))
     rep.add("every rational-vbar window violation comes from a reducible cubic",
-            bool((~viol_rat | has_line).all()),
-            int(viol_rat.sum()), int((viol_rat & has_line).sum()),
+            bool(has_line.all()), len(has_line), int(has_line.sum()),
             note="their conics are non-degenerate, so the stated reducibility "
                  "criteria do not see these lines")
 
@@ -1050,18 +824,6 @@ def verify_hasse(F: Field) -> SuiteReport:
 # Intersection spectrum sweeps (also backing the corollary check)
 # ----------------------------------------------------------------------
 
-def _in_window_with_origin(count: int, q: int) -> bool:
-    """(q - 2*sqrt(q) - 2)/2 <= count <= (sqrt(q) + 1)^2 / 2, exactly."""
-    c2 = 2 * count
-    lo_rhs = q - 2 - c2
-    if lo_rhs > 0 and lo_rhs * lo_rhs > 4 * q:
-        return False
-    hi_lhs = c2 - q - 1
-    if hi_lhs > 0 and hi_lhs * hi_lhs > 4 * q:
-        return False
-    return True
-
-
 def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
     window and exceptional-family accounting for both set variants."""
@@ -1071,15 +833,15 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     dbar = build_delta(F, include_origin=True)
     cols = conic_class_columns(F)
     a11, a12, a22, a13, a23, a33 = [c.astype(np.int64) for c in cols]
-    counts = zero_counts(F, cols, conic_monomials_at(F, delta.points))
-    counts_bar = zero_counts(F, cols, conic_monomials_at(F, dbar.points))
+    counts = zero_counts(F, cols, delta.conic_monomials())
+    counts_bar = zero_counts(F, cols, dbar.conic_monomials())
     nondeg = degeneracy_vector(F, cols) != 0
     family_parabola = (a12 == 0) & (a22 == 0) & (a23 != 0) & (
         F.vmul(a13, a13) == F.vmul(a33, a23))
     family_vertical = (a12 == 0) & (a22 == 0) & (a23 == 0) & (a11 != 0) & (a13 != 0) & (a33 != 0)
-    in_win = np.array([in_window_half_open(c, q) for c in range(int(counts.max()) + 1)])
+    in_win = np.array([in_sqrt_window(2 * c, q) for c in range(int(counts.max()) + 1)])
     window_ok = in_win[counts]
-    in_win_bar = np.array([_in_window_with_origin(c, q)
+    in_win_bar = np.array([in_sqrt_window(2 * c, q, hi=1)
                            for c in range(int(counts_bar.max()) + 1)])
     window_bar_ok = in_win_bar[counts_bar]
 
@@ -1134,8 +896,9 @@ def parabola_spectrum(F: Field) -> dict:
     delta = build_delta(F, include_origin=False)
     dbar = build_delta(F, include_origin=True)
     cols4 = projective_class_columns(F.q, 4, F.np_dtype)
-    monos_d = [(F.mul(x, x), x, y, 1) for x, y in delta.points]
-    monos_b = [(F.mul(x, x), x, y, 1) for x, y in dbar.points]
+    # the monomials of a11, a13, a23, a33
+    monos_d = [(m[0], m[3], m[4], m[5]) for m in delta.conic_monomials()]
+    monos_b = [(m[0], m[3], m[4], m[5]) for m in dbar.conic_monomials()]
     counts_d = zero_counts(F, cols4, monos_d)
     counts_b = zero_counts(F, cols4, monos_b)
     mismatches = []

@@ -129,3 +129,18 @@ def test_net_members(capsys):
     assert payload["axis_tangent_members"] == 1
     assert all(len(m) == 6 and all(v.startswith("0x") for v in m)
                for m in payload["members"])
+
+
+def test_samples_below_one_is_usage_error(capsys):
+    for samples in ("0", "-3"):
+        code, out = run(capsys, "params", "--q", "8", "--system", "net", "--samples", samples)
+        assert code == EXIT_USAGE and out == ""
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"q": 8, "modulos": "0x13"}')
+    code = main(["params", "--config", str(cfg), "--system", "lines"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "modulos" in captured.err

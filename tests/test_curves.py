@@ -3,7 +3,7 @@ import random
 import pytest
 
 from deltacodes.field import ExtField
-from deltacodes.geometry import Conic, build_delta, is_degenerate
+from deltacodes.geometry import Conic, build_delta, in_sqrt_window, is_degenerate
 from deltacodes.curves import (
     Poly2,
     build_family,
@@ -12,7 +12,6 @@ from deltacodes.curves import (
     g_axis_root_count,
     has_linear_component,
     hasse_window_check,
-    in_elliptic_affine_window,
     in_rational_affine_window,
     linear_components,
     psi_fiber_check,
@@ -283,7 +282,37 @@ def test_poly_dump(F8):
 
 
 def test_window_predicates():
-    assert in_elliptic_affine_window(1, 8)
-    assert not in_elliptic_affine_window(0, 8)
-    assert in_elliptic_affine_window(12, 8) and not in_elliptic_affine_window(13, 8)
+    assert in_sqrt_window(1, 8)
+    assert not in_sqrt_window(0, 8)
+    assert in_sqrt_window(12, 8) and not in_sqrt_window(13, 8)
     assert in_rational_affine_window(5, 8) and not in_rational_affine_window(4, 8)
+
+
+def test_invariants_survive_optimize():
+    """Under python -O, a product grouping of H that disagrees with the
+    coefficient formula still aborts build_family, and not as a ValueError."""
+    import os
+    import subprocess
+    import sys
+    script = "\n".join([
+        "import sys",
+        "from deltacodes import curves",
+        "from deltacodes.field import Field",
+        "from deltacodes.geometry import Conic",
+        "assert False, 'asserts must be stripped'",
+        "orig = curves._cubic_h",
+        "def broken(K, conic, vbar, ordering):",
+        "    h = orig(K, conic, vbar, ordering)",
+        "    return h.add(curves.Poly2(K, {(0, 0): K.one}, h.vars)) if ordering == 1 else h",
+        "curves._cubic_h = broken",
+        "try:",
+        "    curves.build_family(Field(3), Conic(1, 1, 1, 2, 1, 3))",
+        "except ValueError:",
+        "    sys.exit(3)",
+    ])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: the two groupings of H differ" in proc.stderr

@@ -145,6 +145,19 @@ def test_extension_embedding_respects_ops(F8):
             assert E.add(E.embed(a), E.embed(b)) == E.embed(a ^ b)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_extension_vmul_matches_mul(F8, r):
+    import numpy as np
+    E = ExtField(F8, r)
+    elems = list(E.elements())
+    pairs = [(a, b) for a in elems[::5] for b in elems[::7]]
+    a_cols = [np.array([a[t] for a, _ in pairs], dtype=F8.np_dtype) for t in range(r)]
+    b_cols = [np.array([b[t] for _, b in pairs], dtype=F8.np_dtype) for t in range(r)]
+    prod = E.vmul(a_cols, b_cols)
+    assert [tuple(int(c[k]) for c in prod) for k in range(len(pairs))] == \
+        [E.mul(a, b) for a, b in pairs]
+
+
 def test_extension_inverse_and_artin_schreier(F4):
     E = ExtField(F4, 2)
     for x in E.elements():

@@ -12,7 +12,7 @@ from deltacodes.geometry import (
     count_on_delta,
     degenerate_by_singular_point,
     distinguished_points,
-    in_window_half_open,
+    in_sqrt_window,
     is_degenerate,
     line_counts,
     line_delta_count_closed_form,
@@ -170,17 +170,17 @@ def test_parabola_closed_form_exhaustive(h):
 
 def test_window_arithmetic():
     # q = 8: (q - 2 sqrt q - 2)/2 ~ 0.17 and (q + 2 sqrt q - 1)/2 ~ 6.33
-    assert not in_window_half_open(0, 8)
-    assert in_window_half_open(1, 8)
-    assert in_window_half_open(6, 8)
-    assert not in_window_half_open(7, 8)
+    assert not in_sqrt_window(2 * 0, 8)
+    assert in_sqrt_window(2 * 1, 8)
+    assert in_sqrt_window(2 * 6, 8)
+    assert not in_sqrt_window(2 * 7, 8)
     # q = 4: lower bound is negative, so 0 is admissible
-    assert in_window_half_open(0, 4)
-    assert in_window_half_open(3, 4)
-    assert not in_window_half_open(4, 4)
+    assert in_sqrt_window(2 * 0, 4)
+    assert in_sqrt_window(2 * 3, 4)
+    assert not in_sqrt_window(2 * 4, 4)
     # q = 16: exact integer endpoints 3 and 11
-    assert in_window_half_open(3, 16) and in_window_half_open(11, 16)
-    assert not in_window_half_open(2, 16) and not in_window_half_open(12, 16)
+    assert in_sqrt_window(2 * 3, 16) and in_sqrt_window(2 * 11, 16)
+    assert not in_sqrt_window(2 * 2, 16) and not in_sqrt_window(2 * 12, 16)
 
 
 def test_classify_exceptional(F8):

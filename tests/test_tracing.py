@@ -1,0 +1,33 @@
+"""bench/tracing.py wraps deltacodes functions by name; a renamed function
+or a changed signature must fail here, not only in the benchmark's own
+slower checks."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def cli(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "hasse", "--q", "4"),
+    ("spectrum", "--family", "all-conics", "--q", "4"),
+])
+def test_traced_run_matches_untraced(tmp_path, argv):
+    trace_file = tmp_path / "trace.json"
+    plain = cli("-m", "deltacodes.cli", *argv)
+    traced = cli(os.path.join("bench", "tracing.py"), str(trace_file), "0", "--", *argv)
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout == plain.stdout
+    trace = json.loads(trace_file.read_text())
+    assert trace["errors"] == {}
+    assert trace["spans"]

@@ -102,10 +102,10 @@ def test_projective_class_columns_cover_everything():
 
 def test_zero_counts_matches_scalar(F8):
     from deltacodes.geometry import Conic, build_delta, count_on_delta
-    from deltacodes.verify import conic_monomials_at, _class_tuple
+    from deltacodes.verify import _class_tuple
     delta = build_delta(F8)
     cols = conic_class_columns(F8)
-    counts = zero_counts(F8, cols, conic_monomials_at(F8, delta.points))
+    counts = zero_counts(F8, cols, delta.conic_monomials())
     import random
     rng = random.Random(1)
     for _ in range(30):
@@ -147,3 +147,29 @@ def test_degeneracy_vector_matches_scalar(F8):
         i = rng.randrange(len(cols[0]))
         c = Conic(*_class_tuple(cols, i))
         assert int(vec[i]) == degeneracy_criterion(F8, c)
+
+
+def test_column_formulas_exhaustive_q4(F4):
+    """Every class with an H at q = 4: the one-pass column N(H) equals the
+    brute-force count of the product grouping of H, and the column line
+    flag equals the point-evaluation test of has_linear_component."""
+    from deltacodes import curves
+    from deltacodes.geometry import Conic
+    from deltacodes.verify import _class_tuple, _cubic_h_counts, _honest_linear_sweep
+    cols = conic_class_columns(F4)
+    vbar = curves.vbar_columns(F4, cols)
+    h = curves.cubic_h_columns(F4, cols, vbar)
+    red = curves.reducibility_columns(F4, cols, vbar, h)
+    n_h = _cubic_h_counts(F4, h)
+    has_line = _honest_linear_sweep(F4, cols, h, red)
+    checked = 0
+    for i in range(len(cols[0])):
+        c = Conic(*_class_tuple(cols, i))
+        if not (c.a12 or c.a22) or not curves.coefficient_triples_ok(c):
+            continue
+        fam = curves.build_family(F4, c)
+        grouped = curves._cubic_h(fam.vfield, c, fam.vbar, ordering=1)
+        assert int(n_h[i]) == curves.count_affine_points(grouped, F4), c
+        assert bool(has_line[i]) == curves.has_linear_component(F4, c, fam)[0], c
+        checked += 1
+    assert checked == 1218
