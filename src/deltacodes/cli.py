@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Optional
 
@@ -319,6 +320,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for needed in args._needs:
             if getattr(args, needed, None) is None:
                 raise UsageError(f"--{needed} is required (directly or via --config)")
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise UsageError(f"--out {args.out}: no such directory")
         return args.fn(args)
     except (UsageError, BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

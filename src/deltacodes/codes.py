@@ -21,6 +21,7 @@ import numpy as np
 
 from .field import Field
 from .geometry import Coeffs6, DeltaSet
+from .verify import projective_class_columns, zero_counts
 
 ENUM_GUARD = 1 << 32          # hard bound on q^k for message enumeration
 ENUM_DEFAULT_BUDGET = 1 << 24  # above this, demand an explicit big=True
@@ -116,15 +117,6 @@ def evaluate_system(system: ConicSystem, delta: DeltaSet) -> GeneratorMatrix:
 # Weight distributions
 # ----------------------------------------------------------------------
 
-def _scaled_rows(F: Field, g: GeneratorMatrix) -> list[list[np.ndarray]]:
-    """scaled[i][c] = c * row_i, for incremental codeword assembly."""
-    out = []
-    for i in range(g.k):
-        row = g.entries[i]
-        out.append([F.mul_col(row, c) for c in range(F.q)])
-    return out
-
-
 def _check_budget(q: int, k: int, big: bool) -> None:
     total = q ** k
     if total > ENUM_GUARD:
@@ -143,7 +135,7 @@ def weight_distribution_enumerate(g: GeneratorMatrix, big: bool = False) -> Coun
     F = g.field
     q, k, n = F.q, g.k, g.n
     _check_budget(q, k, big)
-    scaled = _scaled_rows(F, g)
+    scaled = [[F.mul_col(row, c) for c in range(q)] for row in g.entries]  # c * row_i
     k2 = min(k, max(1, int(np.ceil(k / 2))))
     k1 = k - k2
     suffix = np.zeros((1, n), dtype=F.np_dtype)
@@ -176,30 +168,10 @@ def weight_distribution_classes(g: GeneratorMatrix) -> Counter:
     q, k, n = F.q, g.k, g.n
     if (q ** k - 1) // (q - 1) > 1 << 26:
         raise BudgetError("too many projective classes")
-    scaled = _scaled_rows(F, g)
-    counts: Counter = Counter({0: 1})
-    for lead in range(k):
-        reps = q ** (k - lead - 1)
-        base = scaled[lead][1]
-        for t in range(reps):
-            word = base.copy()
-            m = t
-            for i in range(lead + 1, k):
-                c = m % q
-                m //= q
-                if c:
-                    word ^= scaled[i][c]
-            w = n - int(np.count_nonzero(word == 0))
-            counts[w] += q - 1
-    return counts
-
-
-def weight_distribution(g: GeneratorMatrix, method: str = "enumerate", big: bool = False) -> Counter:
-    if method == "enumerate":
-        return weight_distribution_enumerate(g, big=big)
-    if method == "classes":
-        return weight_distribution_classes(g)
-    raise ValueError(f"unknown method {method!r}")
+    zeros = zero_counts(F, projective_class_columns(q, k, F.np_dtype), g.entries.T)
+    hist = np.bincount(n - zeros, minlength=n + 1) * (q - 1)
+    hist[0] += 1
+    return Counter({w: int(c) for w, c in enumerate(hist) if c})
 
 
 def min_distance(g: GeneratorMatrix, big: bool = False,

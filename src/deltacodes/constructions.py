@@ -168,8 +168,9 @@ def make_net_context(E: ExtField, p: ProjPoint3) -> NetContext:
     l2 = _cross(E, p1, p2)
     l3 = _cross(E, p2, p)
     # Frobenius must cycle the sides: the conjugate of l1 is l2 and so on
-    assert frobenius_point(E, l1) == l2
-    assert frobenius_point(E, l2) == l3
+    for side, conjugate in ((l1, l2), (l2, l3)):
+        if frobenius_point(E, side) != conjugate:
+            raise AssertionError(f"Frobenius does not cycle the sides of the net at {p}")
     return NetContext(
         ext=E, P=p, P1=p1, P2=p2, l1=l1, l2=l2, l3=l3, beta=E.gen,
         quad12=_line_product_coeffs(E, l1, l2),

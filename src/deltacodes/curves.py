@@ -101,7 +101,8 @@ class Poly2:
 
     def shift_down_x(self, s: int) -> Poly2:
         """Divide by X^s, assuming every term has X-exponent >= s."""
-        assert all(i >= s for i, _ in self.coeffs)
+        if any(i < s for i, _ in self.coeffs):
+            raise AssertionError(f"X^{s} does not divide every term of {self.dump()}")
         return Poly2(self.field, {(i - s, j): c for (i, j), c in self.coeffs.items()}, self.vars)
 
     def coeffs_in_x(self) -> dict[int, dict[int, object]]:
@@ -145,7 +146,8 @@ class Poly2:
 
     def lift(self, ext: ExtField) -> Poly2:
         """Embed a base-field polynomial into an extension of its field."""
-        assert isinstance(self.field, Field) and ext.base == self.field
+        if not (isinstance(self.field, Field) and ext.base == self.field):
+            raise AssertionError("lift needs an extension of the polynomial's own field")
         return Poly2(ext, {e: ext.embed(c) for e, c in self.coeffs.items()}, self.vars)
 
     def dump(self) -> list[tuple[int, int, str]]:
@@ -540,15 +542,24 @@ def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = 
     }
 
 
+def lemma_case_columns(F: Field, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The case (1-4) of the intersection lemma per class: 1 when a33 != 0,
+    2 when a33 = 0 and a13 != 0, and for a33 = a13 = 0, 4 when a23 != 0 and
+    trace(a11/a23) = 0, otherwise 3."""
+    a11, a13, a23, a33 = cols[0], cols[3], cols[4], cols[5]
+    open_case = (a23 != 0) & (F.trace_table[F.vdiv(a11, a23)] == 0)
+    return np.where(a33 != 0, 1, np.where(a13 != 0, 2, np.where(open_case, 4, 3)))
+
+
 def lemma_case(F: Field, conic: Conic) -> int:
-    a11, a13, a23, a33 = conic.a11, conic.a13, conic.a23, conic.a33
-    if a33 != 0:
-        return 1
-    if a13 != 0:
-        return 2
-    if a23 == 0 or F.trace(F.div(a11, a23)) == 1:
-        return 3
-    return 4
+    """The one-class view of lemma_case_columns."""
+    return int(lemma_case_columns(F, _one_class(F, conic))[0])
+
+
+def lemma_rhs(n_f_s, case):
+    """The lemma's value of |DeltaBar ∩ C| from N(F^(s)): n/2, plus one in
+    cases 2 and 3; for one class or a column of classes."""
+    return n_f_s // 2 + ((case == 2) | (case == 3))
 
 
 def verify_lemma_delta(
@@ -561,7 +572,7 @@ def verify_lemma_delta(
     lhs = count_on_delta(F, conic, delta_bar)
     case = lemma_case(F, conic)
     n = count_affine_points(fam.F_s, F)
-    rhs = {1: n // 2, 2: 1 + n // 2, 3: 1 + n // 2, 4: n // 2}[case]
+    rhs = int(lemma_rhs(n, case))
     halves_ok = n % 2 == 0
     return {"case": case, "lhs": lhs, "rhs": rhs, "n_f_s": n, "ok": lhs == rhs and halves_ok}
 

@@ -210,7 +210,8 @@ def build_delta(F: Field, include_origin: bool = False) -> DeltaSet:
         x2 = F.mul(x, x)
         points.extend((x, F.mul(a, x2)) for a in t0)
     expected = F.q * (F.q - 1) // 2 + (1 if include_origin else 0)
-    assert len(points) == expected
+    if len(points) != expected:
+        raise AssertionError(f"the set has {len(points)} points, expected {expected}")
     return DeltaSet(field=F, include_origin=include_origin, points=points)
 
 
@@ -359,18 +360,17 @@ def parabola_count_closed_form(F: Field, conic: Conic, include_origin: bool) -> 
 # Generic window and exceptional families
 # ----------------------------------------------------------------------
 
-def in_sqrt_window(n: int, q: int, hi: int = -1) -> bool:
-    """q - 2*sqrt(q) - 2 <= n <= q + 2*sqrt(q) + hi, exactly.
+def in_sqrt_window(n: int, q: int) -> bool:
+    """q - 2*sqrt(q) - 2 <= n <= q + 2*sqrt(q) - 1, exactly.
 
-    With hi = -1 this is the affine window of an elliptic cubic.  A count c
-    on the evaluation set lies in the generic window
-    [(q - 2*sqrt(q) - 2)/2, (q + 2*sqrt(q) - 1)/2] when n = 2c lies in it,
-    and in the origin-included window, whose top is (sqrt(q) + 1)^2 / 2,
-    when 2c lies in it with hi = 1.  Comparisons against 2*sqrt(q) are done
-    on squared integers so that odd powers of two need no floating point.
+    This is the affine window of an elliptic cubic.  A count c on the
+    evaluation set lies in the generic window
+    [(q - 2*sqrt(q) - 2)/2, (q + 2*sqrt(q) - 1)/2] when n = 2c lies in it.
+    Comparisons against 2*sqrt(q) are done on squared integers so that odd
+    powers of two need no floating point.
     """
     below = q - 2 - n  # need below <= 2*sqrt(q)
-    above = n - q - hi  # need above <= 2*sqrt(q)
+    above = n - q + 1  # need above <= 2*sqrt(q)
     return all(gap <= 0 or gap * gap <= 4 * q for gap in (below, above))
 
 

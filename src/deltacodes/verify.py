@@ -190,17 +190,11 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
     def gather(pairs) -> np.ndarray:
         """zero-mask of sum of coeff*scalar with scalars in GF(q^2):
         both components must vanish."""
-        comp = [None, None]
-        for arr, scalar in pairs:
-            for t in range(2):
-                if scalar[t] == 0:
-                    continue
-                term = F.mul_col(arr, int(scalar[t]))
-                comp[t] = term if comp[t] is None else comp[t] ^ term
         out = np.ones(n, dtype=bool)
         for t in range(2):
-            if comp[t] is not None:
-                out &= comp[t] == 0
+            acc = _combination(F, [arr for arr, _ in pairs], [scalar[t] for _, scalar in pairs])
+            if acc is not None:
+                out &= acc == 0
         return out
 
     for X, Y, Z in projective_points(E2):
@@ -413,15 +407,7 @@ def verify_geometry(F: Field, oracle: Optional[bool] = None) -> SuiteReport:
     )
 
     # parabola-family closed forms (a12 = a22 = 0), every class, both sets
-    mismatches = []
-    a11c, a13c, a23c, a33c = projective_class_columns(q, 4, np.int64)
-    for i in range(len(a11c)):
-        c = Conic(int(a11c[i]), 0, 0, int(a13c[i]), int(a23c[i]), int(a33c[i]))
-        for io, ds in ((False, delta), (True, dbar)):
-            pred = parabola_count_closed_form(F, c, io)
-            act = count_on_delta(F, c, ds)
-            if pred != act:
-                mismatches.append((c.coeffs(), io, pred, act))
+    mismatches = parabola_spectrum(F)["closed_form_mismatches"]
     rep.add("parabola-family closed forms match brute force on every class",
             not mismatches, 0, len(mismatches),
             note=f"first: {mismatches[:3]}" if mismatches else "")
@@ -487,29 +473,19 @@ def verify_lemma(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("lemma", q, F.modulus)
     cols = conic_class_columns(F)
-    a11, a12, a22, a13, a23, a33 = cols
     dbar = build_delta(F, include_origin=True)
     lhs = zero_counts(F, cols, dbar.conic_monomials())
     masks = _split_masks(F, cols)
+    case = curves.lemma_case_columns(F, cols)
     grid = grid_points(F)
-    tr = F.trace_table
     total_checked = 0
     bad_examples = []
     parity_bad = []
-    for s, mask in masks.items():
-        if not mask.any():
+    for s, sel in masks.items():
+        if not sel.any():
             continue
         nf = zero_counts(F, cols, curves.quartic_monomials(F, grid, s))
-        if s in (1, 2):
-            rhs = 1 + nf // 2
-            if s == 2:
-                # trace(a11/a23) = 0 and a23 != 0 drops the +1
-                ratio = F.vdiv(a11, a23)
-                open_case = (a23 != 0) & (tr[ratio] == 0)
-                rhs = np.where(open_case, nf // 2, rhs)
-        else:
-            rhs = nf // 2
-        sel = mask
+        rhs = curves.lemma_rhs(nf, case)
         ok = lhs[sel] == rhs[sel]
         par = nf[sel] % 2 == 0
         total_checked += int(sel.sum())
@@ -553,15 +529,14 @@ def verify_relations(F: Field) -> SuiteReport:
     bad = []
     axis_bad = []
     total = 0
-    for s, mask in masks.items():
-        if not mask.any():
+    for s, sel in masks.items():
+        if not sel.any():
             continue
         nf = zero_counts(F, cols, curves.quartic_monomials(F, grid, s))
         ng = zero_counts(F, cols, curves.sheared_monomials(F, grid, s))
         f_axis = zero_counts(F, cols, curves.quartic_monomials(F, axis, s))
         g_axis = zero_counts(F, cols, curves.sheared_monomials(F, axis, s))
         predicted = curves.f_minus_g_columns(F, cols, s)
-        sel = mask
         total += int(sel.sum())
         diff = nf.astype(np.int64) - ng.astype(np.int64)
         ok = diff[sel] == predicted[sel]
@@ -818,33 +793,25 @@ def verify_hasse(F: Field) -> SuiteReport:
 
 def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
-    window and exceptional-family accounting for both set variants."""
+    window and exceptional-family accounting."""
     t0 = time.perf_counter()
     q = F.q
     delta = delta or build_delta(F, include_origin=False)
-    dbar = build_delta(F, include_origin=True)
     cols = conic_class_columns(F)
     a11, a12, a22, a13, a23, a33 = [c.astype(np.int64) for c in cols]
     counts = zero_counts(F, cols, delta.conic_monomials())
-    counts_bar = zero_counts(F, cols, dbar.conic_monomials())
     nondeg = degeneracy_vector(F, cols) != 0
     family_parabola = (a12 == 0) & (a22 == 0) & (a23 != 0) & (
         F.vmul(a13, a13) == F.vmul(a33, a23))
     family_vertical = (a12 == 0) & (a22 == 0) & (a23 == 0) & (a11 != 0) & (a13 != 0) & (a33 != 0)
     in_win = np.array([in_sqrt_window(2 * c, q) for c in range(int(counts.max()) + 1)])
     window_ok = in_win[counts]
-    in_win_bar = np.array([in_sqrt_window(2 * c, q, hi=1)
-                           for c in range(int(counts_bar.max()) + 1)])
-    window_bar_ok = in_win_bar[counts_bar]
 
     hist = np.bincount(counts[nondeg])
     explained = window_ok | family_parabola | family_vertical
     violations = nondeg & ~explained
     idx = np.flatnonzero(violations)
     viol_hist = np.bincount(counts[violations], minlength=1)
-    stated_families = family_parabola | ((a12 == 0) & (a22 == 0) & (a23 == 0))
-    violations_bar = nondeg & ~(window_bar_ok | stated_families)
-    viol_bar_hist = np.bincount(counts_bar[violations_bar], minlength=1)
     return {
         "q": q,
         "nondegenerate_classes": int(nondeg.sum()),
@@ -855,9 +822,6 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
             (_class_tuple(cols, int(i)), int(counts[i])) for i in idx[:8]
         ],
         "exceptional_parabola_classes": int((nondeg & family_parabola).sum()),
-        "origin_included_window_violations": int(violations_bar.sum()),
-        "origin_included_violation_counts": {
-            int(c): int(n) for c, n in enumerate(viol_bar_hist) if n},
         "elapsed": round(time.perf_counter() - t0, 3),
     }
 

@@ -144,3 +144,12 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert "modulos" in captured.err
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["spectrum", "--family", "all-conics", "--q", "16", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "sweeping" not in captured.err
+    assert not out.parent.exists()

@@ -21,6 +21,8 @@ def cli(*args):
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "hasse", "--q", "4"),
     ("spectrum", "--family", "all-conics", "--q", "4"),
+    ("verify", "--suite", "geometry", "--q", "4"),
+    ("params", "--system", "conics", "--q", "4"),
 ])
 def test_traced_run_matches_untraced(tmp_path, argv):
     trace_file = tmp_path / "trace.json"
