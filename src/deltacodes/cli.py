@@ -311,6 +311,17 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return argv[:i] + argv[i + 2:]
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out the report could not be written to, before any work."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: no such directory")
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path}: is a directory")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise UsageError(f"--out {path}: not writable")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -320,8 +331,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for needed in args._needs:
             if getattr(args, needed, None) is None:
                 raise UsageError(f"--{needed} is required (directly or via --config)")
-        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise UsageError(f"--out {args.out}: no such directory")
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (UsageError, BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ to make a stated claim come out true.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -103,7 +104,17 @@ def _jsonable(v):
 # Vectorized class enumeration and zero counting
 # ----------------------------------------------------------------------
 
-def projective_class_columns(q: int, width: int, dtype=np.uint8) -> list[np.ndarray]:
+class ClassColumns(list):
+    """The coefficient columns of `projective_class_columns`, together with
+    the (q, width) of their layout, which `zero_counts` sweeps block by
+    block instead of reading the columns."""
+
+    def __init__(self, columns, q: int, width: int):
+        super().__init__(columns)
+        self.q, self.width = q, width
+
+
+def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns:
     """Coefficient columns of all (q^width - 1)/(q - 1) projective classes,
     ordered with the leading 1 moving right and the tail in product order
     (last coordinate fastest)."""
@@ -118,23 +129,51 @@ def projective_class_columns(q: int, width: int, dtype=np.uint8) -> list[np.ndar
         for j in range(tail_len):
             power = q ** (tail_len - 1 - j)
             cols[lead + 1 + j].append(((idx // power) % q).astype(dtype))
-    return [np.concatenate(parts) for parts in cols]
+    return ClassColumns([np.concatenate(parts) for parts in cols], q, width)
 
 
-def conic_class_columns(F: Field) -> list[np.ndarray]:
+def conic_class_columns(F: Field) -> ClassColumns:
     return projective_class_columns(F.q, 6, F.np_dtype)
 
 
-def zero_counts(F: Field, coeff_arrays: Sequence[np.ndarray],
+def zero_counts(F: Field, coeff_arrays: ClassColumns,
                 point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
-    """For each class, the number of points whose monomial combination
-    evaluates to zero.  coeff_arrays[i] pairs with point_monomials[*][i]."""
-    n = len(coeff_arrays[0])
-    counts = np.zeros(n, dtype=np.int64)
-    for monos in point_monomials:
-        acc = _combination(F, coeff_arrays, monos)
-        counts += 1 if acc is None else (acc == 0)
-    return counts
+    """For each class of a `projective_class_columns` layout, the number of
+    points whose monomial combination evaluates to zero.  coeff_arrays[i]
+    pairs with point_monomials[*][i].
+
+    In the block whose leading 1 sits at `lead`, with t tail coordinates, a
+    class is a prefix index i over the first t//2 tail coordinates and a
+    suffix index j over the rest, so its value at a point with monomials m
+    is m[lead] ^ P[i] ^ S[j], where P and S are the XOR tables of the two
+    halves.  Each point and block then costs one broadcast compare instead
+    of a gather over the classes.
+    """
+    if not isinstance(coeff_arrays, ClassColumns):
+        raise TypeError("zero_counts sweeps the layout of projective_class_columns; "
+                        "got plain columns")
+    q, width = coeff_arrays.q, coeff_arrays.width
+    monos = [[int(m) for m in point] for point in point_monomials]
+    elems = np.arange(q, dtype=F.np_dtype)
+    blocks = []
+    for lead in range(width):
+        half = lead + 1 + (width - lead - 1) // 2
+        acc = np.zeros((q ** (half - lead - 1), q ** (width - half)),
+                       dtype=np.min_scalar_type(len(monos)))
+        for m in monos:
+            prefix = _xor_table(F, elems, m[lead + 1:half]) ^ m[lead]
+            acc += prefix[:, None] == _xor_table(F, elems, m[half:width])[None, :]
+        blocks.append(acc.ravel())
+    return np.concatenate(blocks).astype(np.int64)
+
+
+def _xor_table(F: Field, elems: np.ndarray, monos: Sequence[int]) -> np.ndarray:
+    """sum_k d_k * monos[k] for every digit tuple d over GF(q), in product
+    order (last digit fastest)."""
+    table = np.zeros(1, dtype=F.np_dtype)
+    for m in monos:
+        table = (table[:, None] ^ F.mul_col(elems, m)[None, :]).ravel()
+    return table
 
 
 def _combination(F: Field, coeff_arrays: Sequence[np.ndarray],
@@ -150,23 +189,36 @@ def _combination(F: Field, coeff_arrays: Sequence[np.ndarray],
     return acc
 
 
-def _pair_zero_counts(F: Field, coeff_pairs: Sequence[curves.Pair],
-                      point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
-    """zero_counts for GF(q^2) coefficients carried as component pairs: a
-    class counts a point when both components of the sum vanish there.
-    Component columns that are zero on every class are skipped."""
-    n = len(coeff_pairs[0][0])
-    parts = [[(k, pair[t]) for k, pair in enumerate(coeff_pairs) if pair[t].any()]
-             for t in (0, 1)]
-    counts = np.zeros(n, dtype=np.int64)
-    for monos in point_monomials:
-        zero = np.ones(n, dtype=bool)
-        for part in parts:
-            acc = _combination(F, [arr for _, arr in part], [monos[k] for k, _ in part])
-            if acc is not None:
-                zero &= acc == 0
-        counts += zero
-    return counts
+@functools.lru_cache(maxsize=None)
+def _root_masks(F: Field) -> np.ndarray:
+    """Entry (c2*q + c1)*q + c0 has bit x set exactly when
+    c2*x^2 + c1*x + c0 = 0 in GF(q); one q-bit mask per coefficient triple,
+    built by evaluating every x."""
+    q, h = F.q, F.h
+    if q > 64:
+        raise ValueError(f"root masks are 64-bit, so q <= 64; got q = {q}")
+    dtype = np.dtype(f"uint{max(8, q)}")
+    index = np.arange(q ** 3)
+    c2, c1, c0 = (((index >> shift) % q).astype(F.np_dtype) for shift in (2 * h, h, 0))
+    masks = np.zeros(q ** 3, dtype=dtype)
+    for x in F.elements():
+        value = F.mul_col(c2, F.mul(x, x)) ^ F.mul_col(c1, x) ^ c0
+        masks |= (value == 0).astype(dtype) << x
+    return masks
+
+
+def _quadratic_root_counts(F: Field, *triples) -> np.ndarray:
+    """Per class, the number of x in GF(q) at which every quadratic
+    c2*x^2 + c1*x + c0 of the given (c2, c1, c0) column triples vanishes:
+    the popcount of the AND of their root masks."""
+    masks = _root_masks(F)
+    index_dtype = np.min_scalar_type(F.q ** 3 - 1)
+    common = None
+    for c2, c1, c0 in triples:
+        index = ((c2.astype(index_dtype) << 2 * F.h) | (c1.astype(index_dtype) << F.h)
+                 | c0.astype(index_dtype))
+        common = masks[index] if common is None else common & masks[index]
+    return np.bitwise_count(common).astype(np.int64)
 
 
 def grid_points(F: Field) -> list[tuple[int, int]]:
@@ -351,10 +403,7 @@ def verify_geometry(F: Field, oracle: Optional[bool] = None) -> SuiteReport:
     known_gap_origin = []   # slanted through origin (stated chain inconsistent)
     known_gap_square = []   # intercept = slope^2 (family missing from the case list)
     unexplained = []
-    for line in all_lines(F):
-        stated = line_delta_count_closed_form(F, line)
-        nd = count_on_delta(F, line, delta)
-        nb = count_on_delta(F, line, dbar)
+    for line, stated, nd, nb in _line_sweep(F, delta, dbar):
         td, tb = line_counts(F, line)
         if (td, tb) != (nd, nb):
             unexplained.append((line.coeffs(), td, tb, nd, nb))
@@ -669,10 +718,24 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 def _cubic_h_counts(F: Field, h: dict[tuple[int, int], curves.Pair]) -> np.ndarray:
-    """N(H) per class on the GF(q)^2 grid, in one pass over the component
-    pairs of the coefficients of H, for rational and quadratic vbar alike."""
-    monos = [tuple(F.mul(F.pow(x, i), F.pow(v, j)) for i, j in h) for x, v in grid_points(F)]
-    return _pair_zero_counts(F, list(h.values()), monos)
+    """N(H) per class on the GF(q)^2 grid, line by line: on V = v, H is
+    c2*X^2 + c1*X + c0 with GF(q^2) coefficients, and its points there are
+    the common roots of the two component quadratics.  Component columns
+    that are zero on every class are skipped."""
+    # per component, per power X^2, X, 1: the (j, column) of the V^j terms
+    terms = [[[(j, pair[t]) for (e, j), pair in h.items() if e == i and pair[t].any()]
+              for i in (2, 1, 0)] for t in (0, 1)]
+    zero = np.zeros_like(h[(0, 0)][0])
+    counts = np.zeros(len(zero), dtype=np.int64)
+    for v in F.elements():
+        powers = (1, v, F.mul(v, v))
+        triples = []
+        for component in terms:
+            coeffs = (_combination(F, [arr for _, arr in part], [powers[j] for j, _ in part])
+                      for part in component)
+            triples.append(tuple(zero if c is None else c for c in coeffs))
+        counts += _quadratic_root_counts(F, *triples)
+    return counts
 
 
 def verify_hasse(F: Field) -> SuiteReport:
@@ -704,15 +767,13 @@ def verify_hasse(F: Field) -> SuiteReport:
         # On rational-vbar classes every value lies in the first component.
         r, h_x, h_const = vbar[0], h[(1, 0)][0], h[(0, 0)][0]
         r2 = F.vmul(r, r)
-        xs_mono = [(F.mul(x, x), x, 1) for x in F.elements()]
-        g_on_vbar = [
+        g_on_vbar = (
             a11 ^ F.vmul(a12, r) ^ F.vmul(a22, r2),
             F.vmul(a12, r2) ^ F.vmul(a23, r) ^ a13,
             F.vmul(a22, F.vmul(r2, r2)) ^ F.vmul(a23, r2) ^ a33,
-        ]
-        k_axis = zero_counts(F, g_on_vbar, xs_mono)
-        h_on_axis = [a12, h_x, h_const]
-        h_axis_all = zero_counts(F, h_on_axis, xs_mono)
+        )
+        k_axis = _quadratic_root_counts(F, g_on_vbar)
+        h_axis_all = _quadratic_root_counts(F, (a12, h_x, h_const))
         img_val = F.vmul(a12, F.vmul(r2, r2)) ^ F.vmul(h_x, r2) ^ h_const
         img_pt = (img_val == 0).astype(np.int64)
         extra = h_axis_all - img_pt
@@ -826,16 +887,21 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     }
 
 
+def _line_sweep(F: Field, delta: DeltaSet, dbar: DeltaSet):
+    """Every line with its stated closed-form count and its brute-force
+    counts on the set and on the origin-included set."""
+    for line in all_lines(F):
+        yield (line, line_delta_count_closed_form(F, line),
+               count_on_delta(F, line, delta), count_on_delta(F, line, dbar))
+
+
 def line_spectrum(F: Field) -> dict:
     delta = build_delta(F, include_origin=False)
     dbar = build_delta(F, include_origin=True)
     hist: dict[int, int] = {}
     flagged = []
-    for line in all_lines(F):
-        nd = count_on_delta(F, line, delta)
-        nb = count_on_delta(F, line, dbar)
+    for line, stated, nd, nb in _line_sweep(F, delta, dbar):
         hist[nd] = hist.get(nd, 0) + 1
-        stated = line_delta_count_closed_form(F, line)
         if stated not in (nd, nb):
             flagged.append((line.coeffs(), stated, nd, nb))
     return {

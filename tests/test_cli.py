@@ -153,3 +153,11 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE and captured.out == ""
     assert "sweeping" not in captured.err
     assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    code = main(["spectrum", "--family", "all-conics", "--q", "4", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "is a directory" in captured.err
+    assert "sweeping" not in captured.err

@@ -114,6 +114,94 @@ def test_zero_counts_matches_scalar(F8):
         assert int(counts[i]) == count_on_delta(F8, c, delta)
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+def test_blocked_zero_counts_match_scalar_evaluation(F4, width):
+    """Every class of every block, including the tail-free last block and
+    the blocks with an empty prefix, against per-class evaluation."""
+    import random
+    rng = random.Random(width)
+    monos = [(0,) * width, (1,) * width] + [
+        tuple(rng.randrange(4) for _ in range(width)) for _ in range(10)]
+    cols = projective_class_columns(4, width, F4.np_dtype)
+    counts = zero_counts(F4, cols, monos)
+    assert len(counts) == (4 ** width - 1) // 3
+    for i in range(len(counts)):
+        cls = [int(c[i]) for c in cols]
+        expected = 0
+        for m in monos:
+            value = 0
+            for c, v in zip(cls, m):
+                value ^= F4.mul(c, v)
+            expected += value == 0
+        assert int(counts[i]) == expected, (cls, monos)
+
+
+def test_zero_counts_rejects_plain_columns(F4):
+    cols = conic_class_columns(F4)
+    with pytest.raises(TypeError):
+        zero_counts(F4, list(cols), [(1,) * 6])
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_root_masks_match_direct_evaluation(h):
+    from deltacodes.verify import _root_masks
+    F = Field(h)
+    q = F.q
+    masks = _root_masks(F)
+    assert len(masks) == q ** 3
+    for c2 in F.elements():
+        for c1 in F.elements():
+            for c0 in F.elements():
+                mask = int(masks[(c2 * q + c1) * q + c0])
+                for x in F.elements():
+                    value = F.mul(c2, F.mul(x, x)) ^ F.mul(c1, x) ^ c0
+                    assert bool(mask >> x & 1) == (value == 0), (c2, c1, c0, x)
+
+
+def _pair_roots(F, pairs):
+    """Per component pair (c2, c1, c0) over GF(q^2), its roots in GF(q) by
+    evaluation in the extension."""
+    from deltacodes.field import ExtField
+    E = ExtField(F, 2)
+    out = []
+    for c2, c1, c0 in pairs:
+        n = 0
+        for x in F.elements():
+            ex, ex2 = E.embed(x), E.embed(F.mul(x, x))
+            value = E.add(E.add(E.mul(c2, ex2), E.mul(c1, ex)), c0)
+            n += value == E.zero
+        out.append(n)
+    return out
+
+
+def _pair_lookup(F, pairs):
+    from deltacodes.verify import _quadratic_root_counts
+    col = lambda k, t: np.array([p[k][t] for p in pairs], dtype=F.np_dtype)
+    return _quadratic_root_counts(
+        F, *[(col(0, t), col(1, t), col(2, t)) for t in (0, 1)]).tolist()
+
+
+def test_pair_root_lookup_every_pair_q4(F4):
+    import itertools
+    pairs = [((a2, b2), (a1, b1), (a0, b0)) for a2, a1, a0, b2, b1, b0
+             in itertools.product(F4.elements(), repeat=6)]
+    assert _pair_lookup(F4, pairs) == _pair_roots(F4, pairs)
+
+
+def test_pair_root_lookup_sampled_q64():
+    import random
+    F = Field(6)
+    rng = random.Random(64)
+    pairs = [tuple((rng.randrange(64), rng.randrange(64) if rng.random() < 0.5 else 0)
+                   for _ in range(3)) for _ in range(300)]
+    # pairs with common roots: (1 + k*rho)(x + r)(x + s), and the zero pair
+    for r, s, k in [(rng.randrange(64), rng.randrange(64), rng.randrange(64))
+                    for _ in range(40)]:
+        pairs.append(tuple((c, F.mul(k, c)) for c in (1, r ^ s, F.mul(r, s))))
+    pairs.append(((0, 0), (0, 0), (0, 0)))
+    assert _pair_lookup(F, pairs) == _pair_roots(F, pairs)
+
+
 def test_line_spectrum_shape(F8):
     spec = line_spectrum(F8)
     assert spec["lines"] == 72
