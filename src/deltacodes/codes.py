@@ -21,14 +21,10 @@ import numpy as np
 
 from .field import Field
 from .geometry import Coeffs6, DeltaSet
-from .verify import projective_class_columns, zero_counts
+from .verify import BudgetError, projective_class_columns, zero_counts
 
 ENUM_GUARD = 1 << 32          # hard bound on q^k for message enumeration
 ENUM_DEFAULT_BUDGET = 1 << 24  # above this, demand an explicit big=True
-
-
-class BudgetError(RuntimeError):
-    """Enumeration would exceed the configured budget."""
 
 
 @dataclass
@@ -166,8 +162,6 @@ def weight_distribution_classes(g: GeneratorMatrix) -> Counter:
     combination), plus the zero word."""
     F = g.field
     q, k, n = F.q, g.k, g.n
-    if (q ** k - 1) // (q - 1) > 1 << 26:
-        raise BudgetError("too many projective classes")
     zeros = zero_counts(F, projective_class_columns(q, k, F.np_dtype), g.entries.T)
     hist = np.bincount(n - zeros, minlength=n + 1) * (q - 1)
     hist[0] += 1

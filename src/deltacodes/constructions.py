@@ -17,19 +17,22 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .field import ExtElement, ExtField, Field
 from .geometry import (
     Coeffs6,
     Conic,
     DeltaSet,
     build_delta,
+    degeneracy_columns,
     in_sqrt_window,
-    is_degenerate,
     make_conic,
     projective_points,
 )
 from .codes import (
     ConicSystem,
+    GeneratorMatrix,
     dual_distance_upto,
     evaluate_system,
     min_distance,
@@ -218,12 +221,13 @@ def build_net(F: Field, ctx: NetContext) -> list[Conic]:
     and Y^2 coefficients (the shape tangent to the line at infinity at the
     vertical-axis point).
     """
-    members = []
-    for lam in lambda_class_representatives(ctx.ext):
-        conic = make_conic(F, conic_from_lambda(ctx, lam))
-        if is_degenerate(F, conic):
-            raise AssertionError(f"degenerate net member at lambda={lam}: {conic.coeffs()}")
-        members.append(conic)
+    lams = list(lambda_class_representatives(ctx.ext))
+    members = [make_conic(F, conic_from_lambda(ctx, lam)) for lam in lams]
+    cols = [np.array(c, dtype=F.np_dtype) for c in zip(*members)]
+    degenerate = np.flatnonzero(degeneracy_columns(F, cols) == 0)
+    if len(degenerate):
+        i = degenerate[0]
+        raise AssertionError(f"degenerate net member at lambda={lams[i]}: {members[i].coeffs()}")
     expected = F.q * F.q + F.q + 1
     if len(set(m.coeffs() for m in members)) != expected:
         raise AssertionError("net members are not pairwise distinct")
@@ -247,7 +251,9 @@ def net_basis(F: Field, ctx: NetContext) -> ConicSystem:
 # ----------------------------------------------------------------------
 
 def _report(F: Field, name: str, system: ConicSystem, delta: DeltaSet,
-            big: bool = False) -> dict:
+            big: bool = False) -> tuple[dict, GeneratorMatrix]:
+    """The code's parameters and weight distribution, with its generator
+    matrix."""
     t0 = time.perf_counter()
     g = evaluate_system(system, delta)
     dist = weight_distribution_enumerate(g, big=big)
@@ -264,14 +270,14 @@ def _report(F: Field, name: str, system: ConicSystem, delta: DeltaSet,
         "singleton_ok": singleton_ok(g.n, g.rank, d),
         "elapsed": round(time.perf_counter() - t0, 6),
     }
-    return report
+    return report, g
 
 
 def line_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     """Evaluation code of the linear system {Y, X, 1}."""
     delta = delta or build_delta(F)
     system = ConicSystem(F, [POLY_Y, POLY_X, POLY_1], names=["Y", "X", "1"])
-    report = _report(F, "lines", system, delta)
+    report = _report(F, "lines", system, delta)[0]
     q = F.q
     report["expected"] = {
         "n": q * (q - 1) // 2,
@@ -293,7 +299,7 @@ def construction2_code(F: Field, delta: Optional[DeltaSet] = None, big: bool = F
     delta = delta or build_delta(F)
     system = ConicSystem(F, [POLY_X2, POLY_X, POLY_Y, POLY_1],
                          names=["X^2", "X", "Y", "1"])
-    report = _report(F, "parabolas", system, delta, big=big)
+    report = _report(F, "parabolas", system, delta, big=big)[0]
     q = F.q
     report["expected"] = {
         "n": q * (q - 1) // 2,
@@ -316,7 +322,7 @@ def full_conic_code(F: Field, delta: Optional[DeltaSet] = None, big: bool = Fals
     delta = delta or build_delta(F)
     system = ConicSystem(F, [POLY_X2, POLY_XY, POLY_Y2, POLY_X, POLY_Y, POLY_1],
                          names=["X^2", "XY", "Y^2", "X", "Y", "1"])
-    report = _report(F, "conics", system, delta, big=big)
+    report = _report(F, "conics", system, delta, big=big)[0]
     q = F.q
     report["expected"] = {
         "n": q * (q - 1) // 2,
@@ -337,9 +343,9 @@ def construction1_code(F: Field, point: Optional[ProjPoint3] = None,
     p = point if point is not None else find_lambda_point(E, "seeded", seed)
     ctx = make_net_context(E, p)
     system = net_basis(F, ctx)
-    report = _report(F, "net", system, delta)
+    report, g = _report(F, "net", system, delta)
     report["point"] = [list(c) for c in ctx.P]
-    report["dual_distance"] = dual_distance_upto(evaluate_system(system, delta), 4)
+    report["dual_distance"] = dual_distance_upto(g, 4)
     q, n, d = F.q, report["n"], report["d"]
     # claimed bound: 2d >= q^2 - 2q + 1 - 2*sqrt(q), compared exactly
     gap = q * q - 2 * q + 1 - 2 * d

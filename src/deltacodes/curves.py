@@ -13,12 +13,14 @@ All point counting here is exhaustive evaluation; closed-form claims about
 these curves are verified against such counts, never assumed.
 
 Each formula is written once.  F and G come from one table of terms per
-coefficient (QUARTIC_TERMS, SHEARED_TERMS).  vbar, the coefficients of H,
-the tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities of the
-reducibility criteria are functions over class columns (vbar_columns,
-cubic_h_columns, f_minus_g_columns, reducibility_columns); the scalar API
-(solve_vbar, build_family, predicted_f_minus_g, reducibility_details) is
-their one-class view.
+coefficient (QUARTIC_TERMS, SHEARED_TERMS).  The coefficient-triple
+hypothesis, the split exponent s, vbar, the coefficients of H, the
+tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities of the
+reducibility criteria are functions over class columns (triples_ok_columns,
+split_exponent_columns, vbar_columns, cubic_h_columns, f_minus_g_columns,
+reducibility_columns); the scalar API (coefficient_triples_ok, solve_vbar,
+build_family, predicted_f_minus_g, reducibility_details) is their one-class
+view.
 """
 
 from __future__ import annotations
@@ -311,18 +313,28 @@ def reducibility_columns(F: Field, cols: Sequence[np.ndarray], vbar: Pair,
 # The curve family of a conic
 # ----------------------------------------------------------------------
 
-def coefficient_triples_ok(conic: Conic) -> bool:
-    """The running hypothesis of the intersection analysis: each of the
-    triples (a11,a12,a22), (a11,a13,a33), (a11,a22,a23), (a12,a13,a23),
+def triples_ok_columns(coeffs):
+    """The running hypothesis of the intersection analysis, for the six
+    coefficients of one conic or for class columns: each of the triples
+    (a11,a12,a22), (a11,a13,a33), (a11,a22,a23), (a12,a13,a23),
     (a22,a23,a33) contains a nonzero entry."""
-    a11, a12, a22, a13, a23, a33 = conic.coeffs()
-    return all((
-        a11 or a12 or a22,
-        a11 or a13 or a33,
-        a11 or a22 or a23,
-        a12 or a13 or a23,
-        a22 or a23 or a33,
-    ))
+    a11, a12, a22, a13, a23, a33 = (c != 0 for c in coeffs)
+    return ((a11 | a12 | a22) & (a11 | a13 | a33) & (a11 | a22 | a23)
+            & (a12 | a13 | a23) & (a22 | a23 | a33))
+
+
+def coefficient_triples_ok(conic: Conic) -> bool:
+    """The one-class view of triples_ok_columns."""
+    return bool(triples_ok_columns(conic))
+
+
+def split_exponent_columns(coeffs):
+    """The multiplicity s of the line X = 0 in the pullback quartic, F =
+    X^s * F^(s), for the six coefficients of one conic or for class
+    columns: 0 when a33 != 0, 1 when a33 = 0 and a13 != 0, otherwise 2
+    (a11 != 0 under the coefficient-triple hypothesis)."""
+    a11, a12, a22, a13, a23, a33 = coeffs
+    return (a33 == 0) * (np.uint8(1) + (a13 == 0))
 
 
 @dataclass
@@ -387,17 +399,6 @@ def sheared_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
     return _term_values(F, SHEARED_TERMS, pts, s, 0)
 
 
-def _split_exponent(conic: Conic) -> int:
-    a11, a12, a22, a13, a23, a33 = conic.coeffs()
-    if a33:
-        return 0
-    if a13:
-        return 1
-    if a11:
-        return 2
-    raise ValueError("the triple (a11, a13, a33) must be non-trivial")
-
-
 def _one_class(F: Field, conic: Conic) -> list[np.ndarray]:
     return [np.array([c], dtype=F.np_dtype) for c in conic.coeffs()]
 
@@ -453,7 +454,7 @@ def build_family(F: Field, conic: Conic) -> CurveFamily:
     is nonzero) for a conic satisfying the coefficient-triple hypothesis."""
     if not coefficient_triples_ok(conic):
         raise ValueError(f"conic {conic.coeffs()} violates the coefficient-triple hypothesis")
-    s = _split_exponent(conic)
+    s = int(split_exponent_columns(conic))
     quartic = _pullback_quartic(F, conic)
     f_s = quartic if s == 0 else quartic.shift_down_x(s)
     g = _sheared_curve(F, conic, drop=0)
@@ -518,7 +519,7 @@ def f_minus_g_columns(F: Field, cols: Sequence[np.ndarray], s: int) -> np.ndarra
 
 def predicted_f_minus_g(F: Field, conic: Conic, s: int) -> int:
     """The one-class view of f_minus_g_columns."""
-    return int(f_minus_g_columns(F, _one_class(F, conic), s)[0])
+    return int(f_minus_g_columns(F, conic, s))
 
 
 def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> dict:
@@ -543,17 +544,18 @@ def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = 
 
 
 def lemma_case_columns(F: Field, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """The case (1-4) of the intersection lemma per class: 1 when a33 != 0,
-    2 when a33 = 0 and a13 != 0, and for a33 = a13 = 0, 4 when a23 != 0 and
+    """The case (1-4) of the intersection lemma per class: case s + 1 for
+    the split exponent s = 0 or 1, and for s = 2, 4 when a23 != 0 and
     trace(a11/a23) = 0, otherwise 3."""
-    a11, a13, a23, a33 = cols[0], cols[3], cols[4], cols[5]
+    a11, a12, a22, a13, a23, a33 = cols
+    s = split_exponent_columns(cols)
     open_case = (a23 != 0) & (F.trace_table[F.vdiv(a11, a23)] == 0)
-    return np.where(a33 != 0, 1, np.where(a13 != 0, 2, np.where(open_case, 4, 3)))
+    return np.where(s < 2, s + 1, np.where(open_case, 4, 3))
 
 
 def lemma_case(F: Field, conic: Conic) -> int:
     """The one-class view of lemma_case_columns."""
-    return int(lemma_case_columns(F, _one_class(F, conic))[0])
+    return int(lemma_case_columns(F, conic))
 
 
 def lemma_rhs(n_f_s, case):

@@ -19,6 +19,7 @@ import numpy as np
 
 MAX_H = 20  # fields beyond 2^20 are out of scope
 _TABLE_LIMIT = 1 << 16  # log/antilog tables only up to this order
+_COLUMN_LIMIT = 1 << 8  # the product table of column arithmetic only up to this order
 
 
 # ----------------------------------------------------------------------
@@ -146,12 +147,11 @@ class Field:
             self._build_log_tables()
 
         # lazily built numpy tables
-        self._np_exp2: Optional[np.ndarray] = None
-        self._np_log: Optional[np.ndarray] = None
+        self._mul_table: Optional[np.ndarray] = None
+        self._inv_table: Optional[np.ndarray] = None
         self._trace_table: Optional[np.ndarray] = None
         self._sqrt_table: Optional[np.ndarray] = None
         self._as_table: Optional[np.ndarray] = None
-        self._mul_cols: dict[int, np.ndarray] = {}
         self._theta_weights: Optional[list[int]] = None
 
     def __repr__(self) -> str:
@@ -291,23 +291,28 @@ class Field:
             e >>= 1
         return r
 
-    def _require_tables(self) -> None:
-        if self._exp is None:
-            raise ValueError(f"vectorized arithmetic needs q <= {_TABLE_LIMIT}, got q={self.q}")
+    @property
+    def mul_table(self) -> np.ndarray:
+        """The q*q products as one flat array: entry (a << h) | b is a*b.
+        Built on first use, from the log tables; q <= 256, so elements
+        are uint8 and indices fit uint16."""
+        if self._mul_table is None:
+            if self.q > _COLUMN_LIMIT:
+                raise ValueError(f"column arithmetic needs q <= {_COLUMN_LIMIT}, got q={self.q}")
+            log = np.array(self._log)
+            table = np.array(self._exp, dtype=np.uint8)[log[:, None] + log[None, :]]
+            table[0, :] = table[:, 0] = 0
+            self._mul_table = table.ravel()
+        return self._mul_table
 
     @property
-    def np_exp2(self) -> np.ndarray:
-        self._require_tables()
-        if self._np_exp2 is None:
-            self._np_exp2 = np.array(self._exp, dtype=np.int64)
-        return self._np_exp2
-
-    @property
-    def np_log(self) -> np.ndarray:
-        self._require_tables()
-        if self._np_log is None:
-            self._np_log = np.array(self._log, dtype=np.int64)
-        return self._np_log
+    def inv_table(self) -> np.ndarray:
+        """1/b per b: the position of the 1 in row b of the product table;
+        row 0 has none, so entry 0 is 0."""
+        if self._inv_table is None:
+            self._inv_table = np.argmax(self.mul_table.reshape(self.q, self.q) == 1, axis=1
+                                        ).astype(self.np_dtype)
+        return self._inv_table
 
     @property
     def trace_table(self) -> np.ndarray:
@@ -337,28 +342,19 @@ class Field:
         return self._as_table
 
     def mul_col(self, arr: np.ndarray, scalar: int) -> np.ndarray:
-        """Elementwise product of an element array with one fixed scalar."""
-        if scalar == 0:
-            return np.zeros(arr.shape, dtype=self.np_dtype)
-        if scalar == 1:
-            return arr.astype(self.np_dtype, copy=False)
-        col = self._mul_cols.get(scalar)
-        if col is None:
-            col = np.array([self.mul(a, scalar) for a in range(self.q)], dtype=self.np_dtype)
-            self._mul_cols[scalar] = col
-        return col[arr]
+        """Elementwise product of an element array with one fixed scalar:
+        a gather from the scalar's row of the product table."""
+        row = int(scalar) << self.h
+        return self.mul_table[row:row + self.q][arr]
 
-    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two element arrays."""
-        out = self.np_exp2[self.np_log[a] + self.np_log[b]]
-        out[(a == 0) | (b == 0)] = 0
-        return out.astype(self.np_dtype)
+    def vmul(self, a, b):
+        """Elementwise product of two element arrays, or of plain ints; one
+        gather from the product table, returning numpy values."""
+        return self.mul_table[(np.uint16(a) << self.h) | b]
 
-    def vdiv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def vdiv(self, a, b):
         """Elementwise a / b; entries with b = 0 are returned as 0."""
-        out = self.np_exp2[self.np_log[a] - self.np_log[b] + (self.q - 1)]
-        out[(a == 0) | (b == 0)] = 0
-        return out.astype(self.np_dtype)
+        return self.vmul(a, self.inv_table[b])
 
 
 # ----------------------------------------------------------------------
@@ -458,10 +454,6 @@ class ExtField:
                 if m:
                     prod[k - r + i] = prod[k - r + i] ^ F.mul_col(prod[k], m)
         return tuple(prod[:r])
-
-    def scalar_mul(self, c: int, a: ExtElement) -> ExtElement:
-        F = self.base
-        return tuple(F.mul(c, x) for x in a)
 
     def pow(self, a: ExtElement, e: int) -> ExtElement:
         if e < 0:

@@ -8,6 +8,11 @@ symmetric-function map (x1, x2) -> (x1 + x2, x1 * x2).
 Intersection counts of lines and conics with Delta are provided both by
 closed-form case analysis and by direct evaluation over the point set; the
 closed forms are never trusted without the brute-force oracle.
+
+The degeneracy criterion and the exceptional families are written once,
+over the six coefficients of one conic or over class columns
+(degeneracy_columns, exceptional_columns); degeneracy_criterion,
+is_degenerate and classify_exceptional are their one-class view.
 """
 
 from __future__ import annotations
@@ -108,15 +113,18 @@ def eval_conic(F: Field, conic: Conic, x: int, y: int) -> int:
     )
 
 
+def degeneracy_columns(F: Field, coeffs):
+    """a11*a23^2 + a12*a23*a13 + a22*a13^2 + a33*a12^2 (zero iff degenerate),
+    for the six coefficients of one conic or for class columns."""
+    a11, a12, a22, a13, a23, a33 = coeffs
+    mul = F.vmul
+    return (mul(a11, mul(a23, a23)) ^ mul(a12, mul(a23, a13))
+            ^ mul(a22, mul(a13, a13)) ^ mul(a33, mul(a12, a12)))
+
+
 def degeneracy_criterion(F: Field, conic: Conic) -> int:
-    """a11*a23^2 + a12*a23*a13 + a22*a13^2 + a33*a12^2 (zero iff degenerate)."""
-    a11, a12, a22, a13, a23, a33 = conic.coeffs()
-    return (
-        F.mul(a11, F.mul(a23, a23))
-        ^ F.mul(a12, F.mul(a23, a13))
-        ^ F.mul(a22, F.mul(a13, a13))
-        ^ F.mul(a33, F.mul(a12, a12))
-    )
+    """The one-class view of degeneracy_columns."""
+    return int(degeneracy_columns(F, conic))
 
 
 def is_degenerate(F: Field, conic: Conic) -> bool:
@@ -213,19 +221,6 @@ def build_delta(F: Field, include_origin: bool = False) -> DeltaSet:
     if len(points) != expected:
         raise AssertionError(f"the set has {len(points)} points, expected {expected}")
     return DeltaSet(field=F, include_origin=include_origin, points=points)
-
-
-def delta_csv(delta: DeltaSet) -> str:
-    """The point set as CSV rows x,y in canonical order."""
-    lines = ["x,y"]
-    lines += [f"{x},{y}" for x, y in delta.points]
-    return "\n".join(lines) + "\n"
-
-
-def conic_hex(conic: Conic) -> list[str]:
-    """Six hex-encoded coefficients in the fixed order (a11, a12, a22, a13,
-    a23, a33)."""
-    return [format(c, "#x") for c in conic.coeffs()]
 
 
 def pi_map(F: Field, x1: int, x2: int) -> tuple[int, int]:
@@ -374,19 +369,24 @@ def in_sqrt_window(n: int, q: int) -> bool:
     return all(gap <= 0 or gap * gap <= 4 * q for gap in (below, above))
 
 
+def exceptional_columns(F: Field, coeffs):
+    """Membership in the two enumerated families whose intersection sizes
+    escape the generic window, (parabola-orbit, vertical-pair), for the six
+    coefficients of one conic or for class columns."""
+    a11, a12, a22, a13, a23, a33 = coeffs
+    shape = (a12 == 0) & (a22 == 0)
+    parabola = shape & (a23 != 0) & (F.vmul(a13, a13) == F.vmul(a33, a23))
+    vertical = shape & (a23 == 0) & (a11 != 0) & (a13 != 0) & (a33 != 0)
+    return parabola, vertical
+
+
 def classify_exceptional(F: Field, conic: Conic) -> Optional[str]:
-    """Identify the enumerated coefficient families whose intersection sizes
-    escape the generic window; None for a generic conic."""
-    a11, a12, a22, a13, a23, a33 = conic.coeffs()
-    if a12 or a22:
-        return None
-    if a23 != 0:
-        if F.mul(a13, a13) == F.mul(a33, a23):
-            return EXC_PARABOLA
-        return None
-    if a11 and a13 and a33:
-        return EXC_VERTICAL_PAIR
-    return None
+    """The one-class view of exceptional_columns: the family's name, or
+    None for a generic conic."""
+    parabola, vertical = exceptional_columns(F, conic)
+    if parabola:
+        return EXC_PARABOLA
+    return EXC_VERTICAL_PAIR if vertical else None
 
 
 def check_corollary_bounds(

@@ -2,13 +2,14 @@
 
 Every suite checks stated closed forms and identities against brute-force
 ground truth.  The sweeps are vectorized over projective coefficient
-classes (numpy table lookups); vbar, the cubic H and the reducibility
-quantities come from the column formulas in `curves`, whose one-class view
-is the scalar API.  On a deterministic sample of classes each sweep is
-cross-checked against brute force: point counts by evaluating the curves
-at every point of the plane, and linear components of H by evaluating it
-at points of each candidate line, so a bug in the fast path cannot
-silently pass.
+classes (numpy table lookups); degeneracy and the exceptional families
+come from the column formulas in `geometry`, and the coefficient-triple
+hypothesis, the split exponent, vbar, the cubic H and the reducibility
+quantities from those in `curves`; their one-class view is the scalar API.
+On a deterministic sample of classes each sweep is cross-checked against
+brute force: point counts by evaluating the curves at every point of the
+plane, and linear components of H by evaluating it at points of each
+candidate line, so a bug in the fast path cannot silently pass.
 
 A failing check is reported with counterexample data; nothing is patched
 to make a stated claim come out true.
@@ -31,8 +32,10 @@ from .geometry import (
     all_lines,
     build_delta,
     count_on_delta,
+    degeneracy_columns,
     degenerate_by_singular_point,
     distinguished_points,
+    exceptional_columns,
     in_sqrt_window,
     line_counts,
     line_delta_count_closed_form,
@@ -44,6 +47,11 @@ from .geometry import (
 from . import curves
 
 SAMPLE_CHECKS = 40  # scalar cross-checks per vectorized sweep
+CLASS_BUDGET = 1 << 26  # projective classes one sweep may lay out
+
+
+class BudgetError(RuntimeError):
+    """A sweep or enumeration would exceed its budget."""
 
 
 @dataclass
@@ -117,7 +125,12 @@ class ClassColumns(list):
 def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns:
     """Coefficient columns of all (q^width - 1)/(q - 1) projective classes,
     ordered with the leading 1 moving right and the tail in product order
-    (last coordinate fastest)."""
+    (last coordinate fastest).  Raises BudgetError, before allocating,
+    when there are more than CLASS_BUDGET classes."""
+    classes = (q ** width - 1) // (q - 1)
+    if classes > CLASS_BUDGET:
+        raise BudgetError(f"{classes} projective classes (q = {q}, width {width}) exceed "
+                          f"the sweep budget of 2^{CLASS_BUDGET.bit_length() - 1}")
     cols = [[] for _ in range(width)]
     for lead in range(width):
         tail_len = width - lead - 1
@@ -262,28 +275,6 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
         )
         found |= on & sing
     return found
-
-
-def _triples_ok_mask(cols: list[np.ndarray]) -> np.ndarray:
-    a11, a12, a22, a13, a23, a33 = cols
-    nz = [c != 0 for c in cols]
-    return (
-        (nz[0] | nz[1] | nz[2])
-        & (nz[0] | nz[3] | nz[5])
-        & (nz[0] | nz[2] | nz[4])
-        & (nz[1] | nz[3] | nz[4])
-        & (nz[2] | nz[4] | nz[5])
-    )
-
-
-def degeneracy_vector(F: Field, cols: list[np.ndarray]) -> np.ndarray:
-    a11, a12, a22, a13, a23, a33 = cols
-    return (
-        F.vmul(a11, F.vmul(a23, a23))
-        ^ F.vmul(a12, F.vmul(a23, a13))
-        ^ F.vmul(a22, F.vmul(a13, a13))
-        ^ F.vmul(a33, F.vmul(a12, a12))
-    )
 
 
 def _class_tuple(cols: list[np.ndarray], i: int) -> tuple[int, ...]:
@@ -467,7 +458,7 @@ def verify_geometry(F: Field, oracle: Optional[bool] = None) -> SuiteReport:
     if oracle:
         cols = conic_class_columns(F)
         found = degeneracy_oracle_sweep(F, cols)
-        stated = degeneracy_vector(F, cols) == 0
+        stated = degeneracy_columns(F, cols) == 0
         agree = found == stated
         bad = [
             _class_tuple(cols, int(i)) for i in np.flatnonzero(~agree)[:3]
@@ -507,14 +498,12 @@ def verify_geometry(F: Field, oracle: Optional[bool] = None) -> SuiteReport:
 # Lemma suite: |DeltaBar ∩ C| from N(F^(s))
 # ----------------------------------------------------------------------
 
-def _split_masks(F: Field, cols: list[np.ndarray]) -> dict[int, np.ndarray]:
-    a11, a12, a22, a13, a23, a33 = cols
-    hyp = _triples_ok_mask(cols)
-    return {
-        0: hyp & (a33 != 0),
-        1: hyp & (a33 == 0) & (a13 != 0),
-        2: hyp & (a33 == 0) & (a13 == 0) & (a11 != 0),
-    }
+def _split_masks(cols: list[np.ndarray]) -> dict[int, np.ndarray]:
+    """Per split exponent s, the classes under the coefficient-triple
+    hypothesis with that s."""
+    hyp = curves.triples_ok_columns(cols)
+    s = curves.split_exponent_columns(cols)
+    return {k: hyp & (s == k) for k in (0, 1, 2)}
 
 
 def verify_lemma(F: Field) -> SuiteReport:
@@ -524,7 +513,7 @@ def verify_lemma(F: Field) -> SuiteReport:
     cols = conic_class_columns(F)
     dbar = build_delta(F, include_origin=True)
     lhs = zero_counts(F, cols, dbar.conic_monomials())
-    masks = _split_masks(F, cols)
+    masks = _split_masks(cols)
     case = curves.lemma_case_columns(F, cols)
     grid = grid_points(F)
     total_checked = 0
@@ -551,7 +540,7 @@ def verify_lemma(F: Field) -> SuiteReport:
 
     # scalar cross-check of the vectorized pipeline
     rng = random.Random(q * 7 + 1)
-    hyp = _triples_ok_mask(cols)
+    hyp = curves.triples_ok_columns(cols)
     sample_ok = True
     for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
         c = Conic(*_class_tuple(cols, i))
@@ -572,7 +561,7 @@ def verify_relations(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
     cols = conic_class_columns(F)
-    masks = _split_masks(F, cols)
+    masks = _split_masks(cols)
     grid = grid_points(F)
     axis = [(0, t) for t in F.elements()]
     bad = []
@@ -602,7 +591,7 @@ def verify_relations(F: Field) -> SuiteReport:
             not axis_bad)
 
     rng = random.Random(q * 7 + 2)
-    hyp = _triples_ok_mask(cols)
+    hyp = curves.triples_ok_columns(cols)
     sample_ok = True
     for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
         c = Conic(*_class_tuple(cols, i))
@@ -662,9 +651,9 @@ def verify_reducibility(F: Field) -> SuiteReport:
     rep = SuiteReport("reducibility", q, F.modulus)
     cols = conic_class_columns(F)
     a11, a12, a22, a13, a23, a33 = cols
-    hyp = _triples_ok_mask(cols)
+    hyp = curves.triples_ok_columns(cols)
     applicable = hyp & ((a12 != 0) | (a22 != 0))
-    degenerate = degeneracy_vector(F, cols) == 0
+    degenerate = degeneracy_columns(F, cols) == 0
     both = (a12 != 0) & (a22 != 0)
     vbar = curves.vbar_columns(F, cols)
     h = curves.cubic_h_columns(F, cols, vbar)
@@ -744,8 +733,8 @@ def verify_hasse(F: Field) -> SuiteReport:
     rep = SuiteReport("hasse", q, F.modulus)
     cols = conic_class_columns(F)
     a11, a12, a22, a13, a23, a33 = cols
-    hyp = _triples_ok_mask(cols)
-    nondeg = degeneracy_vector(F, cols) != 0
+    hyp = curves.triples_ok_columns(cols)
+    nondeg = degeneracy_columns(F, cols) != 0
     applicable = hyp & nondeg & ((a12 != 0) | (a22 != 0))
     grid = grid_points(F)
 
@@ -859,12 +848,9 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     q = F.q
     delta = delta or build_delta(F, include_origin=False)
     cols = conic_class_columns(F)
-    a11, a12, a22, a13, a23, a33 = [c.astype(np.int64) for c in cols]
     counts = zero_counts(F, cols, delta.conic_monomials())
-    nondeg = degeneracy_vector(F, cols) != 0
-    family_parabola = (a12 == 0) & (a22 == 0) & (a23 != 0) & (
-        F.vmul(a13, a13) == F.vmul(a33, a23))
-    family_vertical = (a12 == 0) & (a22 == 0) & (a23 == 0) & (a11 != 0) & (a13 != 0) & (a33 != 0)
+    nondeg = degeneracy_columns(F, cols) != 0
+    family_parabola, family_vertical = exceptional_columns(F, cols)
     in_win = np.array([in_sqrt_window(2 * c, q) for c in range(int(counts.max()) + 1)])
     window_ok = in_win[counts]
 

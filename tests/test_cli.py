@@ -49,8 +49,8 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "params", "--q", "128", "--system", "lines")
     assert code == EXIT_USAGE
-    code, _ = run(capsys, "spectrum", "--q", "32", "--family", "all-conics")
-    assert code == EXIT_USAGE
+    code, _ = run(capsys, "spectrum", "--q", "64", "--family", "all-conics")
+    assert code == EXIT_USAGE  # 2^26 class budget
     code, _ = run(capsys, "params", "--q", "32", "--system", "conics")
     assert code == EXIT_USAGE  # enumeration budget without --big
 
@@ -161,3 +161,10 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE and captured.out == ""
     assert "is a directory" in captured.err
     assert "sweeping" not in captured.err
+
+
+def test_grid_suite_beyond_class_budget_is_usage_error(capsys):
+    code = main(["verify", "--suite", "hasse", "--q", "64"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "sweep budget" in captured.err and "Traceback" not in captured.err

@@ -324,3 +324,17 @@ def test_invariants_survive_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "AssertionError: the two groupings of H differ" in proc.stderr
+
+
+def test_scalar_predicates_return_python_values(F8):
+    """The one-class views of the column predicates give Python values,
+    not numpy scalars."""
+    from deltacodes.geometry import classify_exceptional, degeneracy_criterion
+    from deltacodes.curves import lemma_case
+    c = Conic(3, 0, 0, 5, 1, F8.mul(5, 5))
+    assert type(degeneracy_criterion(F8, c)) is int
+    assert type(is_degenerate(F8, c)) is bool
+    assert type(coefficient_triples_ok(c)) is bool
+    assert type(classify_exceptional(F8, c)) is str
+    assert type(build_family(F8, c).s) is int
+    assert type(lemma_case(F8, c)) is int

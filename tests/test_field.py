@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from deltacodes.field import (
@@ -194,3 +195,32 @@ def test_table_free_arithmetic_above_table_limit():
     assert F.trace(0) == 0 and F.trace(a) in (0, 1)
     roots = F.solve_artin_schreier(F.mul(b, b) ^ b)
     assert roots is not None and b in roots
+
+
+@pytest.mark.parametrize("h", range(2, 9))
+def test_column_arithmetic_matches_scalar(h):
+    """vmul, vdiv and mul_col against scalar mul and div on every pair, on
+    columns and (vmul, vdiv) on plain ints; division by 0 gives 0."""
+    F = Field(h)
+    q = F.q
+    elems = np.arange(q, dtype=F.np_dtype)
+    a, b = np.repeat(elems, q), np.tile(elems, q)
+    pairs = [(x, y) for x in range(q) for y in range(q)]
+    prod = [F.mul(x, y) for x, y in pairs]
+    quot = [F.div(x, y) if y else 0 for x, y in pairs]
+    assert F.vmul(a, b).tolist() == prod
+    assert F.vdiv(a, b).tolist() == quot
+    assert np.concatenate([F.mul_col(elems, s) for s in range(q)]).tolist() == prod
+    on_ints = [F.vmul(x, y) for x, y in pairs]
+    assert on_ints == prod and all(isinstance(v, np.generic) for v in on_ints)
+    assert [F.vdiv(x, y) for x, y in pairs] == quot
+
+
+def test_column_arithmetic_stops_at_256():
+    F = Field(9)
+    with pytest.raises(ValueError):
+        F.vmul(np.array([1, 2]), np.array([3, 4]))
+    with pytest.raises(ValueError):
+        F.mul_col(np.array([1, 2]), 3)
+    assert F._mul_table is None
+    assert F.mul(3, F.inv(3)) == 1  # scalar arithmetic is unaffected

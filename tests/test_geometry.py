@@ -191,15 +191,6 @@ def test_classify_exceptional(F8):
     assert classify_exceptional(F8, Conic(1, 1, 0, 0, 1, 0)) is None
 
 
-def test_dumps(F4):
-    from deltacodes.geometry import conic_hex, delta_csv
-    csv_text = delta_csv(build_delta(F4))
-    assert csv_text.splitlines()[0] == "x,y"
-    assert csv_text.splitlines()[1] == "1,0"
-    assert len(csv_text.splitlines()) == 7
-    assert conic_hex(Conic(1, 0, 0, 0, 3, 2)) == ["0x1", "0x0", "0x0", "0x0", "0x3", "0x2"]
-
-
 def test_check_corollary_bounds(F8):
     delta = build_delta(F8)
     tr0 = next(a for a in F8.nonzero_elements() if F8.trace(a) == 0)

@@ -8,9 +8,9 @@ import pytest
 
 from deltacodes.field import Field
 from deltacodes.verify import (
+    BudgetError,
     conic_class_columns,
     conic_spectrum,
-    degeneracy_vector,
     line_spectrum,
     parabola_spectrum,
     projective_class_columns,
@@ -224,19 +224,6 @@ def test_conic_spectrum_structure(F8):
     assert spec["window_violations"] == 784
 
 
-def test_degeneracy_vector_matches_scalar(F8):
-    from deltacodes.geometry import Conic, degeneracy_criterion
-    from deltacodes.verify import _class_tuple
-    cols = conic_class_columns(F8)
-    vec = degeneracy_vector(F8, cols)
-    import random
-    rng = random.Random(2)
-    for _ in range(40):
-        i = rng.randrange(len(cols[0]))
-        c = Conic(*_class_tuple(cols, i))
-        assert int(vec[i]) == degeneracy_criterion(F8, c)
-
-
 def test_column_formulas_exhaustive_q4(F4):
     """Every class with an H at q = 4: the one-pass column N(H) equals the
     brute-force count of the product grouping of H, and the column line
@@ -261,3 +248,15 @@ def test_column_formulas_exhaustive_q4(F4):
         assert bool(has_line[i]) == curves.has_linear_component(F4, c, fam)[0], c
         checked += 1
     assert checked == 1218
+
+
+def test_class_budget_raises_before_allocating():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            projective_class_columns(64, 6)  # 1.09e9 classes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
