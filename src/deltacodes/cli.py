@@ -31,6 +31,8 @@ from .field import ExtField, Field, modulus_hex, parse_modulus
 from .verify import (
     SUITES,
     BudgetError,
+    check_class_budget,
+    check_suite_budget,
     conic_spectrum,
     line_spectrum,
     parabola_spectrum,
@@ -165,6 +167,7 @@ def cmd_spectrum(args) -> int:
         clean = not spec["closed_form_mismatches"]
         extra = {"closed_form_mismatches": spec["closed_form_mismatches"][:16]}
     else:
+        check_class_budget(F.q, 6)
         print(f"sweeping all conic classes at q={F.q} ...", file=sys.stderr)
         spec = conic_spectrum(F)
         histogram = spec["histogram"]
@@ -190,6 +193,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     F = make_field(args)
+    check_suite_budget(args.suite, F.q)
     print(f"running suite '{args.suite}' at q={F.q} ...", file=sys.stderr)
     reports = run_suite(args.suite, F)
     payload = {

@@ -4,16 +4,18 @@ distributions, minimum distance, and small dual distances.
 A linear system of degree-at-most-2 polynomials in two variables is a list
 of coefficient 6-tuples (a11, a12, a22, a13, a23, a33); evaluating it on
 the ordered point set produces the generator matrix.  Weight distributions
-are computed two independent ways, by full message enumeration (blocked,
-XOR-based) and per projective message class through zero counting, and the
-two are required to agree in the test suites.
+are computed two independent ways, by enumerating all q^k messages (a
+table of suffix codewords against one prefix per projective prefix class)
+and per projective message class through zero counting, and the two are
+required to agree in the test suites.  The enumeration budget counts all
+q^k messages either way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Optional, Sequence
 
@@ -125,8 +127,17 @@ def weight_distribution_enumerate(g: GeneratorMatrix, big: bool = False) -> Coun
     """Exact weight distribution by enumerating all q^k messages.
 
     Messages are split into a prefix and a suffix; all suffix combinations
-    are tabulated once and each prefix codeword is XORed against the whole
-    table, so the dominant loop is vectorized.
+    are tabulated once, and the zero prefix contributes the table's own
+    weights.  Only the scaling symmetry of a linear code is used: as s runs
+    over all suffixes, so does c·s, so every nonzero prefix c·p (c != 0)
+    gives the histogram of p.  Each projective prefix class is visited
+    once, through its representative with leading coefficient 1, and
+    counts q - 1 times: (q^k1 - 1)/(q - 1) passes instead of q^k1.  A pass
+    adds the representative's codeword to the whole table; the sum is
+    nonzero exactly where the table differs from that codeword, so it is
+    compared into one reused mask whose row sums are the weights.  Zero
+    counting is not involved, so this stays independent of
+    `weight_distribution_classes`.
     """
     F = g.field
     q, k, n = F.q, g.k, g.n
@@ -136,23 +147,21 @@ def weight_distribution_enumerate(g: GeneratorMatrix, big: bool = False) -> Coun
     k1 = k - k2
     suffix = np.zeros((1, n), dtype=F.np_dtype)
     for i in range(k1, k):
-        blocks = [suffix ^ scaled[i][c] for c in range(q)]
-        suffix = np.vstack(blocks)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    if k1 == 0:
-        weights = np.count_nonzero(suffix, axis=1)
-        hist += np.bincount(weights, minlength=n + 1)
-    else:
-        for p in range(q ** k1):
-            base = np.zeros(n, dtype=F.np_dtype)
-            m = p
-            for i in range(k1):
-                c = m % q
-                m //= q
-                if c:
-                    base ^= scaled[i][c]
-            weights = np.count_nonzero(suffix ^ base, axis=1)
-            hist += np.bincount(weights, minlength=n + 1)
+        suffix = np.vstack([suffix ^ scaled[i][c] for c in range(q)])
+    unequal = np.empty(suffix.shape, dtype=bool)
+
+    def weights(base) -> np.ndarray:
+        # suffix ^ base is nonzero exactly where suffix != base
+        np.not_equal(suffix, base, out=unequal)
+        return np.bincount(unequal.sum(axis=1, dtype=np.int32), minlength=n + 1)
+
+    hist = weights(0)
+    for lead in range(k1):
+        for tail in product(range(q), repeat=k1 - lead - 1):
+            base = scaled[lead][1].copy()
+            for row, c in zip(scaled[lead + 1:k1], tail):
+                base ^= row[c]
+            hist += (q - 1) * weights(base)
     return Counter({w: int(c) for w, c in enumerate(hist) if c})
 
 

@@ -122,15 +122,21 @@ class ClassColumns(list):
         self.q, self.width = q, width
 
 
+def check_class_budget(q: int, width: int) -> None:
+    """Raise BudgetError when the layout of `projective_class_columns` would
+    hold more than CLASS_BUDGET classes; callers may check before any work."""
+    classes = (q ** width - 1) // (q - 1)
+    if classes > CLASS_BUDGET:
+        raise BudgetError(f"{classes} projective classes (q = {q}, width {width}) exceed "
+                          f"the sweep budget of 2^{CLASS_BUDGET.bit_length() - 1}")
+
+
 def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns:
     """Coefficient columns of all (q^width - 1)/(q - 1) projective classes,
     ordered with the leading 1 moving right and the tail in product order
     (last coordinate fastest).  Raises BudgetError, before allocating,
     when there are more than CLASS_BUDGET classes."""
-    classes = (q ** width - 1) // (q - 1)
-    if classes > CLASS_BUDGET:
-        raise BudgetError(f"{classes} projective classes (q = {q}, width {width}) exceed "
-                          f"the sweep budget of 2^{CLASS_BUDGET.bit_length() - 1}")
+    check_class_budget(q, width)
     cols = [[] for _ in range(width)]
     for lead in range(width):
         tail_len = width - lead - 1
@@ -933,6 +939,16 @@ SUITES: dict[str, Callable[[Field], SuiteReport]] = {
     "reducibility": verify_reducibility,
     "hasse": verify_hasse,
 }
+
+
+CONIC_SWEEP_SUITES = ("lemma", "relations", "reducibility", "hasse")  # all conic classes
+
+
+def check_suite_budget(name: str, q: int) -> None:
+    """Raise BudgetError before any suite of `name` starts when one of them
+    would sweep more conic classes than CLASS_BUDGET."""
+    if name == "all" or name in CONIC_SWEEP_SUITES:
+        check_class_budget(q, 6)
 
 
 def run_suite(name: str, F: Field) -> list[SuiteReport]:

@@ -168,3 +168,30 @@ def test_grid_suite_beyond_class_budget_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert "sweep budget" in captured.err and "Traceback" not in captured.err
+
+
+def _run_traced(argv):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_verify_all_checks_class_budget_before_any_suite(capsys):
+    code, peak = _run_traced(["verify", "--suite", "all", "--q", "64"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "sweep budget" in captured.err and "running suite" not in captured.err
+    assert peak < 1 << 20
+
+
+def test_all_conics_checks_class_budget_before_sweeping(capsys):
+    code, peak = _run_traced(["spectrum", "--family", "all-conics", "--q", "64"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "sweep budget" in captured.err and "sweeping" not in captured.err
+    assert peak < 1 << 20

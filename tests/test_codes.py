@@ -1,12 +1,16 @@
 import random
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
+from deltacodes.field import Field
 from deltacodes.geometry import DeltaSet, build_delta
 from deltacodes.codes import (
     BudgetError,
     ConicSystem,
+    GeneratorMatrix,
     dual_distance_upto,
     evaluate_system,
     gf_rank,
@@ -67,9 +71,44 @@ def test_weight_distribution_line_code(F8):
 
 def test_weight_distribution_methods_agree(F8):
     delta = build_delta(F8)
-    for basis in ([POLY_1], [POLY_X, POLY_1], LINES, [POLY_X2, POLY_X, POLY_Y, POLY_1], FULL):
+    for basis in ([POLY_1], [POLY_X, POLY_1], LINES, [POLY_X2, POLY_X, POLY_Y, POLY_1],
+                  [POLY_X2, POLY_Y2, POLY_X, POLY_Y, POLY_1], FULL):
         g = evaluate_system(ConicSystem(F8, basis), delta)
         assert weight_distribution_enumerate(g) == weight_distribution_classes(g)
+
+
+def _naive_distribution(g) -> Counter:
+    """Every one of the q^k messages, its codeword by scalar field
+    arithmetic, its weight counted directly."""
+    F = g.field
+    rows = [[int(v) for v in row] for row in g.entries]
+    dist = Counter()
+    for msg in product(range(F.q), repeat=g.k):
+        word = [0] * g.n
+        for c, row in zip(msg, rows):
+            word = [w ^ F.mul(c, v) for w, v in zip(word, row)]
+        dist[sum(1 for w in word if w)] += 1
+    return dist
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_enumeration_matches_naive_messages(F4, k):
+    # random generator matrices, with rank deficiency and zero columns
+    # allowed; k >= 2 splits off a nonzero prefix of k - ceil(k/2) rows
+    rng = np.random.default_rng(k)
+    entries = rng.integers(0, 4, size=(k, 9)).astype(F4.np_dtype)
+    entries[:, 0] = 0
+    g = GeneratorMatrix(F4, entries, gf_rank(F4, entries.tolist()))
+    assert weight_distribution_enumerate(g) == _naive_distribution(g)
+
+
+def test_parabola_code_q64():
+    # 64^4 messages; the stated minimum distance q(q-3)/2 holds at q = 64
+    F64 = Field(6)
+    g = evaluate_system(ConicSystem(F64, [POLY_X2, POLY_X, POLY_Y, POLY_1]), build_delta(F64))
+    dist = weight_distribution_enumerate(g, big=True)
+    assert dist == weight_distribution_classes(g)
+    assert min_distance(g, distribution=dist) == 1952 == 64 * 61 // 2
 
 
 def test_weight_of_polynomial_matches_rows(F8):
