@@ -3,8 +3,10 @@ verification suites, as machine-readable JSON or CSV.
 
 Exit status: 0 when every asserted closed form holds, 1 when a stated claim
 fails its brute-force check (the report carries the counterexamples), 2 on
-usage or budget errors.  Identical (q, modulus, seed, flags) produce
-byte-identical reports; timing is only embedded on request.
+usage or budget errors (one class budget admits every exhaustive path), 3
+on an internal fault, with its traceback on stderr.  Identical (q, modulus,
+seed, flags) produce byte-identical reports; timing is only embedded on
+request.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 from .constructions import (
@@ -42,6 +45,7 @@ from .verify import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 SYSTEMS = ("lines", "parabolas", "conics", "net")
 FAMILIES = ("lines", "parabolas", "all-conics")
@@ -51,13 +55,14 @@ def make_field(args) -> Field:
     q = args.q
     if q is None:
         raise UsageError("--q is required (directly or via --config)")
-    if q < 4 or q & (q - 1):
+    if q < 4 or q > 64 or q & (q - 1):
         raise UsageError(f"--q must be a power of 2 with 4 <= q <= 64, got {q}")
-    if q > 64:
-        raise UsageError("--q above 64 is out of scope for sweeps")
     h = q.bit_length() - 1
-    modulus = parse_modulus(args.modulus) if args.modulus else None
-    return Field(h, modulus)
+    try:
+        modulus = parse_modulus(args.modulus) if args.modulus else None
+        return Field(h, modulus)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 class UsageError(RuntimeError):
@@ -130,9 +135,9 @@ def cmd_params(args) -> int:
     if args.system == "lines":
         report = line_code(F)
     elif args.system == "parabolas":
-        report = construction2_code(F, big=args.big)
+        report = construction2_code(F)
     elif args.system == "conics":
-        report = full_conic_code(F, big=args.big)
+        report = full_conic_code(F)
     else:
         samples = construction1_samples(F, args.samples, seed=args.seed)
         d_hist: dict[int, int] = {}
@@ -264,25 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to a file instead of stdout")
         p.add_argument("--timing", action="store_true", help="embed elapsed times in reports")
 
-    def require(p, name, choices):
-        p.add_argument(name, choices=choices)
-
     p = sub.add_parser("params", help="build a code and report [n, k, d] and weights")
     common(p)
-    require(p, "--system", SYSTEMS)
+    p.add_argument("--system", choices=SYSTEMS)
     p.add_argument("--seed", type=int, default=0, help="seed for net base-point sampling")
     p.add_argument("--samples", type=int, default=32, help="net base points to sample")
-    p.add_argument("--big", action="store_true", help="allow enumerations beyond 2^24 messages")
     p.set_defaults(fn=cmd_params, _needs=("system",))
 
     p = sub.add_parser("spectrum", help="histogram of intersection sizes over a family")
     common(p)
-    require(p, "--family", FAMILIES)
+    p.add_argument("--family", choices=FAMILIES)
     p.set_defaults(fn=cmd_spectrum, _needs=("family",))
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
-    require(p, "--suite", tuple(SUITES) + ("all",))
+    p.add_argument("--suite", choices=tuple(SUITES) + ("all",))
     p.set_defaults(fn=cmd_verify, _needs=("suite",))
 
     p = sub.add_parser("net", help="build the triangle net and dump its members")
@@ -298,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """A JSON config file supplies defaults for any long flag, e.g.
-    {"modulus": "0x13", "format": "csv"}; explicit flags still win."""
+    {"modulus": "0x13", "format": "csv"}; explicit flags still win.  Values
+    must have their flag's type (bool for a switch) and be one of its choices."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -306,14 +308,24 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         path = argv[i + 1]
     except IndexError:
         raise UsageError("--config needs a file path") from None
-    with open(path) as fh:
-        config = json.load(fh)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    known = {action.dest for p in parser._deltacodes_subparsers for action in p._actions}
-    unknown = sorted(set(config) - (known - {"help", "config"}))
+    actions = {action.dest: action for p in parser._deltacodes_subparsers
+               for action in p._actions if action.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    for key, value in config.items():
+        action = actions[key]
+        kind = bool if action.nargs == 0 else action.type or str
+        if type(value) is not kind or (action.choices and value not in action.choices):
+            wanted = f"one of {', '.join(action.choices)}" if action.choices else kind.__name__
+            raise UsageError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
     for sub_parser in parser._deltacodes_subparsers:
         sub_parser.set_defaults(**config)
     return argv[:i] + argv[i + 2:]
@@ -342,9 +354,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.out:
             _check_out(args.out)
         return args.fn(args)
-    except (UsageError, BudgetError, ValueError, OSError) as exc:
+    except (UsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

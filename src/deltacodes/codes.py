@@ -7,8 +7,9 @@ the ordered point set produces the generator matrix.  Weight distributions
 are computed two independent ways, by enumerating all q^k messages (a
 table of suffix codewords against one prefix per projective prefix class)
 and per projective message class through zero counting, and the two are
-required to agree in the test suites.  The enumeration budget counts all
-q^k messages either way.
+required to agree in the test suites.  Both do about (q^k - 1)/(q - 1)
+times n work, so both are admitted by the one class budget of
+`verify.check_class_budget`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ import numpy as np
 
 from .field import Field
 from .geometry import Coeffs6, DeltaSet
-from .verify import BudgetError, projective_class_columns, zero_counts
-
-ENUM_GUARD = 1 << 32          # hard bound on q^k for message enumeration
-ENUM_DEFAULT_BUDGET = 1 << 24  # above this, demand an explicit big=True
+from .verify import BudgetError, check_class_budget, projective_class_columns, zero_counts
 
 
 @dataclass
@@ -115,15 +113,7 @@ def evaluate_system(system: ConicSystem, delta: DeltaSet) -> GeneratorMatrix:
 # Weight distributions
 # ----------------------------------------------------------------------
 
-def _check_budget(q: int, k: int, big: bool) -> None:
-    total = q ** k
-    if total > ENUM_GUARD:
-        raise BudgetError(f"q^k = {total} exceeds the hard enumeration bound 2^32")
-    if total > ENUM_DEFAULT_BUDGET and not big:
-        raise BudgetError(f"q^k = {total} needs big=True (default budget 2^24)")
-
-
-def weight_distribution_enumerate(g: GeneratorMatrix, big: bool = False) -> Counter:
+def weight_distribution_enumerate(g: GeneratorMatrix) -> Counter:
     """Exact weight distribution by enumerating all q^k messages.
 
     Messages are split into a prefix and a suffix; all suffix combinations
@@ -137,11 +127,13 @@ def weight_distribution_enumerate(g: GeneratorMatrix, big: bool = False) -> Coun
     nonzero exactly where the table differs from that codeword, so it is
     compared into one reused mask whose row sums are the weights.  Zero
     counting is not involved, so this stays independent of
-    `weight_distribution_classes`.
+    `weight_distribution_classes`.  Raises BudgetError, before building
+    anything, when the code has more projective message classes than the
+    class budget.
     """
     F = g.field
     q, k, n = F.q, g.k, g.n
-    _check_budget(q, k, big)
+    check_class_budget(q, k)
     scaled = [[F.mul_col(row, c) for c in range(q)] for row in g.entries]  # c * row_i
     k2 = min(k, max(1, int(np.ceil(k / 2))))
     k1 = k - k2
@@ -177,10 +169,8 @@ def weight_distribution_classes(g: GeneratorMatrix) -> Counter:
     return Counter({w: int(c) for w, c in enumerate(hist) if c})
 
 
-def min_distance(g: GeneratorMatrix, big: bool = False,
-                 distribution: Optional[Counter] = None) -> int:
-    dist = distribution if distribution is not None else weight_distribution_enumerate(g, big=big)
-    nonzero = [w for w in dist if w > 0]
+def min_distance(distribution: Counter) -> int:
+    nonzero = [w for w in distribution if w > 0]
     if not nonzero:
         raise ValueError("the code has no nonzero codeword")
     return min(nonzero)
@@ -196,12 +186,10 @@ def weight_of_polynomial(F: Field, poly: Coeffs6, delta: DeltaSet) -> int:
 # Dual distance via dependent column sets
 # ----------------------------------------------------------------------
 
-def dual_distance_upto(g: GeneratorMatrix, w_max: int = 4) -> Optional[int]:
-    """Minimum size of a linearly dependent set of columns, when <= w_max
+def dual_distance_upto(g: GeneratorMatrix) -> Optional[int]:
+    """Minimum size of a linearly dependent set of columns, when <= 4
     (this equals the dual code's minimum distance); None if every set of
-    w_max or fewer columns is independent."""
-    if w_max > 4:
-        raise ValueError("dual distance search is capped at weight 4")
+    4 or fewer columns is independent."""
     F = g.field
     cols = [tuple(int(v) for v in g.entries[:, j]) for j in range(g.n)]
     if any(all(v == 0 for v in col) for col in cols):
@@ -216,7 +204,7 @@ def dual_distance_upto(g: GeneratorMatrix, w_max: int = 4) -> Optional[int]:
         if col in seen:
             return 2
         seen[col] = j
-    for w in range(3, w_max + 1):
+    for w in (3, 4):
         if w > g.rank:
             return w  # more columns than the rank are always dependent
         if comb(g.n, w) > 2_000_000:

@@ -250,14 +250,14 @@ def net_basis(F: Field, ctx: NetContext) -> ConicSystem:
 # Code reports
 # ----------------------------------------------------------------------
 
-def _report(F: Field, name: str, system: ConicSystem, delta: DeltaSet,
-            big: bool = False) -> tuple[dict, GeneratorMatrix]:
+def _report(F: Field, name: str, system: ConicSystem,
+            delta: DeltaSet) -> tuple[dict, GeneratorMatrix]:
     """The code's parameters and weight distribution, with its generator
     matrix."""
     t0 = time.perf_counter()
     g = evaluate_system(system, delta)
-    dist = weight_distribution_enumerate(g, big=big)
-    d = min_distance(g, distribution=dist)
+    dist = weight_distribution_enumerate(g)
+    d = min_distance(dist)
     report = {
         "q": F.q,
         "modulus": F.modulus,
@@ -294,12 +294,12 @@ def line_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     return report
 
 
-def construction2_code(F: Field, delta: Optional[DeltaSet] = None, big: bool = False) -> dict:
+def construction2_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     """Evaluation code of the parabola system {X^2, X, Y, 1}."""
     delta = delta or build_delta(F)
     system = ConicSystem(F, [POLY_X2, POLY_X, POLY_Y, POLY_1],
                          names=["X^2", "X", "Y", "1"])
-    report = _report(F, "parabolas", system, delta, big=big)[0]
+    report = _report(F, "parabolas", system, delta)[0]
     q = F.q
     report["expected"] = {
         "n": q * (q - 1) // 2,
@@ -317,12 +317,12 @@ def construction2_code(F: Field, delta: Optional[DeltaSet] = None, big: bool = F
     return report
 
 
-def full_conic_code(F: Field, delta: Optional[DeltaSet] = None, big: bool = False) -> dict:
+def full_conic_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     """Evaluation code of all six degree-<=2 monomials."""
     delta = delta or build_delta(F)
     system = ConicSystem(F, [POLY_X2, POLY_XY, POLY_Y2, POLY_X, POLY_Y, POLY_1],
                          names=["X^2", "XY", "Y^2", "X", "Y", "1"])
-    report = _report(F, "conics", system, delta, big=big)[0]
+    report = _report(F, "conics", system, delta)[0]
     q = F.q
     report["expected"] = {
         "n": q * (q - 1) // 2,
@@ -345,7 +345,7 @@ def construction1_code(F: Field, point: Optional[ProjPoint3] = None,
     system = net_basis(F, ctx)
     report, g = _report(F, "net", system, delta)
     report["point"] = [list(c) for c in ctx.P]
-    report["dual_distance"] = dual_distance_upto(g, 4)
+    report["dual_distance"] = dual_distance_upto(g)
     q, n, d = F.q, report["n"], report["d"]
     # claimed bound: 2d >= q^2 - 2q + 1 - 2*sqrt(q), compared exactly
     gap = q * q - 2 * q + 1 - 2 * d

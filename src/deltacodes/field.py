@@ -373,20 +373,13 @@ class ExtField:
     membership in the embedded base field is a structural test.
     """
 
-    def __init__(self, base: Field, degree: int, modulus_over_base: Optional[Sequence[int]] = None):
+    def __init__(self, base: Field, degree: int):
         if degree not in (2, 3):
             raise ValueError("only quadratic and cubic extensions are supported")
         self.base = base
         self.degree = degree
         self.order = base.q ** degree
-        if modulus_over_base is None:
-            self.modulus = self._find_modulus()
-        else:
-            self.modulus = tuple(modulus_over_base)
-            if len(self.modulus) != degree:
-                raise ValueError("modulus must list the r low coefficients of a monic degree-r polynomial")
-            if self._has_root(self.modulus):
-                raise ValueError("modulus is reducible over the base field")
+        self.modulus = self._find_modulus()
         self.zero: ExtElement = (0,) * degree
         self.one: ExtElement = (1,) + (0,) * (degree - 1)
         # generator: the class of the adjoined variable
@@ -404,15 +397,12 @@ class ExtField:
             acc = F.mul(acc, x) ^ c
         return acc
 
-    def _has_root(self, low_coeffs: Sequence[int]) -> bool:
-        return any(self._poly_eval(low_coeffs, x) == 0 for x in self.base.elements())
-
     def _find_modulus(self) -> tuple[int, ...]:
         # degree 2 or 3: irreducible over GF(q) iff no root in GF(q)
         q, r = self.base.q, self.degree
         for k in range(q ** r):
             coeffs = tuple((k // q ** i) % q for i in range(r))
-            if not self._has_root(coeffs):
+            if all(self._poly_eval(coeffs, x) for x in self.base.elements()):
                 return coeffs
         raise RuntimeError("no irreducible extension modulus found")  # unreachable
 

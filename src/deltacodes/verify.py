@@ -372,7 +372,7 @@ def _frob_iter(E: ExtField, x, times: int):
 # Geometry suite
 # ----------------------------------------------------------------------
 
-def verify_geometry(F: Field, oracle: Optional[bool] = None) -> SuiteReport:
+def verify_geometry(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("geometry", q, F.modulus)
@@ -459,9 +459,7 @@ def verify_geometry(F: Field, oracle: Optional[bool] = None) -> SuiteReport:
             note=f"first: {mismatches[:3]}" if mismatches else "")
 
     # degeneracy criterion against the singular-point oracle
-    if oracle is None:
-        oracle = q <= 8
-    if oracle:
+    if q <= 8:
         cols = conic_class_columns(F)
         found = degeneracy_oracle_sweep(F, cols)
         stated = degeneracy_columns(F, cols) == 0

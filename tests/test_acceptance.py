@@ -420,7 +420,7 @@ def test_criterion_15_property_suites():
     ok = True
     for q in (4, 8, 16):
         ok &= verify_field(field(q)).passed
-        geo = verify_geometry(field(q), oracle=q <= 8)
+        geo = verify_geometry(field(q))
         wanted = (
             "conic normalization is idempotent and scale-invariant",
             "verified line closed form matches brute force on every line",

@@ -1,7 +1,10 @@
 import json
 import os
 
-from deltacodes.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from deltacodes import cli
+from deltacodes.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -51,8 +54,8 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "spectrum", "--q", "64", "--family", "all-conics")
     assert code == EXIT_USAGE  # 2^26 class budget
-    code, _ = run(capsys, "params", "--q", "32", "--system", "conics")
-    assert code == EXIT_USAGE  # enumeration budget without --big
+    code, _ = run(capsys, "params", "--q", "64", "--system", "conics")
+    assert code == EXIT_USAGE  # 2^26 class budget
 
 
 def test_custom_modulus(capsys):
@@ -60,8 +63,9 @@ def test_custom_modulus(capsys):
                     "--modulus", "0xD")
     assert code == EXIT_OK
     assert json.loads(out)["report"]["modulus"] == "0xD"
-    code, _ = run(capsys, "params", "--q", "8", "--system", "lines", "--modulus", "0x9")
-    assert code == EXIT_USAGE
+    for bad in ("0x9", "0xZZ"):  # reducible, not hex
+        code, out = run(capsys, "params", "--q", "8", "--system", "lines", "--modulus", bad)
+        assert code == EXIT_USAGE and out == ""
 
 
 def test_spectrum_csv(capsys):
@@ -146,6 +150,41 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "modulos" in captured.err
 
 
+@pytest.mark.parametrize("text", [
+    '{"q": [16]}',
+    '{"q": 8, "format": "xml"}',
+    '{"q": 8, "timing": 1}',
+    '{"q": 8, "big": true}',
+    '{"q": 8',
+    None,  # no such file
+])
+def test_config_rejects_bad_values(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["params", "--config", str(cfg), "--system", "lines"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_big_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--q", "8", "--system", "lines", "--big"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_internal_fault_exits_3_with_traceback(monkeypatch, capsys):
+    def broken(F):
+        raise AssertionError("invariant broken")
+    monkeypatch.setattr(cli, "line_code", broken)
+    code = main(["params", "--q", "8", "--system", "lines"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL and captured.out == ""
+    assert "Traceback" in captured.err and "AssertionError: invariant broken" in captured.err
+
+
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     code = main(["spectrum", "--family", "all-conics", "--q", "16", "--out", str(out)])
@@ -194,4 +233,12 @@ def test_all_conics_checks_class_budget_before_sweeping(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert "sweep budget" in captured.err and "sweeping" not in captured.err
+    assert peak < 1 << 20
+
+
+def test_conic_code_beyond_class_budget_is_usage_error(capsys):
+    code, peak = _run_traced(["params", "--system", "conics", "--q", "64"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "sweep budget" in captured.err and "big" not in captured.err
     assert peak < 1 << 20
