@@ -12,10 +12,11 @@ what keeps its code's weights under control.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .geometry import (
     build_delta,
     degeneracy_columns,
     in_sqrt_window,
-    make_conic,
     projective_points,
 )
 from .codes import (
@@ -39,6 +39,7 @@ from .codes import (
     singleton_ok,
     weight_distribution_enumerate,
 )
+from .verify import projective_class_columns
 
 # basis polynomials as coefficient 6-tuples (a11, a12, a22, a13, a23, a33)
 POLY_X2: Coeffs6 = (1, 0, 0, 0, 0, 0)
@@ -78,13 +79,11 @@ def _det3(E: ExtField, rows: tuple[ProjPoint3, ProjPoint3, ProjPoint3]) -> ExtEl
 
 def in_lambda_orbit(E: ExtField, p: ProjPoint3) -> bool:
     """True when p lies neither in PG(2, GF(q)) nor on any rational line:
-    p differs from its Frobenius image and the three conjugates span."""
-    p = normalize_projective(E, p)
-    p1 = normalize_projective(E, frobenius_point(E, p))
-    if p == p1:
-        return False
-    p2 = normalize_projective(E, frobenius_point(E, p1))
-    return _det3(E, (p, p1, p2)) != E.zero
+    p and its two Frobenius images span, det(p, p^q, p^(q^2)) != 0.  A
+    rational point, or a point on a rational line, has all three on that
+    line (or equal), so no normalization is needed."""
+    p1 = frobenius_point(E, p)
+    return _det3(E, (p, p1, frobenius_point(E, p1))) != E.zero
 
 
 def find_lambda_point(E: ExtField, mode: str = "seeded", seed: int = 0) -> ProjPoint3:
@@ -204,32 +203,29 @@ def conic_from_lambda(ctx: NetContext, lam: ExtElement) -> Coeffs6:
     return tuple(out)  # type: ignore[return-value]
 
 
-def lambda_class_representatives(E: ExtField) -> Iterator[ExtElement]:
-    """One lambda per class modulo GF(q)* scalars: highest nonzero
-    coordinate scaled to 1; q^2 + q + 1 classes in canonical order."""
-    q = E.base.q
-    for hi in range(E.degree - 1, -1, -1):
-        for k in range(q ** hi):
-            coords = [(k // q ** i) % q for i in range(hi)] + [1] + [0] * (E.degree - hi - 1)
-            yield tuple(coords)
-
-
 def build_net(F: Field, ctx: NetContext) -> list[Conic]:
     """All q^2 + q + 1 net members as normalized conic classes.
 
-    Every member must be non-degenerate; exactly one member has zero XY
-    and Y^2 coefficients (the shape tangent to the line at infinity at the
-    vertical-axis point).
+    lambda -> C_lambda is GF(q)-linear, so the member of lambda = c0 + c1*beta
+    + c2*beta^2 is c0*C_1 + c1*C_beta + c2*C_beta2 over the net basis, for
+    one (c0, c1, c2) per class modulo GF(q)* scalars: highest nonzero
+    coordinate 1, in canonical order.  Every member must be non-degenerate;
+    exactly one member has zero XY and Y^2 coefficients (the shape tangent
+    to the line at infinity at the vertical-axis point).
     """
-    lams = list(lambda_class_representatives(ctx.ext))
-    members = [make_conic(F, conic_from_lambda(ctx, lam)) for lam in lams]
-    cols = [np.array(c, dtype=F.np_dtype) for c in zip(*members)]
+    lams = projective_class_columns(F.q, 3, F.np_dtype)[::-1]  # (c0, c1, c2)
+    cols = [F.mul_col(lams[0], u) ^ F.mul_col(lams[1], v) ^ F.mul_col(lams[2], w)
+            for u, v, w in zip(*net_basis(F, ctx).polys)]
+    lead = functools.reduce(lambda acc, c: np.where(acc != 0, acc, c), cols)
+    cols = [F.vdiv(c, lead) for c in cols]
     degenerate = np.flatnonzero(degeneracy_columns(F, cols) == 0)
     if len(degenerate):
         i = degenerate[0]
-        raise AssertionError(f"degenerate net member at lambda={lams[i]}: {members[i].coeffs()}")
+        raise AssertionError(f"degenerate net member at lambda={tuple(int(c[i]) for c in lams)}: "
+                             f"{tuple(int(c[i]) for c in cols)}")
+    members = [Conic(*row) for row in np.stack(cols, axis=1).tolist()]
     expected = F.q * F.q + F.q + 1
-    if len(set(m.coeffs() for m in members)) != expected:
+    if len(set(members)) != expected:
         raise AssertionError("net members are not pairwise distinct")
     special = [m for m in members if m.a12 == 0 and m.a22 == 0]
     if len(special) != 1:

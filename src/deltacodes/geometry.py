@@ -9,16 +9,20 @@ Intersection counts of lines and conics with Delta are provided both by
 closed-form case analysis and by direct evaluation over the point set; the
 closed forms are never trusted without the brute-force oracle.
 
-The degeneracy criterion and the exceptional families are written once,
-over the six coefficients of one conic or over class columns
-(degeneracy_columns, exceptional_columns); degeneracy_criterion,
-is_degenerate and classify_exceptional are their one-class view.
+The degeneracy criterion, the exceptional families and the closed form of
+the parabola family a12 = a22 = 0 are written once, over the six
+coefficients of one conic or over class columns (degeneracy_columns,
+exceptional_columns, parabola_count_closed_form); degeneracy_criterion,
+is_degenerate, classify_exceptional and line_counts are their one-class
+view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .field import ExtField, Field
 
@@ -274,7 +278,9 @@ def line_delta_count_closed_form(F: Field, line: Line) -> int:
 
 
 def line_counts(F: Field, line: Line) -> tuple[int, int]:
-    """Verified closed-form pair (|line ∩ Delta|, |line ∩ DeltaBar|).
+    """Verified closed-form pair (|line ∩ Delta|, |line ∩ DeltaBar|): the
+    parabola-family closed form on (0, 0, 0, a, b, c), plus the origin
+    when c = 0.
 
     One non-vertical family behaves unlike the generic slanted line: when
     the intercept is the square of the slope, Y = m*X + m^2 is the image of
@@ -285,70 +291,41 @@ def line_counts(F: Field, line: Line) -> tuple[int, int]:
     giving (q - 2)/2; a vertical line X = c != 0 lifts to a full line
     parallel to the diagonal, giving q/2.
     """
-    q = F.q
-    if not line.is_vertical:
-        m = F.div(line.a, line.b)
-        b = F.div(line.c, line.b)
-        if b == F.mul(m, m):
-            if m == 0:
-                return q - 1, q  # the line Y = 0 passes through the origin
-            return q - 1, q - 1
-        if b != 0:
-            return (q - 2) // 2, (q - 2) // 2
-        return (q - 2) // 2, q // 2  # through the origin: the origin joins
-    x0 = F.div(line.c, line.a)
-    if x0 != 0:
-        return q // 2, q // 2
-    return 0, 1
+    nd = int(parabola_count_closed_form(F, (0, 0, 0, line.a, line.b, line.c)))
+    return nd, nd + (line.c == 0)
 
 
 # ----------------------------------------------------------------------
 # Closed-form parabola-family counts (a12 = a22 = 0)
 # ----------------------------------------------------------------------
 
-def parabola_count_closed_form(F: Field, conic: Conic, include_origin: bool) -> int:
-    """Predicted intersection size for every conic with a12 = a22 = 0.
+def parabola_count_closed_form(F: Field, coeffs):
+    """|C ∩ Delta| for every conic with a12 = a22 = 0, for the six
+    coefficients of one conic or for class columns.
 
-    Dispatches over the eight-case list for a23 != 0 (non-degenerate
-    parabolas), the trace dichotomy for vertical line pairs (a23 = 0), the
-    remaining vertical-line shapes, and the pure line cases a11 = 0.
+      * a23 != 0, with t = trace(a11/a23): q - 1 (t = 0) or 0 on the
+        parabola orbit a13^2 = a33*a23, and q/2 - 1 (t = 0) or q/2 off it;
+        the lines (a11 = 0) are the t = 0 case.
+      * a23 = 0, the vertical pair a11*a13*a33 != 0: q when
+        trace(a11*a33/a13^2) = 0, else 0.
+      * a23 = 0 otherwise: each nonzero root x0 of a11*X^2 + a13*X + a33
+        is a vertical line X = x0 with q/2 points, and there is one such
+        root exactly when at least two of a11, a13, a33 are nonzero.
+
+    The origin-included set adds the origin when the constant term is
+    zero: |C ∩ DeltaBar| = |C ∩ Delta| + [a33 = 0].
     """
-    a11, a12, a22, a13, a23, a33 = conic.coeffs()
-    if a12 or a22:
+    a11, a12, a22, a13, a23, a33 = coeffs
+    if np.any(a12) or np.any(a22):
         raise ValueError("closed form requires a12 = a22 = 0")
-    q = F.q
-    origin_on = 1 if (a33 == 0 and include_origin) else 0
-
-    if a23 != 0:
-        if a11 == 0:
-            # the line a13*X + a23*Y + a33 = 0
-            nd, nb = line_counts(F, make_line(F, a13, a23, a33))
-            return nb if include_origin else nd
-        tr = F.trace(F.div(a11, a23))
-        on_orbit = F.mul(a13, a13) == F.mul(a33, a23)  # a33 = a13^2 after a23 = 1
-        if on_orbit:
-            base = (q - 1) if tr == 0 else 0
-            return base + origin_on
-        base = (q // 2 - 1) if tr == 0 else q // 2
-        return base + origin_on
-
-    # a23 = 0: zero set defined by a11*X^2 + a13*X + a33 alone
-    if a11 == 0 and a13 == 0:
-        return 0  # nonzero constant: empty zero set
-    if a11 == 0:
-        # vertical line X = a33/a13
-        nd, nb = line_counts(F, make_line(F, a13, 0, a33))
-        return nb if include_origin else nd
-    if a13 == 0:
-        # double vertical line X = sqrt(a33/a11)
-        x0 = F.sqrt(F.div(a33, a11))
-        return (q // 2 if x0 != 0 else 0) + origin_on
-    if a33 == 0:
-        # lines X = 0 and X = a13/a11
-        return q // 2 + origin_on
-    # distinct vertical pair, rational over GF(q) iff trace is zero
-    tr = F.trace(F.div(F.mul(a11, a33), F.mul(a13, a13)))
-    return q if tr == 0 else 0
+    q, half = F.q, F.q // 2
+    orbit, pair = exceptional_columns(F, coeffs)
+    t0 = F.trace_table[F.vdiv(a11, a23)] == 0
+    slanted = np.where(orbit, (q - 1) * t0, half - t0)
+    pair_t0 = F.trace_table[F.vdiv(F.vmul(a11, a33), F.vmul(a13, a13))] == 0
+    one_root = (a11 != 0) & ((a13 != 0) | (a33 != 0)) | (a13 != 0) & (a33 != 0)
+    vertical = np.where(pair, q * pair_t0, half * one_root)
+    return np.where(a23 != 0, slanted, vertical)
 
 
 # ----------------------------------------------------------------------

@@ -904,26 +904,29 @@ def line_spectrum(F: Field) -> dict:
 
 def parabola_spectrum(F: Field) -> dict:
     """Brute-force counts over every class with a12 = a22 = 0 (vectorized),
-    compared against the closed-form case analysis."""
+    compared against the closed form and its origin rule."""
     delta = build_delta(F, include_origin=False)
     dbar = build_delta(F, include_origin=True)
     cols4 = projective_class_columns(F.q, 4, F.np_dtype)
+    a11, a13, a23, a33 = cols4
     # the monomials of a11, a13, a23, a33
     monos_d = [(m[0], m[3], m[4], m[5]) for m in delta.conic_monomials()]
     monos_b = [(m[0], m[3], m[4], m[5]) for m in dbar.conic_monomials()]
     counts_d = zero_counts(F, cols4, monos_d)
     counts_b = zero_counts(F, cols4, monos_b)
-    mismatches = []
-    for i in range(len(cols4[0])):
-        c = Conic(int(cols4[0][i]), 0, 0, int(cols4[1][i]), int(cols4[2][i]), int(cols4[3][i]))
-        for io, actual in ((False, int(counts_d[i])), (True, int(counts_b[i]))):
-            pred = parabola_count_closed_form(F, c, io)
-            if pred != actual:
-                mismatches.append((c.coeffs(), io, pred, actual))
+    pred_d = parabola_count_closed_form(F, (a11, 0, 0, a13, a23, a33))
+    pred_b = pred_d + (a33 == 0)
+    mismatches = [
+        ((int(a11[i]), 0, 0, int(a13[i]), int(a23[i]), int(a33[i])), io,
+         int(pred[i]), int(actual[i]))
+        for i in np.flatnonzero((pred_d != counts_d) | (pred_b != counts_b))
+        for io, pred, actual in ((False, pred_d, counts_d), (True, pred_b, counts_b))
+        if pred[i] != actual[i]
+    ]
     hist = np.bincount(counts_d)
     return {
         "q": F.q,
-        "classes": len(cols4[0]),
+        "classes": len(a11),
         "histogram_delta": {int(c): int(n) for c, n in enumerate(hist) if n},
         "closed_form_mismatches": mismatches,
     }

@@ -14,7 +14,6 @@ from deltacodes.constructions import (
     find_lambda_point,
     full_conic_code,
     in_lambda_orbit,
-    lambda_class_representatives,
     lambda_orbit_count,
     line_code,
     make_net_context,
@@ -122,16 +121,18 @@ def test_net_basis_spans_members(F8):
     basis = net_basis(F8, ctx)
     rows = [list(p) for p in basis.polys]
     assert gf_rank(F8, rows) == 3
-    for lam in lambda_class_representatives(E):
-        member = list(conic_from_lambda(ctx, lam))
-        assert gf_rank(F8, rows + [member]) == 3  # member lies in the span
 
 
-def test_lambda_class_representatives_count(F8):
+def test_build_net_matches_per_lambda_members(F8):
+    # the members made by linearity over the basis are exactly the classes
+    # of the per-lambda conics, over every nonzero lambda
     E = ExtField(F8, 3)
-    reps = list(lambda_class_representatives(E))
-    assert len(reps) == 73
-    assert len(set(reps)) == 73
+    ctx = make_net_context(E, find_lambda_point(E, "seeded", 5))
+    net = build_net(F8, ctx)
+    per_lambda = {make_conic(F8, conic_from_lambda(ctx, lam))
+                  for lam in E.elements() if lam != E.zero}
+    assert len(net) == 73
+    assert set(net) == per_lambda
 
 
 def test_construction1_q8(F8):

@@ -129,6 +129,12 @@ def test_count_on_delta_examples(F8):
     assert count_on_delta(F8, Conic(c, 0, 0, 0, 1, 0), delta) == 0
 
 
+def dbar_count(F, c):
+    """The closed form on the origin-included set: the origin joins when
+    the constant term is zero."""
+    return parabola_count_closed_form(F, c) + (c.a33 == 0)
+
+
 def test_parabola_closed_form_cases(F8):
     q = 8
     tr1 = next(a for a in F8.nonzero_elements() if F8.trace(a) == 1)
@@ -136,17 +142,17 @@ def test_parabola_closed_form_cases(F8):
     # trace one, a33 = a13^2 != 0: empty intersection
     a13 = 3
     c = Conic(tr1, 0, 0, a13, 1, F8.mul(a13, a13))
-    assert parabola_count_closed_form(F8, c, True) == 0
+    assert dbar_count(F8, c) == 0
     # trace zero, a33 = a13 = 0: the covering parabola itself
     c = Conic(tr0, 0, 0, 0, 1, 0)
-    assert parabola_count_closed_form(F8, c, True) == q
+    assert dbar_count(F8, c) == q
     # vertical pair with zero trace combination
     for a11 in F8.nonzero_elements():
         for a13 in F8.nonzero_elements():
             for a33 in F8.nonzero_elements():
                 expected = q if F8.trace(
                     F8.div(F8.mul(a11, a33), F8.mul(a13, a13))) == 0 else 0
-                got = parabola_count_closed_form(F8, Conic(a11, 0, 0, a13, 0, a33), False)
+                got = parabola_count_closed_form(F8, Conic(a11, 0, 0, a13, 0, a33))
                 assert got == expected
 
 
@@ -162,10 +168,10 @@ def test_parabola_closed_form_exhaustive(h):
                     if not (a11 or a13 or a23 or a33):
                         continue
                     c = Conic(a11, 0, 0, a13, a23, a33)
-                    assert parabola_count_closed_form(F, c, False) == count_on_delta(F, c, delta)
-                    assert parabola_count_closed_form(F, c, True) == count_on_delta(F, c, dbar)
+                    assert parabola_count_closed_form(F, c) == count_on_delta(F, c, delta)
+                    assert dbar_count(F, c) == count_on_delta(F, c, dbar)
     with pytest.raises(ValueError):
-        parabola_count_closed_form(F, Conic(0, 1, 0, 0, 0, 0), False)
+        parabola_count_closed_form(F, Conic(0, 1, 0, 0, 0, 0))
 
 
 def test_window_arithmetic():

@@ -11,6 +11,14 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
+# (span names, tally names) that the benchmark's per-layer metrics read
+# from a traced call, so that renaming a wrapped function fails here
+REQUIRED_LAYERS = {
+    ("verify", "--suite", "geometry", "--q", "4"): (
+        {"geometry.count_on_delta"}, {"geometry.parabola_count_closed_form"}),
+    ("net", "--q", "4", "--seed", "1"): ({"constructions.net"}, set()),
+}
+
 
 def cli(*args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -23,6 +31,7 @@ def cli(*args):
     ("spectrum", "--family", "all-conics", "--q", "4"),
     ("verify", "--suite", "geometry", "--q", "4"),
     ("params", "--system", "conics", "--q", "4"),
+    ("net", "--q", "4", "--seed", "1"),
 ])
 def test_traced_run_matches_untraced(tmp_path, argv):
     trace_file = tmp_path / "trace.json"
@@ -33,3 +42,6 @@ def test_traced_run_matches_untraced(tmp_path, argv):
     trace = json.loads(trace_file.read_text())
     assert trace["errors"] == {}
     assert trace["spans"]
+    spans, tallies = REQUIRED_LAYERS.get(argv, (set(), set()))
+    assert spans <= {span[1] for span in trace["spans"]}
+    assert tallies <= {tally[1] for tally in trace["tallies"]}

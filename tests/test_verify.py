@@ -216,6 +216,13 @@ def test_parabola_spectrum_no_mismatches(F8):
     assert not spec["closed_form_mismatches"]
 
 
+def test_parabola_spectrum_q64():
+    # the column closed form against both zero_counts sweeps at every class
+    spec = parabola_spectrum(Field(6))
+    assert spec["classes"] == 266305
+    assert not spec["closed_form_mismatches"]
+
+
 def test_conic_spectrum_structure(F8):
     spec = conic_spectrum(F8)
     assert spec["nondegenerate_classes"] == sum(spec["histogram"].values())
