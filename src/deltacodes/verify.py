@@ -29,6 +29,7 @@ from .field import ExtField, Field
 from .geometry import (
     Conic,
     DeltaSet,
+    Line,
     all_lines,
     build_delta,
     count_on_delta,
@@ -48,6 +49,7 @@ from . import curves
 
 SAMPLE_CHECKS = 40  # scalar cross-checks per vectorized sweep
 CLASS_BUDGET = 1 << 26  # projective classes one sweep may lay out
+WALK_BLOCK = 1 << 16  # classes per block of the N(H) walk
 
 
 class BudgetError(RuntimeError):
@@ -395,26 +397,28 @@ def verify_geometry(F: Field) -> SuiteReport:
         rep.add("symmetric map is exactly 2-to-1 on distinguished points",
                 all(v == 2 for v in image.values()))
 
-    # line closed forms: the stated case list against brute force
+    # line closed forms: the stated case list against brute force.  As the
+    # conic (0, 0, 0, a, b, c), Y = m*X + m^2 with m != 0 is the parabola
+    # orbit with a != 0, and a slanted line through the origin has c = 0.
     generic_ok = True
     known_gap_origin = []   # slanted through origin (stated chain inconsistent)
     known_gap_square = []   # intercept = slope^2 (family missing from the case list)
     unexplained = []
-    for line, stated, nd, nb in _line_sweep(F, delta, dbar):
+    a13, a23, a33 = (np.array(col, dtype=F.np_dtype)
+                     for col in zip(*map(Line.coeffs, all_lines(F))))
+    zero = np.zeros_like(a13)
+    square = exceptional_columns(F, (zero, zero, zero, a13, a23, a33))[0] & (a13 != 0)
+    origin = (a13 != 0) & (a23 != 0) & (a33 == 0)
+    for k, (line, stated, nd, nb) in enumerate(_line_sweep(F, delta, dbar)):
         td, tb = line_counts(F, line)
         if (td, tb) != (nd, nb):
             unexplained.append((line.coeffs(), td, tb, nd, nb))
-            continue
-        if not line.is_vertical:
-            m = F.div(line.a, line.b)
-            b = F.div(line.c, line.b)
-            if b == F.mul(m, m) and m != 0:
-                known_gap_square.append((line.coeffs(), stated, nd, nb))
-                continue
-            if b == 0 and m != 0:
-                known_gap_origin.append((line.coeffs(), stated, nd, nb))
-                continue
-        generic_ok &= stated == nb
+        elif square[k]:
+            known_gap_square.append((line.coeffs(), stated, nd, nb))
+        elif origin[k]:
+            known_gap_origin.append((line.coeffs(), stated, nd, nb))
+        else:
+            generic_ok &= stated == nb
     rep.add("verified line closed form matches brute force on every line",
             not unexplained, 0, len(unexplained),
             note=f"first: {unexplained[:3]}" if unexplained else "")
@@ -711,23 +715,45 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 def _cubic_h_counts(F: Field, h: dict[tuple[int, int], curves.Pair]) -> np.ndarray:
-    """N(H) per class on the GF(q)^2 grid, line by line: on V = v, H is
-    c2*X^2 + c1*X + c0 with GF(q^2) coefficients, and its points there are
-    the common roots of the two component quadratics.  Component columns
-    that are zero on every class are skipped."""
-    # per component, per power X^2, X, 1: the (j, column) of the V^j terms
-    terms = [[[(j, pair[t]) for (e, j), pair in h.items() if e == i and pair[t].any()]
-              for i in (2, 1, 0)] for t in (0, 1)]
-    zero = np.zeros_like(h[(0, 0)][0])
-    counts = np.zeros(len(zero), dtype=np.int64)
-    for v in F.elements():
-        powers = (1, v, F.mul(v, v))
-        triples = []
-        for component in terms:
-            coeffs = (_combination(F, [arr for _, arr in part], [powers[j] for j, _ in part])
-                      for part in component)
-            triples.append(tuple(zero if c is None else c for c in coeffs))
-        counts += _quadratic_root_counts(F, *triples)
+    """N(H) per class on the GF(q)^2 grid, as uint16 (N(H) <= q^2).
+
+    On the line V = v, H is c2*X^2 + c1*X + c0 with GF(q^2) coefficients
+    c_i = sum_j h[(i, j)] * v^j, and its points there are the common roots
+    of the two component quadratics: the popcount of the AND of their root
+    masks.  V occurs only in degrees 0, 1 and 2 and squaring is additive,
+    so each component's mask index c2 << 2h | c1 << h | c0 is GF(2)-affine
+    in v: its value at v = 0 XOR one step column per set bit of v.  Visiting
+    v in Gray-code order flips one bit per line, so a line costs one XOR of
+    the indices.  Classes go in blocks of WALK_BLOCK, which bounds the extra
+    memory at every q."""
+    if any(i > 2 or j > 2 for i, j in h):
+        raise AssertionError(f"the N(H) walk needs X and V degrees <= 2; got {sorted(h)}")
+    q, bits = F.q, F.h
+    masks = _root_masks(F)
+    index_dtype = np.min_scalar_type(q ** 3 - 1)
+    basis_powers = {j: [F.pow(1 << b, j) for b in range(bits)] for j in (1, 2)}
+    # per component, the V^1 and V^2 terms whose column is not zero on every class
+    moving = [[(i, j, pair[t]) for (i, j), pair in h.items() if j and pair[t].any()]
+              for t in (0, 1)]
+    counts = np.zeros(len(h[(0, 0)][0]), dtype=np.uint16)
+    for lo in range(0, len(counts), WALK_BLOCK):
+        blk = slice(lo, lo + WALK_BLOCK)
+        out = counts[blk]
+        index = np.zeros((2, len(out)), dtype=index_dtype)
+        steps = np.zeros((2, bits, len(out)), dtype=index_dtype)
+        for t in (0, 1):
+            for (i, j), pair in h.items():
+                if j == 0:
+                    index[t] |= pair[t][blk].astype(index_dtype) << i * bits
+            for i, j, col in moving[t]:
+                for b, e in enumerate(basis_powers[j]):
+                    steps[t, b] ^= F.mul_col(col[blk], e).astype(index_dtype) << i * bits
+        found = np.empty(index.shape, dtype=masks.dtype)
+        for k in range(q):
+            if k:
+                index ^= steps[:, (k & -k).bit_length() - 1]
+            np.take(masks, index, out=found)
+            out += np.bitwise_count(found[0] & found[1])
     return counts
 
 

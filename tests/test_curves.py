@@ -288,14 +288,22 @@ def test_window_predicates():
     assert in_rational_affine_window(5, 8) and not in_rational_affine_window(4, 8)
 
 
+def _run_optimized(script: str):
+    """Run a Python script under -O against this tree's sources."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_invariants_survive_optimize():
     """Under python -O, dividing by a power of X that does not divide
     every term still raises, and a product grouping of H that disagrees with
     the coefficient formula still aborts build_family, and not as a
     ValueError."""
-    import os
-    import subprocess
-    import sys
     script = "\n".join([
         "import sys",
         "from deltacodes import curves",
@@ -318,12 +326,25 @@ def test_invariants_survive_optimize():
         "except ValueError:",
         "    sys.exit(3)",
     ])
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_optimized(script)
     assert proc.returncode == 1, proc.stderr
     assert "AssertionError: the two groupings of H differ" in proc.stderr
+
+
+def test_cubic_h_walk_precondition_survives_optimize():
+    """Under python -O, an H with a V^3 term still stops the N(H) walk with
+    an AssertionError instead of a wrong count."""
+    script = "\n".join([
+        "import numpy as np",
+        "from deltacodes.field import Field",
+        "from deltacodes.verify import _cubic_h_counts",
+        "assert False, 'asserts must be stripped'",
+        "zero = np.zeros(3, dtype=np.uint8)",
+        "_cubic_h_counts(Field(2), {(0, 0): (zero, zero), (0, 3): (zero, zero)})",
+    ])
+    proc = _run_optimized(script)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: the N(H) walk needs X and V degrees <= 2" in proc.stderr
 
 
 def test_scalar_predicates_return_python_values(F8):

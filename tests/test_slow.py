@@ -1,8 +1,9 @@
 """The q = 32 data of README "What the verification finds", outside tier-1.
 
-Deselected by default; run with `pytest -m slow` (45 s and a 1 GiB peak
-RSS on a 2-core Xeon host).  hasse and reducibility at q = 32 are not
-pinned here: each takes minutes and 2.5-3.4 GiB.
+Deselected by default; run with `pytest -m slow` (117 s and a 3.2 GiB
+peak RSS on a 2-core Xeon host: the hasse suite takes 65 s and sets the
+peak, the other two tests 50 s and 1 GiB).  reducibility at q = 32
+(2 minutes, 2.5 GiB) is not pinned here.
 """
 
 import json
@@ -35,3 +36,30 @@ def test_all_conics_window_census_q32(capsys):
     assert payload["window_violations"] == 509392
     assert payload["violation_counts"] == {
         "0": 15376, "8": 42160, "9": 327360, "22": 109120, "29": 7440, "31": 7936}
+
+
+def test_hasse_q32(capsys):
+    """The same three stated claims fail as at q = 16; the corrected
+    transfer holds on every rational-vbar class, and every rational-vbar
+    window violator has a line in H."""
+    code = main(["verify", "--suite", "hasse", "--q", "32"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["suites"][0]["checks"]}
+    assert code == EXIT_MISMATCH
+    assert {name for name, c in checks.items() if not c["ok"]} == {
+        "stated transfer N(G) = N(H) holds on every applicable class",
+        "N(H) lies in the union of the affine windows on every applicable class",
+        "N(H) lies in the union window on every rational-vbar class",
+    }
+
+    def counts(name):
+        return checks[name]["expected"], checks[name]["actual"]
+
+    assert counts("corrected transfer (axis-point bookkeeping) holds for rational vbar"
+                  ) == (17775648, 17775648)
+    assert counts("stated transfer N(G) = N(H) holds on every applicable class"
+                  ) == (33520672, 1023248)
+    # 17775648 - 17760272 = 15376 rational-vbar violators, each with a line in H
+    assert counts("N(H) lies in the union window on every rational-vbar class"
+                  ) == (17775648, 17760272)
+    assert counts("every rational-vbar window violation comes from a reducible cubic"
+                  ) == (15376, 15376)

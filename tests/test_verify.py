@@ -257,6 +257,53 @@ def test_column_formulas_exhaustive_q4(F4):
     assert checked == 1218
 
 
+def _h_grid_counts(F, h):
+    """N(H) per class by evaluating H from its coefficient columns at every
+    grid point (x, v), without root masks or the walk over lines: a point
+    counts when both GF(q^2) components of the value vanish."""
+    n = len(h[(0, 0)][0])
+    counts = np.zeros(n, dtype=np.int64)
+    for x in F.elements():
+        for v in F.elements():
+            value = [np.zeros(n, dtype=F.np_dtype), np.zeros(n, dtype=F.np_dtype)]
+            for (i, j), pair in h.items():
+                monomial = F.mul(F.pow(x, i), F.pow(v, j))
+                for t in (0, 1):
+                    value[t] ^= F.mul_col(pair[t], monomial)
+            counts += (value[0] == 0) & (value[1] == 0)
+    return counts
+
+
+def test_cubic_h_walk_matches_grid_evaluation_q8(F8):
+    from deltacodes import curves
+    from deltacodes.verify import _cubic_h_counts
+    cols = conic_class_columns(F8)
+    h = curves.cubic_h_columns(F8, cols, curves.vbar_columns(F8, cols))
+    n_h = _cubic_h_counts(F8, h)
+    assert n_h.dtype == np.uint16
+    assert np.array_equal(n_h, _h_grid_counts(F8, h))
+
+
+def test_cubic_h_walk_matches_product_grouping_q16(F16):
+    """On a seeded sample of classes with an H at q = 16, the walk and the
+    grid evaluation both equal the brute-force count of the product
+    grouping of H."""
+    from deltacodes import curves
+    from deltacodes.geometry import Conic
+    from deltacodes.verify import _class_tuple, _cubic_h_counts
+    cols = conic_class_columns(F16)
+    n_h = _cubic_h_counts(F16, curves.cubic_h_columns(F16, cols, curves.vbar_columns(F16, cols)))
+    with_h = np.flatnonzero((cols[1] != 0) | (cols[2] != 0))
+    picks = np.sort(np.random.default_rng(1604).choice(with_h, 48, replace=False))
+    sample = [c[picks] for c in cols]
+    grid = _h_grid_counts(F16, curves.cubic_h_columns(F16, sample, curves.vbar_columns(F16, sample)))
+    for k, i in enumerate(picks):
+        c = Conic(*_class_tuple(cols, int(i)))
+        vbar, K = curves.solve_vbar(F16, c)
+        expected = curves.count_affine_points(curves._cubic_h(K, c, vbar, ordering=1), F16)
+        assert int(n_h[i]) == int(grid[k]) == expected, c
+
+
 def test_class_budget_raises_before_allocating():
     import tracemalloc
     tracemalloc.start()
