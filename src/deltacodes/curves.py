@@ -503,18 +503,20 @@ def g_axis_root_count(F: Field, conic: Conic, s: int) -> int:
 
 
 def f_minus_g_columns(F: Field, cols: Sequence[np.ndarray], s: int) -> np.ndarray:
-    """The tabulated value of N(F^(s)) - N(G^(s)) per class, per the three
-    displayed relation tables."""
+    """The tabulated value of N(F^(s)) - N(G^(s)) per class, as int8, per
+    the three displayed relation tables."""
     a11, a12, a22, a13, a23, a33 = cols
     tr = F.trace_table
+    one, two = np.int8(1), np.int8(2)
     if s == 0:
         b = F.vdiv(F.vmul(a22, a33), F.vmul(a23, a23))
-        return np.where((a22 != 0) & (a23 != 0), np.where(tr[b] == 1, 0, -2),
-                        np.where((a22 == 0) & (a23 == 0), 0, -1))
+        return np.where((a22 != 0) & (a23 != 0), np.where(tr[b] == 1, 0, -two),
+                        np.where((a22 == 0) & (a23 == 0), 0, -one))
     if s == 1:
-        return np.where((a23 == 0) | (a22 == 0), -1, -2)
+        return np.where((a23 == 0) | (a22 == 0), -one, -two)
     tz = tr[F.vdiv(a11, a23)] == 0
-    return np.where(a23 == 0, -1, np.where(a22 == 0, np.where(tz, 1, -1), np.where(tz, 0, -2)))
+    return np.where(a23 == 0, -one, np.where(a22 == 0, np.where(tz, one, -one),
+                                             np.where(tz, 0, -two)))
 
 
 def predicted_f_minus_g(F: Field, conic: Conic, s: int) -> int:
@@ -544,13 +546,13 @@ def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = 
 
 
 def lemma_case_columns(F: Field, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """The case (1-4) of the intersection lemma per class: case s + 1 for
-    the split exponent s = 0 or 1, and for s = 2, 4 when a23 != 0 and
-    trace(a11/a23) = 0, otherwise 3."""
+    """The case (1-4) of the intersection lemma per class, as uint8: case
+    s + 1 for the split exponent s = 0 or 1, and for s = 2, 4 when
+    a23 != 0 and trace(a11/a23) = 0, otherwise 3."""
     a11, a12, a22, a13, a23, a33 = cols
     s = split_exponent_columns(cols)
     open_case = (a23 != 0) & (F.trace_table[F.vdiv(a11, a23)] == 0)
-    return np.where(s < 2, s + 1, np.where(open_case, 4, 3))
+    return np.where(s < 2, s + 1, np.where(open_case, np.uint8(4), 3))
 
 
 def lemma_case(F: Field, conic: Conic) -> int:

@@ -49,7 +49,7 @@ from . import curves
 
 SAMPLE_CHECKS = 40  # scalar cross-checks per vectorized sweep
 CLASS_BUDGET = 1 << 26  # projective classes one sweep may lay out
-WALK_BLOCK = 1 << 16  # classes per block of the N(H) walk
+CLASS_BLOCK = 1 << 16  # classes per block of the per-class sweeps
 
 
 class BudgetError(RuntimeError):
@@ -139,36 +139,59 @@ def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns
     (last coordinate fastest).  Raises BudgetError, before allocating,
     when there are more than CLASS_BUDGET classes."""
     check_class_budget(q, width)
-    cols = [[] for _ in range(width)]
+    cols = [np.zeros((q ** width - 1) // (q - 1), dtype=dtype) for _ in range(width)]
+    digits = np.arange(q, dtype=dtype)[:, None]
+    lo = 0
     for lead in range(width):
         tail_len = width - lead - 1
-        reps = q ** tail_len
-        idx = np.arange(reps, dtype=np.int64)
-        for j in range(lead):
-            cols[j].append(np.zeros(reps, dtype=dtype))
-        cols[lead].append(np.ones(reps, dtype=dtype))
+        block = slice(lo, lo + q ** tail_len)
+        cols[lead][block] = 1
         for j in range(tail_len):
+            # tail digit j of class lo + i is (i // power) % q
             power = q ** (tail_len - 1 - j)
-            cols[lead + 1 + j].append(((idx // power) % q).astype(dtype))
-    return ClassColumns([np.concatenate(parts) for parts in cols], q, width)
+            cols[lead + 1 + j][block].reshape(-1, q, power)[:] = digits
+        lo = block.stop
+    return ClassColumns(cols, q, width)
 
 
 def conic_class_columns(F: Field) -> ClassColumns:
     return projective_class_columns(F.q, 6, F.np_dtype)
 
 
+def class_rank(q: int, width: int, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Per class, its position in the layout of projective_class_columns(q,
+    width): the inverse of that layout.  The classes must be normalized
+    (leading coordinate 1, every digit below q).
+
+    Read as a base-q number, a class whose leading 1 sits at `lead` is
+    q^t plus its tail, t = width - 1 - lead, and the blocks before it hold
+    (q^width - q^(t+1))/(q - 1) classes."""
+    value = np.zeros(len(cols[0]), dtype=np.int64)
+    for col in cols:
+        if len(col) and int(col.max()) >= q:
+            raise ValueError(f"class_rank needs digits below q = {q}")
+        value = value * q + col
+    lead_power = np.zeros_like(value)  # q^t
+    for t in range(width):
+        lead_power[value >= q ** t] = q ** t
+    if not ((value > 0) & (value < 2 * lead_power)).all():
+        raise ValueError("class_rank needs normalized classes (leading coordinate 1)")
+    return (q ** width - q * lead_power) // (q - 1) + value - lead_power
+
+
 def zero_counts(F: Field, coeff_arrays: ClassColumns,
                 point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
     """For each class of a `projective_class_columns` layout, the number of
-    points whose monomial combination evaluates to zero.  coeff_arrays[i]
-    pairs with point_monomials[*][i].
+    points whose monomial combination evaluates to zero, in the narrowest
+    unsigned dtype that holds the number of points.  coeff_arrays[i] pairs
+    with point_monomials[*][i].
 
     In the block whose leading 1 sits at `lead`, with t tail coordinates, a
     class is a prefix index i over the first t//2 tail coordinates and a
     suffix index j over the rest, so its value at a point with monomials m
     is m[lead] ^ P[i] ^ S[j], where P and S are the XOR tables of the two
     halves.  Each point and block then costs one broadcast compare instead
-    of a gather over the classes.
+    of a gather over the classes, and adds into that block of the result.
     """
     if not isinstance(coeff_arrays, ClassColumns):
         raise TypeError("zero_counts sweeps the layout of projective_class_columns; "
@@ -176,16 +199,17 @@ def zero_counts(F: Field, coeff_arrays: ClassColumns,
     q, width = coeff_arrays.q, coeff_arrays.width
     monos = [[int(m) for m in point] for point in point_monomials]
     elems = np.arange(q, dtype=F.np_dtype)
-    blocks = []
+    counts = np.zeros((q ** width - 1) // (q - 1), dtype=np.min_scalar_type(len(monos)))
+    lo = 0
     for lead in range(width):
         half = lead + 1 + (width - lead - 1) // 2
-        acc = np.zeros((q ** (half - lead - 1), q ** (width - half)),
-                       dtype=np.min_scalar_type(len(monos)))
+        acc = counts[lo:lo + q ** (width - lead - 1)].reshape(
+            q ** (half - lead - 1), q ** (width - half))
         for m in monos:
             prefix = _xor_table(F, elems, m[lead + 1:half]) ^ m[lead]
             acc += prefix[:, None] == _xor_table(F, elems, m[half:width])[None, :]
-        blocks.append(acc.ravel())
-    return np.concatenate(blocks).astype(np.int64)
+        lo += acc.size
+    return counts
 
 
 def _xor_table(F: Field, elems: np.ndarray, monos: Sequence[int]) -> np.ndarray:
@@ -195,19 +219,6 @@ def _xor_table(F: Field, elems: np.ndarray, monos: Sequence[int]) -> np.ndarray:
     for m in monos:
         table = (table[:, None] ^ F.mul_col(elems, m)[None, :]).ravel()
     return table
-
-
-def _combination(F: Field, coeff_arrays: Sequence[np.ndarray],
-                 monos: Sequence[int]) -> Optional[np.ndarray]:
-    """Per class, sum_i coeff_arrays[i] * monos[i]; None when every
-    monomial value is zero."""
-    acc: Optional[np.ndarray] = None
-    for arr, m in zip(coeff_arrays, monos):
-        if m == 0:
-            continue
-        term = F.mul_col(arr, int(m))
-        acc = term if acc is None else acc ^ term
-    return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,7 +242,7 @@ def _root_masks(F: Field) -> np.ndarray:
 def _quadratic_root_counts(F: Field, *triples) -> np.ndarray:
     """Per class, the number of x in GF(q) at which every quadratic
     c2*x^2 + c1*x + c0 of the given (c2, c1, c0) column triples vanishes:
-    the popcount of the AND of their root masks."""
+    the popcount of the AND of their root masks, as uint8 (q <= 64)."""
     masks = _root_masks(F)
     index_dtype = np.min_scalar_type(F.q ** 3 - 1)
     common = None
@@ -239,7 +250,7 @@ def _quadratic_root_counts(F: Field, *triples) -> np.ndarray:
         index = ((c2.astype(index_dtype) << 2 * F.h) | (c1.astype(index_dtype) << F.h)
                  | c0.astype(index_dtype))
         common = masks[index] if common is None else common & masks[index]
-    return np.bitwise_count(common).astype(np.int64)
+    return np.bitwise_count(common)
 
 
 def grid_points(F: Field) -> list[tuple[int, int]]:
@@ -265,9 +276,11 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
         both components must vanish."""
         out = np.ones(n, dtype=bool)
         for t in range(2):
-            acc = _combination(F, [arr for arr, _ in pairs], [scalar[t] for _, scalar in pairs])
-            if acc is not None:
-                out &= acc == 0
+            acc = np.zeros(n, dtype=F.np_dtype)
+            for arr, scalar in pairs:
+                if scalar[t]:
+                    acc ^= F.mul_col(arr, int(scalar[t]))
+            out &= acc == 0
         return out
 
     for X, Y, Z in projective_points(E2):
@@ -289,11 +302,37 @@ def _class_tuple(cols: list[np.ndarray], i: int) -> tuple[int, ...]:
     return tuple(int(c[i]) for c in cols)
 
 
+def _class_blocks(n: int):
+    """Slices of CLASS_BLOCK consecutive classes that cover range(n)."""
+    return (slice(lo, lo + CLASS_BLOCK) for lo in range(0, n, CLASS_BLOCK))
+
+
+def _first_indices(mask: np.ndarray, k: int) -> list[int]:
+    """The first k classes set in mask, found block by block, so that no
+    index of every set class is built."""
+    out: list[int] = []
+    for blk in _class_blocks(len(mask)):
+        out += (blk.start + np.flatnonzero(mask[blk])[:k - len(out)]).tolist()
+        if len(out) == k:
+            break
+    return out
+
+
 def _sample_indices(rng: random.Random, mask: np.ndarray, k: int) -> list[int]:
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return []
-    return [int(idx[rng.randrange(len(idx))]) for _ in range(min(k, len(idx)))]
+    """k draws, with replacement, of classes set in mask: each draw is a
+    uniform position in np.flatnonzero(mask), located through per-block
+    counts instead of that full index."""
+    counts = np.array([np.count_nonzero(mask[blk]) for blk in _class_blocks(len(mask))],
+                      dtype=np.int64)
+    ends = np.cumsum(counts)
+    n = int(ends[-1]) if len(ends) else 0
+    picks = []
+    for _ in range(min(k, n)):
+        r = rng.randrange(n)
+        b = int(np.searchsorted(ends, r, side="right"))
+        lo = b * CLASS_BLOCK
+        picks.append(lo + int(np.flatnonzero(mask[lo:lo + CLASS_BLOCK])[r - ends[b] + counts[b]]))
+    return picks
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +553,28 @@ def _split_masks(cols: list[np.ndarray]) -> dict[int, np.ndarray]:
     return {k: hyp & (s == k) for k in (0, 1, 2)}
 
 
+def _split_counts(F: Field, cols: ClassColumns, s: int, *monomial_sets) -> list[np.ndarray]:
+    """zero_counts of each set of F^(s) or G^(s) monomials over the conic
+    classes, read only where the split exponent is s.  Those classes have
+    a33 = 0 for s = 1, and a13 = a33 = 0 for s = 2, so for s >= 1 the sweep
+    runs on the width-5 or width-4 layout of the kept coefficients and its
+    counts are scattered back by class rank; other classes read 0."""
+    if s == 0:
+        return [zero_counts(F, cols, monos) for monos in monomial_sets]
+    kept = np.flatnonzero(curves._kept(s))
+    sub = projective_class_columns(F.q, len(kept), F.np_dtype)
+    full = [np.zeros_like(sub[0])] * 6
+    for j, i in enumerate(kept):
+        full[i] = sub[j]
+    rank = class_rank(F.q, 6, full)
+    out = []
+    for monos in monomial_sets:
+        counts = zero_counts(F, sub, [[m[i] for i in kept] for m in monos])
+        out.append(np.zeros(len(cols[0]), dtype=counts.dtype))
+        out[-1][rank] = counts
+    return out
+
+
 def verify_lemma(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
@@ -530,15 +591,12 @@ def verify_lemma(F: Field) -> SuiteReport:
     for s, sel in masks.items():
         if not sel.any():
             continue
-        nf = zero_counts(F, cols, curves.quartic_monomials(F, grid, s))
-        rhs = curves.lemma_rhs(nf, case)
-        ok = lhs[sel] == rhs[sel]
-        par = nf[sel] % 2 == 0
-        total_checked += int(sel.sum())
-        if not ok.all() or not par.all():
-            idx = np.flatnonzero(sel)[~(ok & par)]
-            bad_examples += [(_class_tuple(cols, int(i)), int(lhs[i])) for i in idx[:5]]
-        if not par.all():
+        (nf,) = _split_counts(F, cols, s, curves.quartic_monomials(F, grid, s))
+        odd = sel & (nf % 2 == 1)
+        total_checked += int(np.count_nonzero(sel))
+        bad = odd | (sel & (lhs != curves.lemma_rhs(nf, case)))
+        bad_examples += [(_class_tuple(cols, i), int(lhs[i])) for i in _first_indices(bad, 5)]
+        if odd.any():
             parity_bad.append(s)
     rep.add("intersection count equals its curve-count expression on every class",
             not bad_examples, 0, len(bad_examples),
@@ -578,20 +636,16 @@ def verify_relations(F: Field) -> SuiteReport:
     for s, sel in masks.items():
         if not sel.any():
             continue
-        nf = zero_counts(F, cols, curves.quartic_monomials(F, grid, s))
-        ng = zero_counts(F, cols, curves.sheared_monomials(F, grid, s))
-        f_axis = zero_counts(F, cols, curves.quartic_monomials(F, axis, s))
-        g_axis = zero_counts(F, cols, curves.sheared_monomials(F, axis, s))
+        nf, ng, f_axis, g_axis = _split_counts(
+            F, cols, s, curves.quartic_monomials(F, grid, s), curves.sheared_monomials(F, grid, s),
+            curves.quartic_monomials(F, axis, s), curves.sheared_monomials(F, axis, s))
         predicted = curves.f_minus_g_columns(F, cols, s)
-        total += int(sel.sum())
-        diff = nf.astype(np.int64) - ng.astype(np.int64)
-        ok = diff[sel] == predicted[sel]
-        if not ok.all():
-            idx = np.flatnonzero(sel)[~ok]
-            bad += [(_class_tuple(cols, int(i)), int(diff[i]), int(predicted[i]))
-                    for i in idx[:5]]
-        ax_ok = (f_axis[sel].astype(np.int64) - g_axis[sel]) == diff[sel]
-        if not ax_ok.all():
+        total += int(np.count_nonzero(sel))
+        diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
+        wrong = sel & (diff != predicted)
+        bad += [(_class_tuple(cols, i), int(diff[i]), int(predicted[i]))
+                for i in _first_indices(wrong, 5)]
+        if (sel & (f_axis.astype(np.int16) - g_axis != diff)).any():
             axis_bad.append(s)
     rep.add("tabulated count differences hold on every class", not bad, 0, len(bad),
             note=f"checked {total} classes" + (f"; first: {bad[:3]}" if bad else ""))
@@ -658,37 +712,42 @@ def verify_reducibility(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
     cols = conic_class_columns(F)
-    a11, a12, a22, a13, a23, a33 = cols
-    hyp = curves.triples_ok_columns(cols)
-    applicable = hyp & ((a12 != 0) | (a22 != 0))
-    degenerate = degeneracy_columns(F, cols) == 0
-    both = (a12 != 0) & (a22 != 0)
-    vbar = curves.vbar_columns(F, cols)
-    h = curves.cubic_h_columns(F, cols, vbar)
-    red = curves.reducibility_columns(F, cols, vbar, h)
-    stated = red["reducible"]
+    applicable, degenerate, stated, honest = (np.zeros(len(cols[0]), dtype=bool)
+                                              for _ in range(4))
+    identities = {"identity_q12": True, "identity_q13": True}
+    for blk in _class_blocks(len(cols[0])):
+        bc = [c[blk] for c in cols]
+        a11, a12, a22, a13, a23, a33 = bc
+        applicable[blk] = curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0))
+        degenerate[blk] = degeneracy_columns(F, bc) == 0
+        vbar = curves.vbar_columns(F, bc)
+        h = curves.cubic_h_columns(F, bc, vbar)
+        red = curves.reducibility_columns(F, bc, vbar, h)
+        stated[blk] = red["reducible"]
+        honest[blk] = _honest_linear_sweep(F, bc, h, red)
+        both = applicable[blk] & (a12 != 0) & (a22 != 0)
+        for key in identities:
+            identities[key] &= bool(red[key][both].all())
 
-    agree = stated[applicable] == degenerate[applicable]
-    n_checked = int(applicable.sum())
-    bad = [(_class_tuple(cols, int(i)), bool(stated[i]), bool(degenerate[i]))
-           for i in np.flatnonzero(applicable)[~agree][:5]]
+    disagree = applicable & (stated != degenerate)
+    n_checked = int(np.count_nonzero(applicable))
+    bad = [(_class_tuple(cols, i), bool(stated[i]), bool(degenerate[i]))
+           for i in _first_indices(disagree, 5)]
     rep.add("stated component criteria hold iff the conic is degenerate",
-            not bad, 0, n_checked - int(agree.sum()),
+            not bad, 0, int(np.count_nonzero(disagree)),
             note=f"checked {n_checked} classes" + (f"; first: {bad}" if bad else ""))
 
     for name, key in (
         ("resultant identity Q12 = a22 * R12", "identity_q12"),
         ("resultant identity Q13 = a22^2 * R13 + a12^2 * R12", "identity_q13"),
     ):
-        rep.add(name, bool(red[key][applicable & both].all()))
+        rep.add(name, identities[key])
 
-    honest = _honest_linear_sweep(F, cols, h, red)
-
-    hag = honest[applicable] == degenerate[applicable]
-    bad_h = [(_class_tuple(cols, int(i)), bool(honest[i]), bool(degenerate[i]))
-             for i in np.flatnonzero(applicable)[~hag][:5]]
+    mismatch = applicable & (honest != degenerate)
+    bad_h = [(_class_tuple(cols, i), bool(honest[i]), bool(degenerate[i]))
+             for i in _first_indices(mismatch, 5)]
     rep.add("H has a linear component iff the conic is degenerate",
-            bool(hag.all()), 0, n_checked - int(hag.sum()),
+            not bad_h, 0, int(np.count_nonzero(mismatch)),
             note=("stated equivalence fails: the criteria miss lines through "
                   "the third infinite point; first: " + str(bad_h)) if bad_h else "")
     gap = applicable & honest & ~stated
@@ -696,7 +755,7 @@ def verify_reducibility(F: Field) -> SuiteReport:
             not gap.any(), 0, int(gap.sum()),
             note=("classes with a line through (a22:a12:0) missed by the "
                   "stated criteria; first: "
-                  + str([_class_tuple(cols, int(i)) for i in np.flatnonzero(gap)[:5]]))
+                  + str([_class_tuple(cols, i) for i in _first_indices(gap, 5)]))
             if gap.any() else "")
 
     rng = random.Random(q * 7 + 3)
@@ -724,36 +783,30 @@ def _cubic_h_counts(F: Field, h: dict[tuple[int, int], curves.Pair]) -> np.ndarr
     so each component's mask index c2 << 2h | c1 << h | c0 is GF(2)-affine
     in v: its value at v = 0 XOR one step column per set bit of v.  Visiting
     v in Gray-code order flips one bit per line, so a line costs one XOR of
-    the indices.  Classes go in blocks of WALK_BLOCK, which bounds the extra
-    memory at every q."""
+    the indices.  The walk holds 2(h + 2) index columns per class, so
+    callers pass blocks of CLASS_BLOCK classes."""
     if any(i > 2 or j > 2 for i, j in h):
         raise AssertionError(f"the N(H) walk needs X and V degrees <= 2; got {sorted(h)}")
     q, bits = F.q, F.h
     masks = _root_masks(F)
     index_dtype = np.min_scalar_type(q ** 3 - 1)
     basis_powers = {j: [F.pow(1 << b, j) for b in range(bits)] for j in (1, 2)}
-    # per component, the V^1 and V^2 terms whose column is not zero on every class
-    moving = [[(i, j, pair[t]) for (i, j), pair in h.items() if j and pair[t].any()]
-              for t in (0, 1)]
     counts = np.zeros(len(h[(0, 0)][0]), dtype=np.uint16)
-    for lo in range(0, len(counts), WALK_BLOCK):
-        blk = slice(lo, lo + WALK_BLOCK)
-        out = counts[blk]
-        index = np.zeros((2, len(out)), dtype=index_dtype)
-        steps = np.zeros((2, bits, len(out)), dtype=index_dtype)
-        for t in (0, 1):
-            for (i, j), pair in h.items():
-                if j == 0:
-                    index[t] |= pair[t][blk].astype(index_dtype) << i * bits
-            for i, j, col in moving[t]:
+    index = np.zeros((2, len(counts)), dtype=index_dtype)
+    steps = np.zeros((2, bits, len(counts)), dtype=index_dtype)
+    for t in (0, 1):
+        for (i, j), pair in h.items():
+            if j == 0:
+                index[t] |= pair[t].astype(index_dtype) << i * bits
+            elif pair[t].any():  # a V^1 or V^2 term that moves the index
                 for b, e in enumerate(basis_powers[j]):
-                    steps[t, b] ^= F.mul_col(col[blk], e).astype(index_dtype) << i * bits
-        found = np.empty(index.shape, dtype=masks.dtype)
-        for k in range(q):
-            if k:
-                index ^= steps[:, (k & -k).bit_length() - 1]
-            np.take(masks, index, out=found)
-            out += np.bitwise_count(found[0] & found[1])
+                    steps[t, b] ^= F.mul_col(pair[t], e).astype(index_dtype) << i * bits
+    found = np.empty(index.shape, dtype=masks.dtype)
+    for k in range(q):
+        if k:
+            index ^= steps[:, (k & -k).bit_length() - 1]
+        np.take(masks, index, out=found)
+        counts += np.bitwise_count(found[0] & found[1])
     return counts
 
 
@@ -762,28 +815,34 @@ def verify_hasse(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("hasse", q, F.modulus)
     cols = conic_class_columns(F)
-    a11, a12, a22, a13, a23, a33 = cols
-    hyp = curves.triples_ok_columns(cols)
-    nondeg = degeneracy_columns(F, cols) != 0
-    applicable = hyp & nondeg & ((a12 != 0) | (a22 != 0))
     grid = grid_points(F)
 
     n_g = zero_counts(F, cols, curves.sheared_monomials(F, grid, 0))
     # note: G always carries a13 and a33 here (s = 0 form); for classes with
     # a33 = 0 or a13 = 0 those coefficients vanish anyway.
 
-    vbar = curves.vbar_columns(F, cols)
-    h = curves.cubic_h_columns(F, cols, vbar)
-    n_h = _cubic_h_counts(F, h)
-    rational = applicable & (vbar[1] == 0)
-    quad = applicable & (vbar[1] != 0)
-
-    corrected_transfer: Optional[tuple[int, int]] = None
-    if rational.any():
+    # per block of classes: applicability, vbar, H, N(H) and the corrected
+    # transfer; only the counts and the two masks are kept for every class
+    n_h = np.zeros(len(cols[0]), dtype=np.uint16)
+    applicable = np.zeros(len(cols[0]), dtype=bool)
+    rational = np.zeros(len(cols[0]), dtype=bool)
+    n_transfer = 0
+    for blk in _class_blocks(len(cols[0])):
+        bc = [c[blk] for c in cols]
+        a11, a12, a22, a13, a23, a33 = bc
+        app = applicable[blk] = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
+                                 & ((a12 != 0) | (a22 != 0)))
+        vbar = curves.vbar_columns(F, bc)
+        h = curves.cubic_h_columns(F, bc, vbar)
+        n_h[blk] = _cubic_h_counts(F, h)
+        rat = rational[blk] = app & (vbar[1] == 0)
+        if not rat.any():
+            continue
         # corrected transfer: the quadratic map sends the (up to) k points of
-        # G on the line V = vbar to one point of H, and H picks up its other
-        # points on the line V = 0; bookkeeping those recovers N(H) exactly.
-        # On rational-vbar classes every value lies in the first component.
+        # G on the line V = vbar to one point of H on the line V = 0, and H
+        # picks up the other points of that line; bookkeeping those recovers
+        # N(H) = N(G) - k + (points of H on V = 0) exactly.  On rational-vbar
+        # classes every value lies in the first component.
         r, h_x, h_const = vbar[0], h[(1, 0)][0], h[(0, 0)][0]
         r2 = F.vmul(r, r)
         g_on_vbar = (
@@ -791,61 +850,54 @@ def verify_hasse(F: Field) -> SuiteReport:
             F.vmul(a12, r2) ^ F.vmul(a23, r) ^ a13,
             F.vmul(a22, F.vmul(r2, r2)) ^ F.vmul(a23, r2) ^ a33,
         )
-        k_axis = _quadratic_root_counts(F, g_on_vbar)
-        h_axis_all = _quadratic_root_counts(F, (a12, h_x, h_const))
-        img_val = F.vmul(a12, F.vmul(r2, r2)) ^ F.vmul(h_x, r2) ^ h_const
-        img_pt = (img_val == 0).astype(np.int64)
-        extra = h_axis_all - img_pt
-        corrected = n_g - k_axis + img_pt + extra
-        ok = corrected[rational] == n_h[rational]
-        corrected_transfer = (int(rational.sum()), int(ok.sum()))
+        corrected = (n_g[blk].astype(np.int32) - _quadratic_root_counts(F, g_on_vbar)
+                     + _quadratic_root_counts(F, (a12, h_x, h_const)))
+        n_transfer += int(np.count_nonzero(rat & (corrected == n_h[blk])))
+    n_app = int(np.count_nonzero(applicable))
+    n_rational = int(np.count_nonzero(rational))
 
     # claim 1: N(G) = N(H)
-    eq_mask = n_g[applicable] == n_h[applicable]
-    n_eq = int(eq_mask.sum())
-    n_app = int(applicable.sum())
-    idx_bad = np.flatnonzero(applicable)[~eq_mask]
+    unequal = applicable & (n_g != n_h)
+    n_eq = n_app - int(np.count_nonzero(unequal))
     rep.add("stated transfer N(G) = N(H) holds on every applicable class",
             n_eq == n_app, n_app, n_eq,
             note=(f"violations {n_app - n_eq}; first: "
-                  + str([(_class_tuple(cols, int(i)), int(n_g[i]), int(n_h[i]))
-                         for i in idx_bad[:3]]) if n_eq != n_app else ""))
+                  + str([(_class_tuple(cols, i), int(n_g[i]), int(n_h[i]))
+                         for i in _first_indices(unequal, 3)]) if n_eq != n_app else ""))
 
-    if corrected_transfer is not None:
+    if n_rational:
         rep.add("corrected transfer (axis-point bookkeeping) holds for rational vbar",
-                corrected_transfer[0] == corrected_transfer[1],
-                corrected_transfer[0], corrected_transfer[1])
+                n_transfer == n_rational, n_rational, n_transfer)
 
     # claim 2: N(H) in the union of the elliptic and rational affine windows
     in_win = np.array([
         in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
         for x in range(int(n_h.max()) + 1)
     ])
-    win_ok = in_win[n_h[applicable]]
-    idx_bad = np.flatnonzero(applicable)[~win_ok]
+    win = in_win[n_h]
+    outside = applicable & ~win
     rep.add("N(H) lies in the union of the affine windows on every applicable class",
-            bool(win_ok.all()), n_app, int(win_ok.sum()),
+            not outside.any(), n_app, n_app - int(np.count_nonzero(outside)),
             note=("violations: "
-                  + str([(_class_tuple(cols, int(i)), int(n_h[i])) for i in idx_bad[:5]])
-                  if not win_ok.all() else ""))
-    if rational.any():
-        win_rat = in_win[n_h[rational]]
+                  + str([(_class_tuple(cols, i), int(n_h[i])) for i in _first_indices(outside, 5)])
+                  if outside.any() else ""))
+    if n_rational:
+        n_win = int(np.count_nonzero(rational & win))
         rep.add("N(H) lies in the union window on every rational-vbar class",
-                bool(win_rat.all()), int(rational.sum()), int(win_rat.sum()),
-                note="" if win_rat.all() else
+                n_win == n_rational, n_rational, n_win,
+                note="" if n_win == n_rational else
                 "window fails even where the cubic is defined over the base field")
+    quad = applicable & ~rational
     if quad.any():
-        win_quad = in_win[n_h[quad]]
         rep.add("window status on quadratic-vbar classes (informational)",
-                True, int(quad.sum()), int(win_quad.sum()),
+                True, int(np.count_nonzero(quad)), int(np.count_nonzero(quad & win)),
                 note="N(H) counts base-field points of a curve with extension "
                      "coefficients; the cubic-curve windows do not govern them")
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
-    viol = np.zeros(len(a11), dtype=bool)
-    viol[np.flatnonzero(applicable)[~win_ok]] = True
-    viol_cols = [c[viol & rational] for c in cols]
+    viol = outside & rational
+    viol_cols = [c[viol] for c in cols]
     viol_vbar = curves.vbar_columns(F, viol_cols)
     viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
     has_line = _honest_linear_sweep(
@@ -887,7 +939,6 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     hist = np.bincount(counts[nondeg])
     explained = window_ok | family_parabola | family_vertical
     violations = nondeg & ~explained
-    idx = np.flatnonzero(violations)
     viol_hist = np.bincount(counts[violations], minlength=1)
     return {
         "q": q,
@@ -896,7 +947,7 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
         "window_violations": int(violations.sum()),
         "violation_counts": {int(c): int(n) for c, n in enumerate(viol_hist) if n},
         "violation_examples": [
-            (_class_tuple(cols, int(i)), int(counts[i])) for i in idx[:8]
+            (_class_tuple(cols, i), int(counts[i])) for i in _first_indices(violations, 8)
         ],
         "exceptional_parabola_classes": int((nondeg & family_parabola).sum()),
         "elapsed": round(time.perf_counter() - t0, 3),

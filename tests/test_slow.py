@@ -1,16 +1,15 @@
 """The q = 32 data of README "What the verification finds", outside tier-1.
 
-Deselected by default; run with `pytest -m slow` (117 s and a 3.2 GiB
-peak RSS on a 2-core Xeon host: the hasse suite takes 65 s and sets the
-peak, the other two tests 50 s and 1 GiB).  reducibility at q = 32
-(2 minutes, 2.5 GiB) is not pinned here.
+Deselected by default; run with `pytest -m slow` (110–208 s and a
+941 MiB peak RSS on a 2-core Xeon host whose speed varies between runs;
+the relations suite sets the peak).
 """
 
 import json
 
 import pytest
 
-from deltacodes.cli import EXIT_MISMATCH, main
+from deltacodes.cli import EXIT_MISMATCH, EXIT_OK, main
 from deltacodes.codes import ConicSystem, evaluate_system, weight_distribution_classes
 from deltacodes.constructions import POLY_1, POLY_X, POLY_X2, POLY_XY, POLY_Y, POLY_Y2
 from deltacodes.geometry import build_delta
@@ -38,14 +37,76 @@ def test_all_conics_window_census_q32(capsys):
         "0": 15376, "8": 42160, "9": 327360, "22": 109120, "29": 7440, "31": 7936}
 
 
+def _verify_q32(suite, capsys):
+    """The exit code and the checks, by name, of one suite's report at q = 32."""
+    code = main(["verify", "--suite", suite, "--q", "32"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["suites"][0]["checks"]}
+    return code, checks
+
+
+def _failing(checks):
+    return {name for name, c in checks.items() if not c["ok"]}
+
+
+def _values(checks):
+    return {name: (c["expected"], c["actual"]) for name, c in checks.items()}
+
+
+SAMPLED = "vectorized sweep agrees with the per-conic implementation (sampled)"
+
+
+def test_lemma_q32(capsys):
+    code, checks = _verify_q32("lemma", capsys)
+    assert code == EXIT_OK and not _failing(checks)
+    name = "intersection count equals its curve-count expression on every class"
+    assert _values(checks) == {
+        name: (0, 0),
+        "curve point counts are even where halved": (None, None),
+        SAMPLED: (None, None),
+    }
+    assert checks[name]["note"] == "checked 34631619 classes"
+
+
+def test_relations_q32(capsys):
+    code, checks = _verify_q32("relations", capsys)
+    assert code == EXIT_OK and not _failing(checks)
+    name = "tabulated count differences hold on every class"
+    assert _values(checks) == {
+        name: (0, 0),
+        "count differences are explained by points on the axis X = 0": (None, None),
+        SAMPLED: (None, None),
+    }
+    assert checks[name]["note"] == "checked 34631619 classes"
+
+
+def test_reducibility_q32(capsys):
+    """The same two claims fail as at q = 16: the stated criteria miss the
+    lines of H through (a22 : a12 : 0) on 30752 classes."""
+    code, checks = _verify_q32("reducibility", capsys)
+    assert code == EXIT_MISMATCH
+    assert _failing(checks) == {
+        "H has a linear component iff the conic is degenerate",
+        "stated criteria capture every linear component",
+    }
+    name = "stated component criteria hold iff the conic is degenerate"
+    assert _values(checks) == {
+        name: (0, 0),
+        "resultant identity Q12 = a22 * R12": (None, None),
+        "resultant identity Q13 = a22^2 * R13 + a12^2 * R12": (None, None),
+        "H has a linear component iff the conic is degenerate": (0, 30752),
+        "stated criteria capture every linear component": (0, 30752),
+        SAMPLED: (None, None),
+    }
+    assert checks[name]["note"] == "checked 34598914 classes"
+
+
 def test_hasse_q32(capsys):
     """The same three stated claims fail as at q = 16; the corrected
     transfer holds on every rational-vbar class, and every rational-vbar
     window violator has a line in H."""
-    code = main(["verify", "--suite", "hasse", "--q", "32"])
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["suites"][0]["checks"]}
+    code, checks = _verify_q32("hasse", capsys)
     assert code == EXIT_MISMATCH
-    assert {name for name, c in checks.items() if not c["ok"]} == {
+    assert _failing(checks) == {
         "stated transfer N(G) = N(H) holds on every applicable class",
         "N(H) lies in the union of the affine windows on every applicable class",
         "N(H) lies in the union window on every rational-vbar class",

@@ -9,6 +9,7 @@ import pytest
 from deltacodes.field import Field
 from deltacodes.verify import (
     BudgetError,
+    class_rank,
     conic_class_columns,
     conic_spectrum,
     line_spectrum,
@@ -134,6 +135,79 @@ def test_blocked_zero_counts_match_scalar_evaluation(F4, width):
                 value ^= F4.mul(c, v)
             expected += value == 0
         assert int(counts[i]) == expected, (cls, monos)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_class_rank_inverts_the_layout(h):
+    q = 1 << h
+    for width in range(1, 7):
+        ranks = class_rank(q, width, projective_class_columns(q, width))
+        assert np.array_equal(ranks, np.arange((q ** width - 1) // (q - 1))), width
+
+
+def test_class_rank_rejects_unnormalized_classes():
+    cols = [np.array([0, 2], dtype=np.uint8), np.array([1, 1], dtype=np.uint8)]
+    with pytest.raises(ValueError):
+        class_rank(4, 2, cols)  # (2, 1) is not normalized
+    with pytest.raises(ValueError):
+        class_rank(4, 2, [np.array([0], dtype=np.uint8)] * 2)  # the zero vector
+    with pytest.raises(ValueError):
+        class_rank(4, 2, [np.array([1], dtype=np.uint8), np.array([4], dtype=np.uint8)])
+
+
+def test_counts_are_narrow(F16):
+    """zero_counts returns the narrowest unsigned dtype that holds the number
+    of points, and the root-mask popcounts are uint8."""
+    from deltacodes.geometry import build_delta
+    from deltacodes.verify import _quadratic_root_counts
+    cols = conic_class_columns(F16)
+    assert zero_counts(F16, cols, build_delta(F16).conic_monomials()).dtype == np.uint8
+    for n in (255, 256):
+        # the last class, (0, ..., 0, 1), is zero at every point
+        counts = zero_counts(F16, cols, [(1, 0, 0, 0, 0, 0)] * n)
+        assert counts.dtype == np.min_scalar_type(n) == (np.uint8 if n < 256 else np.uint16)
+        assert int(counts[-1]) == n
+    triple = (cols[0], cols[1], cols[2])
+    assert _quadratic_root_counts(F16, triple).dtype == np.uint8
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_split_sub_layout_counts_equal_full_layout(h):
+    """For s = 1 and 2, the counts swept on the width-5 and width-4
+    sub-layouts and scattered back by class rank equal the full-layout
+    sweep on every class with a33 = 0 (and a13 = 0 for s = 2)."""
+    from deltacodes import curves
+    from deltacodes.verify import _split_counts, grid_points
+    F = Field(h)
+    cols = conic_class_columns(F)
+    grid, axis = grid_points(F), [(0, t) for t in F.elements()]
+    for s, selected in ((1, cols[5] == 0), (2, (cols[3] == 0) & (cols[5] == 0))):
+        sets = [curves.quartic_monomials(F, grid, s), curves.sheared_monomials(F, grid, s),
+                curves.quartic_monomials(F, axis, s), curves.sheared_monomials(F, axis, s)]
+        for monos, sub in zip(sets, _split_counts(F, cols, s, *sets)):
+            full = zero_counts(F, cols, monos)
+            assert sub.dtype == full.dtype
+            assert np.array_equal(sub[selected], full[selected]), s
+            assert not sub[~selected].any(), s
+
+
+def test_blockwise_indices_match_the_full_index():
+    """_first_indices and _sample_indices scan a mask block by block; they
+    return what the full np.flatnonzero index gives, with the same draws."""
+    import random
+    from deltacodes.verify import CLASS_BLOCK, _first_indices, _sample_indices
+    rng = np.random.default_rng(11)
+    n = 3 * CLASS_BLOCK + 123
+    masks = [rng.random(n) < p for p in (0.5, 1e-4)]
+    masks += [np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)]
+    masks[-2][[5, CLASS_BLOCK, n - 1]] = True  # one set class in three blocks
+    for mask in masks:
+        idx = np.flatnonzero(mask)
+        assert _first_indices(mask, 5) == idx[:5].tolist()
+        a, b = random.Random(7), random.Random(7)
+        expected = [int(idx[a.randrange(len(idx))]) for _ in range(min(40, len(idx)))]
+        assert _sample_indices(b, mask, 40) == expected
+        assert a.random() == b.random()  # the same number of draws
 
 
 def test_zero_counts_rejects_plain_columns(F4):
@@ -314,3 +388,25 @@ def test_class_budget_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_hasse_memory_peak_q16(F16):
+    """hasse keeps only narrow per-class results at full length and builds
+    the rest per block of classes: its tracemalloc peak at q = 16, after
+    the field tables are built, stays under 48 MiB (102.6 MiB when every
+    intermediate was a full-length column, much of it int64)."""
+    import tracemalloc
+    from deltacodes import curves
+    from deltacodes.verify import _root_masks
+    _root_masks(F16)
+    curves._quadratic_extension(F16)
+    for table in (F16.mul_table, F16.trace_table, F16.sqrt_table):
+        assert table is not None
+    tracemalloc.start()
+    try:
+        rep = verify_hasse(F16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failing_names(rep) == KNOWN_DEFECTS["hasse"]
+    assert peak < 48 << 20
