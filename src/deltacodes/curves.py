@@ -11,6 +11,11 @@ degeneracy of C.
 
 All point counting here is exhaustive evaluation; closed-form claims about
 these curves are verified against such counts, never assumed.
+count_affine_points evaluates a polynomial on the whole GF(q) x GF(q) grid
+at once, as columns: every monomial value lies in GF(q), so a coefficient
+of GF(q^r) scales it component by component with Field.mul_col and no
+ExtField product is taken.  It shares no code with the class sweeps of
+verify (zero_counts, the N(H) walk) that it referees.
 
 Each formula is written once.  F and G come from one table of terms per
 coefficient (QUARTIC_TERMS, SHEARED_TERMS).  The coefficient-triple
@@ -33,7 +38,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .field import ExtField, Field
-from .geometry import Conic, DeltaSet, build_delta, count_on_delta, in_sqrt_window, is_degenerate
+from .geometry import (Conic, DeltaSet, build_delta, count_on_delta, eval_conic, in_sqrt_window,
+                       is_degenerate)
 
 AnyField = Union[Field, ExtField]
 
@@ -164,24 +170,47 @@ class Poly2:
         return out
 
 
+def _grid_zeros(poly: Poly2, F: Field) -> np.ndarray:
+    """Whether poly vanishes at (x, y), as a q x q boolean array indexed
+    [x, y], over the whole GF(q) x GF(q) grid at once.
+
+    Every monomial value x^i y^j lies in GF(q), so a coefficient
+    (c0, ..., c_{r-1}) of GF(q^r) scales it component by component; a
+    point is a zero when every component of the sum is.  GF(q)
+    coefficients are the case r = 1.  Column arithmetic: q <= 256.
+    """
+    K, r = poly.field, 1
+    if isinstance(K, ExtField):
+        if K.base != F:
+            raise ValueError("extension coefficients must sit over the counting field")
+        r = K.degree
+    elif K != F:
+        raise ValueError("polynomial and grid live over different fields")
+    F.mul_table  # raises ValueError above q = 256, before any column is built
+    q = F.q
+    x, y = (c.astype(F.np_dtype) for c in np.divmod(np.arange(q * q), q))
+    powers = []
+    for axis, var in enumerate((x, y)):
+        cols = [np.ones_like(var)]
+        for _ in range(max((e[axis] for e in poly.coeffs), default=0)):
+            cols.append(F.vmul(cols[-1], var))
+        powers.append(cols)
+    acc = np.zeros((r, q * q), dtype=F.np_dtype)
+    for (i, j), c in poly.coeffs.items():
+        value = F.vmul(powers[0][i], powers[1][j])
+        for k, ck in enumerate(c if isinstance(c, tuple) else (c,)):
+            if ck:
+                acc[k] ^= F.mul_col(value, ck)
+    return ~acc.any(axis=0).reshape(q, q)
+
+
 def count_affine_points(poly: Poly2, F: Field) -> int:
     """Number of (x, y) in GF(q) x GF(q) with poly(x, y) = 0.
 
     The polynomial may have coefficients in GF(q) or in an extension;
-    counting is exhaustive over the q^2 base-field grid.
+    counting is exhaustive over the q^2 base-field grid (_grid_zeros).
     """
-    K = poly.field
-    if isinstance(K, ExtField):
-        if K.base != F:
-            raise ValueError("extension coefficients must sit over the counting field")
-        emb = [K.embed(c) for c in F.elements()]
-        return sum(
-            1 for x in F.elements() for y in F.elements()
-            if poly.eval(emb[x], emb[y]) == K.zero
-        )
-    if K != F:
-        raise ValueError("polynomial and grid live over different fields")
-    return sum(1 for x in F.elements() for y in F.elements() if poly.eval(x, y) == 0)
+    return int(np.count_nonzero(_grid_zeros(poly, F)))
 
 
 # ----------------------------------------------------------------------
@@ -528,12 +557,11 @@ def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = 
     """Brute-force both sides of the applicable N(F^(s)) vs N(G^(s))
     relation and report whether the tabulated difference holds."""
     fam = fam or build_family(F, conic)
-    n_f = count_affine_points(fam.F_s, F)
-    n_g = count_affine_points(fam.G_s, F)
+    f_zeros, g_zeros = _grid_zeros(fam.F_s, F), _grid_zeros(fam.G_s, F)
+    n_f, n_g = int(np.count_nonzero(f_zeros)), int(np.count_nonzero(g_zeros))
     predicted = predicted_f_minus_g(F, conic, fam.s)
     # independent axis cross-check: the difference comes from points on X = 0
-    f_axis = sum(1 for t in F.elements() if fam.F_s.eval(0, t) == 0)
-    g_axis = sum(1 for v in F.elements() if fam.G_s.eval(0, v) == 0)
+    f_axis, g_axis = int(np.count_nonzero(f_zeros[0])), int(np.count_nonzero(g_zeros[0]))
     return {
         "s": fam.s,
         "n_f": n_f,
@@ -591,7 +619,6 @@ def psi_fiber_check(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -
         for t in F.elements():
             if fam.F.eval(x, t) == 0:
                 y = F.mul(F.mul(t, t) ^ t, F.mul(x, x))
-                from .geometry import eval_conic
                 if (x, y) not in dbar or eval_conic(F, conic, x, y) != 0:
                     return False
                 fibers.setdefault((x, y), set()).add((x, t))

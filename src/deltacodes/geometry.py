@@ -54,13 +54,6 @@ class Line:
         return (self.a, self.b, self.c)
 
 
-def make_line(F: Field, a: int, b: int, c: int) -> Line:
-    if a == 0 and b == 0:
-        raise ValueError("a line needs (a, b) != (0, 0)")
-    s = F.inv(a if a else b)
-    return Line(F.mul(s, a), F.mul(s, b), F.mul(s, c))
-
-
 def eval_line(F: Field, line: Line, x: int, y: int) -> int:
     return F.mul(line.a, x) ^ F.mul(line.b, y) ^ line.c
 

@@ -909,7 +909,7 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     rng = random.Random(q * 7 + 4)
     sample_ok = True
-    for i in _sample_indices(rng, applicable, min(SAMPLE_CHECKS, 24)):
+    for i in _sample_indices(rng, applicable, SAMPLE_CHECKS):
         c = Conic(*_class_tuple(cols, i))
         res = curves.hasse_window_check(F, c)
         sample_ok &= res["n_g"] == int(n_g[i]) and res["n_h"] == int(n_h[i])

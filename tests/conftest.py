@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from deltacodes.field import Field
+
+# Property tests draw the same examples on every run, in bounded time, and
+# write no example database.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=50,
+                          database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

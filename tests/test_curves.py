@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from deltacodes.field import ExtField
+from deltacodes.field import ExtField, Field
 from deltacodes.geometry import Conic, build_delta, in_sqrt_window, is_degenerate
 from deltacodes.curves import (
     Poly2,
@@ -119,6 +121,56 @@ def test_count_affine_points_basics(F8):
     v0 = next(a for a in F8.nonzero_elements() if F8.trace(a) == 0)
     assert count_affine_points(Poly2(F8, {(0, 2): 1, (0, 1): 1, (0, 0): v1}, ("X", "Y")), F8) == 0
     assert count_affine_points(Poly2(F8, {(0, 2): 1, (0, 1): 1, (0, 0): v0}, ("X", "Y")), F8) == 2 * q
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficient_field(h, r):
+    F = Field(h)
+    return F, (F if r == 1 else ExtField(F, r))
+
+
+def _per_point_count(poly, F):
+    """The reference count: Poly2.eval at each of the q^2 grid points, with
+    the point embedded when the coefficients lie in an extension."""
+    K = poly.field
+    embed = K.embed if isinstance(K, ExtField) else (lambda c: c)
+    return sum(1 for x in F.elements() for y in F.elements()
+               if poly.eval(embed(x), embed(y)) == K.zero)
+
+
+@st.composite
+def grid_polynomials(draw):
+    """A random Poly2 over GF(q), GF(q^2) or GF(q^3), q in {4, 8, 16}, with
+    exponents up to 4, and the base field it is counted over."""
+    F, K = _coefficient_field(draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((1, 2, 3))))
+    r = 1 if K is F else K.degree
+    element = st.tuples(*[st.integers(0, F.q - 1)] * r)
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), element, max_size=6))
+    return Poly2(K, {e: c if r > 1 else c[0] for e, c in terms.items()}), F
+
+
+@given(grid_polynomials())
+def test_grid_count_equals_per_point_count(case):
+    poly, F = case
+    assert count_affine_points(poly, F) == _per_point_count(poly, F)
+
+
+@pytest.mark.parametrize("h,r", [(2, 1), (3, 2), (4, 3)])
+def test_count_of_constants(h, r):
+    F, K = _coefficient_field(h, r)
+    assert count_affine_points(Poly2(K, {}), F) == F.q ** 2
+    assert count_affine_points(Poly2(K, {(0, 0): K.one}), F) == 0
+
+
+def test_count_rejects_other_fields_and_large_q(F8, F16):
+    with pytest.raises(ValueError):
+        count_affine_points(Poly2(F8, {(1, 0): 1}), F16)
+    with pytest.raises(ValueError):
+        count_affine_points(Poly2(ExtField(F8, 2), {(1, 0): (1, 0)}), F16)
+    F512 = Field(9)
+    with pytest.raises(ValueError):
+        count_affine_points(Poly2(F512, {(1, 0): 1, (0, 1): 3}), F512)
+    assert F512._mul_table is None
 
 
 def test_lemma_exhaustive_q4(F4):

@@ -5,6 +5,7 @@ from deltacodes.geometry import (
     EXC_PARABOLA,
     EXC_VERTICAL_PAIR,
     Conic,
+    Line,
     all_lines,
     build_delta,
     check_corollary_bounds,
@@ -17,10 +18,17 @@ from deltacodes.geometry import (
     line_counts,
     line_delta_count_closed_form,
     make_conic,
-    make_line,
     parabola_count_closed_form,
     pi_map,
 )
+
+
+def make_line(F, a, b, c):
+    """The line a*X + b*Y + c = 0, scaled so its first nonzero coefficient is 1."""
+    if a == 0 and b == 0:
+        raise ValueError("a line needs (a, b) != (0, 0)")
+    s = F.inv(a if a else b)
+    return Line(F.mul(s, a), F.mul(s, b), F.mul(s, c))
 
 
 @pytest.mark.parametrize("h,expected", [(2, 6), (3, 28), (4, 120), (5, 496), (6, 2016)])
