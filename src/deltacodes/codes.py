@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import Field
-from .geometry import Coeffs6, DeltaSet
+from .geometry import Coeffs6, Conic, DeltaSet, count_on_delta
 from .verify import BudgetError, check_class_budget, projective_class_columns, zero_counts
 
 
@@ -90,23 +90,18 @@ class GeneratorMatrix:
 
 
 def evaluate_system(system: ConicSystem, delta: DeltaSet) -> GeneratorMatrix:
-    """Evaluate each basis polynomial on every point of the set."""
+    """Evaluate each basis polynomial on every point of the set: a row is
+    the XOR of its nonzero coefficients times the monomial columns."""
     F = system.field
     if delta.field != F:
         raise ValueError("system and point set live over different fields")
-    monos = delta.conic_monomials()
-    rows = []
-    for poly in system.polys:
-        row = [0] * len(monos)
-        for j, m in enumerate(monos):
-            acc = 0
-            for c, v in zip(poly, m):
-                if c and v:
-                    acc ^= F.mul(c, v)
-            row[j] = acc
-        rows.append(row)
-    entries = np.array(rows, dtype=F.np_dtype)
-    return GeneratorMatrix(field=F, entries=entries, rank=gf_rank(F, [list(r) for r in rows]))
+    monos = np.array(delta.conic_monomials(), dtype=F.np_dtype).T
+    entries = np.zeros((len(system.polys), len(delta)), dtype=F.np_dtype)
+    for row, poly in zip(entries, system.polys):
+        for c, col in zip(poly, monos):
+            if c:
+                row ^= F.mul_col(col, c)
+    return GeneratorMatrix(field=F, entries=entries, rank=gf_rank(F, entries.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +173,6 @@ def min_distance(distribution: Counter) -> int:
 
 def weight_of_polynomial(F: Field, poly: Coeffs6, delta: DeltaSet) -> int:
     """n minus the number of zeros of the polynomial on the point set."""
-    from .geometry import Conic, count_on_delta
     return len(delta) - count_on_delta(F, Conic(*poly), delta)
 
 

@@ -14,7 +14,8 @@ the parabola family a12 = a22 = 0 are written once, over the six
 coefficients of one conic or over class columns (degeneracy_columns,
 exceptional_columns, parabola_count_closed_form); degeneracy_criterion,
 is_degenerate, classify_exceptional and line_counts are their one-class
-view.
+view.  The stated line case list, line_delta_count_closed_form, is
+likewise written once over the (a, b, c) of one line or of columns.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class Line:
 
     def coeffs(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
+
+    def __iter__(self):
+        return iter(self.coeffs())
 
 
 def eval_line(F: Field, line: Line, x: int, y: int) -> int:
@@ -244,30 +248,29 @@ def count_on_delta(F: Field, zeroset: Conic | Line, delta: DeltaSet) -> int:
 # Closed-form line counts
 # ----------------------------------------------------------------------
 
-def line_delta_count_closed_form(F: Field, line: Line) -> int:
-    """The literal case-analysis value for a line's intersection with the
-    origin-included set:
+def line_delta_count_closed_form(F: Field, coeffs):
+    """The literal case-analysis value for the intersection of the line
+    a*X + b*Y + c = 0 with the origin-included set, for the (a, b, c) of
+    one `Line` or for columns:
 
       * Y = 0           -> q
-      * Y = m*X + b, (m, b) != (0, 0)  -> (q - 2) / 2
+      * Y = m*X + k, (m, k) != (0, 0)  -> (q - 2) / 2
       * X = c, c != 0   -> q / 2
       * X = 0           -> 1
 
+    For b != 0 the slope m and intercept k are a/b and c/b, so Y = 0 is
+    a = c = 0; for b = 0 the line is X = c/a with a != 0.
+
     This case list is reproduced as stated so that it can be checked; it
     is not everywhere correct.  For slanted lines through the origin
-    (b = 0, m != 0) the stated chain is internally inconsistent, and for
+    (k = 0, m != 0) the stated chain is internally inconsistent, and for
     the family Y = m*X + m^2 with m != 0 the true count is q - 1.  See
     line_counts for the verified values of both set variants.
     """
+    a, b, c = coeffs
     q = F.q
-    if not line.is_vertical:
-        m = F.div(line.a, line.b)
-        b = F.div(line.c, line.b)
-        if m == 0 and b == 0:
-            return q
-        return (q - 2) // 2
-    x0 = F.div(line.c, line.a)
-    return q // 2 if x0 != 0 else 1
+    return np.where(b != 0, np.where((a == 0) & (c == 0), q, (q - 2) // 2),
+                    np.where(c != 0, q // 2, 1))
 
 
 def line_counts(F: Field, line: Line) -> tuple[int, int]:

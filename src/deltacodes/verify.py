@@ -6,6 +6,10 @@ classes (numpy table lookups); degeneracy and the exceptional families
 come from the column formulas in `geometry`, and the coefficient-triple
 hypothesis, the split exponent, vbar, the cubic H and the reducibility
 quantities from those in `curves`; their one-class view is the scalar API.
+A family with some coefficients fixed at zero is swept on the layout of
+the kept ones (`_sub_layout`): the lines on (a13, a23, a33), the parabola
+family on (a11, a13, a23, a33), and the split exponents s >= 1 on the
+coefficients that F^(s) keeps.
 On a deterministic sample of classes each sweep is cross-checked against
 brute force: point counts by evaluating the curves at every point of the
 plane, and linear components of H by evaluating it at points of each
@@ -29,16 +33,12 @@ from .field import ExtField, Field
 from .geometry import (
     Conic,
     DeltaSet,
-    Line,
-    all_lines,
     build_delta,
-    count_on_delta,
     degeneracy_columns,
     degenerate_by_singular_point,
     distinguished_points,
     exceptional_columns,
     in_sqrt_window,
-    line_counts,
     line_delta_count_closed_form,
     make_conic,
     parabola_count_closed_form,
@@ -219,6 +219,20 @@ def _xor_table(F: Field, elems: np.ndarray, monos: Sequence[int]) -> np.ndarray:
     for m in monos:
         table = (table[:, None] ^ F.mul_col(elems, m)[None, :]).ravel()
     return table
+
+
+def _sub_layout(F: Field, kept: Sequence[int],
+                *monomial_sets) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The projective layout over the conic coefficients at positions
+    `kept`, the others fixed at zero: its six conic columns (zero off
+    `kept`), and one zero_counts of each set of conic monomials over it."""
+    sub = projective_class_columns(F.q, len(kept), F.np_dtype)
+    cols = [np.zeros_like(sub[0])] * 6
+    for j, i in enumerate(kept):
+        cols[i] = sub[j]
+    counts = [zero_counts(F, sub, [[m[i] for i in kept] for m in monos])
+              for monos in monomial_sets]
+    return cols, counts
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,60 +453,53 @@ def verify_geometry(F: Field) -> SuiteReport:
     # line closed forms: the stated case list against brute force.  As the
     # conic (0, 0, 0, a, b, c), Y = m*X + m^2 with m != 0 is the parabola
     # orbit with a != 0, and a slanted line through the origin has c = 0.
-    generic_ok = True
-    known_gap_origin = []   # slanted through origin (stated chain inconsistent)
-    known_gap_square = []   # intercept = slope^2 (family missing from the case list)
-    unexplained = []
-    a13, a23, a33 = (np.array(col, dtype=F.np_dtype)
-                     for col in zip(*map(Line.coeffs, all_lines(F))))
-    zero = np.zeros_like(a13)
-    square = exceptional_columns(F, (zero, zero, zero, a13, a23, a33))[0] & (a13 != 0)
-    origin = (a13 != 0) & (a23 != 0) & (a33 == 0)
-    for k, (line, stated, nd, nb) in enumerate(_line_sweep(F, delta, dbar)):
-        td, tb = line_counts(F, line)
-        if (td, tb) != (nd, nb):
-            unexplained.append((line.coeffs(), td, tb, nd, nb))
-        elif square[k]:
-            known_gap_square.append((line.coeffs(), stated, nd, nb))
-        elif origin[k]:
-            known_gap_origin.append((line.coeffs(), stated, nd, nb))
-        else:
-            generic_ok &= stated == nb
+    # Each line falls in the first of: unexplained (the verified closed
+    # form misses brute force), squared intercept (missing from the case
+    # list), slanted through the origin (stated chain inconsistent), generic.
+    cols, stated, nd, nb = _line_sweep(F, delta, dbar)
+    a13, a23, a33 = cols[3:]
+    td = parabola_count_closed_form(F, cols)
+    tb = td + (a33 == 0)
+    unexplained = (td != nd) | (tb != nb)
+    square = ~unexplained & exceptional_columns(F, cols)[0] & (a13 != 0)
+    origin = ~unexplained & ~square & (a13 != 0) & (a23 != 0) & (a33 == 0)
+    generic = ~(unexplained | square | origin)
+    n_unexplained = int(np.count_nonzero(unexplained))
+    first = [(_class_tuple(cols[3:], i), int(td[i]), int(tb[i]), int(nd[i]), int(nb[i]))
+             for i in _first_indices(unexplained, 3)]
     rep.add("verified line closed form matches brute force on every line",
-            not unexplained, 0, len(unexplained),
-            note=f"first: {unexplained[:3]}" if unexplained else "")
+            not n_unexplained, 0, n_unexplained,
+            note=f"first: {first}" if first else "")
     rep.add("stated line case list matches brute force outside the two flagged families",
-            generic_ok)
+            (stated == nb)[generic].all())
     rep.add(
         "flagged family 1: slanted lines through the origin",
-        all(nb == q // 2 and nd == (q - 2) // 2 and stated == (q - 2) // 2
-            for (_, stated, nd, nb) in known_gap_origin),
+        ((nb == q // 2) & (nd == (q - 2) // 2) & (stated == (q - 2) // 2))[origin].all(),
         note=(
-            f"{len(known_gap_origin)} lines: stated chain gives both (q-2)/2+1 and q/2-2 "
+            f"{np.count_nonzero(origin)} lines: stated chain gives both (q-2)/2+1 and q/2-2 "
             f"for the origin-included count; brute force gives q/2 = {q // 2} "
             f"(origin-excluded {(q - 2) // 2})"
         ),
     )
     rep.add(
         "flagged family 2: squared-intercept lines meet the set in q-1 points",
-        bool(known_gap_square)
-        and all(nd == q - 1 and nb == q - 1 for (_, _, nd, nb) in known_gap_square),
+        square.any() and ((nd == q - 1) & (nb == q - 1))[square].all(),
         q - 1,
-        sorted({nd for (_, _, nd, _) in known_gap_square}),
+        np.unique(nd[square]).tolist(),
         note=(
-            f"{len(known_gap_square)} lines Y = m*X + m^2 (m != 0): these are images of the "
+            f"{np.count_nonzero(square)} lines Y = m*X + m^2 (m != 0): these are images of the "
             f"coordinate-line pairs {{X1 = m}} ∪ {{X2 = m}}"
         ),
     )
     rep.add(
         "stated case list covers the squared-intercept family",
-        not known_gap_square,
+        not square.any(),
         (q - 2) // 2,
         q - 1,
         note=(
             "stated value (q-2)/2 disagrees with brute force q-1 on "
-            f"{len(known_gap_square)} lines; reported, not patched"
-        ) if known_gap_square else "",
+            f"{np.count_nonzero(square)} lines; reported, not patched"
+        ) if square.any() else "",
     )
 
     # parabola-family closed forms (a12 = a22 = 0), every class, both sets
@@ -561,15 +568,10 @@ def _split_counts(F: Field, cols: ClassColumns, s: int, *monomial_sets) -> list[
     counts are scattered back by class rank; other classes read 0."""
     if s == 0:
         return [zero_counts(F, cols, monos) for monos in monomial_sets]
-    kept = np.flatnonzero(curves._kept(s))
-    sub = projective_class_columns(F.q, len(kept), F.np_dtype)
-    full = [np.zeros_like(sub[0])] * 6
-    for j, i in enumerate(kept):
-        full[i] = sub[j]
+    full, sub_counts = _sub_layout(F, np.flatnonzero(curves._kept(s)), *monomial_sets)
     rank = class_rank(F.q, 6, full)
     out = []
-    for monos in monomial_sets:
-        counts = zero_counts(F, sub, [[m[i] for i in kept] for m in monos])
+    for counts in sub_counts:
         out.append(np.zeros(len(cols[0]), dtype=counts.dtype))
         out[-1][rank] = counts
     return out
@@ -955,47 +957,41 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
 
 
 def _line_sweep(F: Field, delta: DeltaSet, dbar: DeltaSet):
-    """Every line with its stated closed-form count and its brute-force
-    counts on the set and on the origin-included set."""
-    for line in all_lines(F):
-        yield (line, line_delta_count_closed_form(F, line),
-               count_on_delta(F, line, delta), count_on_delta(F, line, dbar))
+    """The q^2 + q lines a*X + b*Y + c = 0 as the conic columns
+    (0, 0, 0, a, b, c), with their stated closed-form count and their
+    brute-force counts on the set and on the origin-included set.
+
+    The lines are the width-3 layout over (a13, a23, a33) minus its last
+    class (0, 0, 1), the constant 1, so they come in `all_lines` order."""
+    cols, counts = _sub_layout(F, (3, 4, 5), delta.conic_monomials(), dbar.conic_monomials())
+    cols = [c[:-1] for c in cols]
+    nd, nb = (c[:-1] for c in counts)
+    return cols, line_delta_count_closed_form(F, cols[3:]), nd, nb
 
 
 def line_spectrum(F: Field) -> dict:
-    delta = build_delta(F, include_origin=False)
-    dbar = build_delta(F, include_origin=True)
-    hist: dict[int, int] = {}
-    flagged = []
-    for line, stated, nd, nb in _line_sweep(F, delta, dbar):
-        hist[nd] = hist.get(nd, 0) + 1
-        if stated not in (nd, nb):
-            flagged.append((line.coeffs(), stated, nd, nb))
+    cols, stated, nd, nb = _line_sweep(F, build_delta(F, include_origin=False),
+                                       build_delta(F, include_origin=True))
+    flagged = np.flatnonzero((stated != nd) & (stated != nb))
     return {
         "q": F.q,
-        "lines": F.q * F.q + F.q,
-        "histogram_delta": dict(sorted(hist.items())),
-        "stated_mismatches": flagged,
+        "lines": len(nd),
+        "histogram_delta": {int(c): int(n) for c, n in enumerate(np.bincount(nd)) if n},
+        "stated_mismatches": [(_class_tuple(cols[3:], i), int(stated[i]), int(nd[i]),
+                               int(nb[i])) for i in flagged],
     }
 
 
 def parabola_spectrum(F: Field) -> dict:
     """Brute-force counts over every class with a12 = a22 = 0 (vectorized),
     compared against the closed form and its origin rule."""
-    delta = build_delta(F, include_origin=False)
-    dbar = build_delta(F, include_origin=True)
-    cols4 = projective_class_columns(F.q, 4, F.np_dtype)
-    a11, a13, a23, a33 = cols4
-    # the monomials of a11, a13, a23, a33
-    monos_d = [(m[0], m[3], m[4], m[5]) for m in delta.conic_monomials()]
-    monos_b = [(m[0], m[3], m[4], m[5]) for m in dbar.conic_monomials()]
-    counts_d = zero_counts(F, cols4, monos_d)
-    counts_b = zero_counts(F, cols4, monos_b)
-    pred_d = parabola_count_closed_form(F, (a11, 0, 0, a13, a23, a33))
-    pred_b = pred_d + (a33 == 0)
+    cols, (counts_d, counts_b) = _sub_layout(
+        F, (0, 3, 4, 5), build_delta(F, include_origin=False).conic_monomials(),
+        build_delta(F, include_origin=True).conic_monomials())
+    pred_d = parabola_count_closed_form(F, cols)
+    pred_b = pred_d + (cols[5] == 0)
     mismatches = [
-        ((int(a11[i]), 0, 0, int(a13[i]), int(a23[i]), int(a33[i])), io,
-         int(pred[i]), int(actual[i]))
+        (_class_tuple(cols, i), io, int(pred[i]), int(actual[i]))
         for i in np.flatnonzero((pred_d != counts_d) | (pred_b != counts_b))
         for io, pred, actual in ((False, pred_d, counts_d), (True, pred_b, counts_b))
         if pred[i] != actual[i]
@@ -1003,7 +999,7 @@ def parabola_spectrum(F: Field) -> dict:
     hist = np.bincount(counts_d)
     return {
         "q": F.q,
-        "classes": len(a11),
+        "classes": len(counts_d),
         "histogram_delta": {int(c): int(n) for c, n in enumerate(hist) if n},
         "closed_form_mismatches": mismatches,
     }

@@ -77,12 +77,13 @@ def test_spectrum_csv(capsys):
     assert all(row.startswith("8,parabolas,") for row in lines[1:])
 
 
-def test_spectrum_lines_flags_mismatches(capsys):
-    code, out = run(capsys, "spectrum", "--q", "8", "--family", "lines")
+@pytest.mark.parametrize("q", [8, 64])
+def test_spectrum_lines_flags_mismatches(capsys, q):
+    code, out = run(capsys, "spectrum", "--q", str(q), "--family", "lines")
     assert code == EXIT_MISMATCH
     payload = json.loads(out)
     # the q - 1 squared-intercept lines match neither point count
-    assert payload["stated_mismatch_count"] == 7
+    assert payload["stated_mismatch_count"] == q - 1
 
 
 def test_verify_exit_codes(capsys):

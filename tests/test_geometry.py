@@ -21,6 +21,7 @@ from deltacodes.geometry import (
     parabola_count_closed_form,
     pi_map,
 )
+from deltacodes.verify import _line_sweep
 
 
 def make_line(F, a, b, c):
@@ -84,13 +85,20 @@ def test_line_closed_form_literal_cases(F8):
 
 @pytest.mark.parametrize("h", [2, 3, 4, 5])
 def test_line_counts_match_brute_force(h):
+    # the verified closed form and the column sweep against the scalar
+    # count on every line
     F = Field(h)
     delta = build_delta(F)
     dbar = build_delta(F, include_origin=True)
-    for line in all_lines(F):
+    cols, stated, sweep_nd, sweep_nb = _line_sweep(F, delta, dbar)
+    assert len(sweep_nd) == F.q * F.q + F.q
+    for k, line in enumerate(all_lines(F)):
         nd = count_on_delta(F, line, delta)
         nb = count_on_delta(F, line, dbar)
         assert line_counts(F, line) == (nd, nb), line
+        assert tuple(int(c[k]) for c in cols) == (0, 0, 0, *line), line
+        assert (sweep_nd[k], sweep_nb[k]) == (nd, nb), line
+        assert stated[k] == line_delta_count_closed_form(F, line), line
 
 
 def test_squared_intercept_lines(F8):

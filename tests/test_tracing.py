@@ -15,7 +15,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # from a traced call, so that renaming a wrapped function fails here
 REQUIRED_LAYERS = {
     ("verify", "--suite", "geometry", "--q", "4"): (
-        {"geometry.count_on_delta"}, {"geometry.parabola_count_closed_form"}),
+        {"verify.class_columns", "verify.zero_counts"}, {"geometry.parabola_count_closed_form"}),
+    ("verify", "--suite", "lemma", "--q", "4"): ({"geometry.count_on_delta"}, set()),
     ("net", "--q", "4", "--seed", "1"): ({"constructions.net"}, set()),
 }
 
@@ -32,6 +33,7 @@ def cli(*args):
     ("verify", "--suite", "geometry", "--q", "4"),
     ("params", "--system", "conics", "--q", "4"),
     ("net", "--q", "4", "--seed", "1"),
+    ("verify", "--suite", "lemma", "--q", "4"),
 ])
 def test_traced_run_matches_untraced(tmp_path, argv):
     trace_file = tmp_path / "trace.json"

@@ -290,6 +290,13 @@ def test_parabola_spectrum_no_mismatches(F8):
     assert not spec["closed_form_mismatches"]
 
 
+def test_line_spectrum_q64():
+    spec = line_spectrum(Field(6))
+    assert spec["lines"] == 4160
+    assert spec["histogram_delta"] == {0: 1, 31: 4032, 32: 63, 63: 64}
+    assert len(spec["stated_mismatches"]) == 63  # q - 1
+
+
 def test_parabola_spectrum_q64():
     # the column closed form against both zero_counts sweeps at every class
     spec = parabola_spectrum(Field(6))
