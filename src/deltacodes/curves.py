@@ -246,13 +246,14 @@ def vanishes(p: Pair) -> np.ndarray:
 def _in_vbar(F: Field, powers: list[Pair], *coeffs) -> Pair:
     """coeffs[0] + coeffs[1]*vbar + coeffs[2]*vbar^2 + coeffs[3]*vbar^3 for
     base-field coefficient columns (None for zero), where powers holds
-    vbar, vbar^2 and vbar^3."""
-    c0 = coeffs[0].copy() if coeffs[0] is not None else np.zeros_like(powers[0][0])
-    c1 = np.zeros_like(c0)
+    vbar, vbar^2 and vbar^3.  The columns may be broadcastable axes of
+    different shapes; each component takes the shape of its terms."""
+    c0 = coeffs[0] if coeffs[0] is not None else np.zeros_like(powers[0][0])
+    c1 = np.zeros_like(powers[0][1])
     for coeff, (p0, p1) in zip(coeffs[1:], powers):
         if coeff is not None:
-            c0 ^= F.vmul(coeff, p0)
-            c1 ^= F.vmul(coeff, p1)
+            c0 = c0 ^ F.vmul(coeff, p0)
+            c1 = c1 ^ F.vmul(coeff, p1)
     return c0, c1
 
 

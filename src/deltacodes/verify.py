@@ -6,6 +6,11 @@ classes (numpy table lookups); degeneracy and the exceptional families
 come from the column formulas in `geometry`, and the coefficient-triple
 hypothesis, the split exponent, vbar, the cubic H and the reducibility
 quantities from those in `curves`; their one-class view is the scalar API.
+The per-class sweeps (hasse, reducibility, the conic spectrum) evaluate
+those formulas on factored axes (`factored_class_chunks`): in a chunk of
+the layout each free coordinate is a broadcastable axis, so a value that
+depends on a few coefficients, such as vbar on (a11, a12, a22), is
+computed once per value of those coefficients, not once per class.
 A family with some coefficients fixed at zero is swept on the layout of
 the kept ones (`_sub_layout`): the lines on (a13, a23, a33), the parabola
 family on (a11, a13, a23, a33), and the split exponents s >= 1 on the
@@ -156,6 +161,46 @@ def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns
 
 def conic_class_columns(F: Field) -> ClassColumns:
     return projective_class_columns(F.q, 6, F.np_dtype)
+
+
+def factored_class_chunks(q: int, width: int, dtype=np.uint8):
+    """The layout of projective_class_columns(q, width) as (slice, cols)
+    chunks of at most CLASS_BLOCK classes, in layout order, with each
+    column on broadcastable axes instead of at full length.
+
+    In the block whose leading 1 sits at `lead`, the coordinates before it
+    are 0 and the t after it run over GF(q), the last fastest.  The last k
+    of those (q^k <= CLASS_BLOCK) each get their own axis of length q, and
+    the first t - k, the prefix, share axis 0, at most CLASS_BLOCK // q^k
+    prefix values per chunk.  A column formula built from broadcasting
+    operations then computes a value that depends on the prefix once per
+    prefix, and flattening a chunk's broadcast in C order gives exactly
+    layout[slice]."""
+    check_class_budget(q, width)
+    lo = 0
+    for lead in range(width):
+        t = width - lead - 1
+        k = t
+        while q ** k > CLASS_BLOCK:
+            k -= 1
+        ones = (1,) * (k + 1)
+        fixed = [np.full(ones, int(i == lead), dtype=dtype) for i in range(lead + 1)]
+        tail = [np.arange(q, dtype=dtype).reshape(ones[:1 + i] + (q,) + ones[2 + i:])
+                for i in range(k)]
+        n_prefix, step = q ** (t - k), CLASS_BLOCK // q ** k
+        for p0 in range(0, n_prefix, step):
+            p = np.arange(p0, min(p0 + step, n_prefix))
+            prefix = [(p // q ** (t - k - 1 - j) % q).astype(dtype).reshape((-1,) + ones[1:])
+                      for j in range(t - k)]
+            blk = slice(lo + p0 * q ** k, lo + (p0 + len(p)) * q ** k)
+            yield blk, fixed + prefix + tail
+        lo += q ** t
+
+
+def _chunk_view(out: np.ndarray, blk: slice, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The classes `blk` of a full-length per-class array, as a view with
+    the broadcast shape of a chunk's factored columns."""
+    return out[blk].reshape(np.broadcast_shapes(*(c.shape for c in cols)))
 
 
 def class_rank(q: int, width: int, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -694,7 +739,7 @@ def _honest_linear_sweep(F: Field, cols: list[np.ndarray],
     cond_x = (a22 != 0) & vanishes(red["r12"]) & vanishes(red["r13"])
     # pencil through (a22 : a12 : 0): a22*X + a12*V = w*
     both = (a12 != 0) & (a22 != 0)
-    cond_q = np.zeros(len(a11), dtype=bool)
+    cond_q = np.zeros_like(both)
     if both.any():
         a12sq, a22sq = mul(a12, a12), mul(a22, a22)
         num = mul(a12sq, a12) ^ mul(a12, mul(a22, a23)) ^ mul(a22sq, s[0])
@@ -717,19 +762,19 @@ def verify_reducibility(F: Field) -> SuiteReport:
     applicable, degenerate, stated, honest = (np.zeros(len(cols[0]), dtype=bool)
                                               for _ in range(4))
     identities = {"identity_q12": True, "identity_q13": True}
-    for blk in _class_blocks(len(cols[0])):
-        bc = [c[blk] for c in cols]
+    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         a11, a12, a22, a13, a23, a33 = bc
-        applicable[blk] = curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0))
-        degenerate[blk] = degeneracy_columns(F, bc) == 0
+        app = curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
         red = curves.reducibility_columns(F, bc, vbar, h)
-        stated[blk] = red["reducible"]
-        honest[blk] = _honest_linear_sweep(F, bc, h, red)
-        both = applicable[blk] & (a12 != 0) & (a22 != 0)
+        for out, value in ((applicable, app), (degenerate, degeneracy_columns(F, bc) == 0),
+                           (stated, red["reducible"]),
+                           (honest, _honest_linear_sweep(F, bc, h, red))):
+            _chunk_view(out, blk, bc)[...] = value
+        both = app & (a12 != 0) & (a22 != 0)
         for key in identities:
-            identities[key] &= bool(red[key][both].all())
+            identities[key] &= not (both & ~red[key]).any()
 
     disagree = applicable & (stated != degenerate)
     n_checked = int(np.count_nonzero(applicable))
@@ -785,30 +830,39 @@ def _cubic_h_counts(F: Field, h: dict[tuple[int, int], curves.Pair]) -> np.ndarr
     so each component's mask index c2 << 2h | c1 << h | c0 is GF(2)-affine
     in v: its value at v = 0 XOR one step column per set bit of v.  Visiting
     v in Gray-code order flips one bit per line, so a line costs one XOR of
-    the indices.  The walk holds 2(h + 2) index columns per class, so
-    callers pass blocks of CLASS_BLOCK classes."""
+    the indices.  The walk holds h + 2 index columns per class and
+    component, so callers pass chunks of at most CLASS_BLOCK classes.
+
+    Each component walks on the broadcast shape of its own coefficient
+    columns.  c2 lies in GF(q), so on factored class axes the second
+    component does not involve a33: its masks are gathered on that
+    smaller shape and ANDed into the first component's."""
     if any(i > 2 or j > 2 for i, j in h):
         raise AssertionError(f"the N(H) walk needs X and V degrees <= 2; got {sorted(h)}")
     q, bits = F.q, F.h
     masks = _root_masks(F)
     index_dtype = np.min_scalar_type(q ** 3 - 1)
     basis_powers = {j: [F.pow(1 << b, j) for b in range(bits)] for j in (1, 2)}
-    counts = np.zeros(len(h[(0, 0)][0]), dtype=np.uint16)
-    index = np.zeros((2, len(counts)), dtype=index_dtype)
-    steps = np.zeros((2, bits, len(counts)), dtype=index_dtype)
+    walks = []
     for t in (0, 1):
+        shape = np.broadcast_shapes(*(pair[t].shape for pair in h.values()))
+        index = np.zeros(shape, dtype=index_dtype)
+        steps = np.zeros((bits,) + shape, dtype=index_dtype)
         for (i, j), pair in h.items():
             if j == 0:
-                index[t] |= pair[t].astype(index_dtype) << i * bits
+                index |= pair[t].astype(index_dtype) << i * bits
             elif pair[t].any():  # a V^1 or V^2 term that moves the index
                 for b, e in enumerate(basis_powers[j]):
-                    steps[t, b] ^= F.mul_col(pair[t], e).astype(index_dtype) << i * bits
-    found = np.empty(index.shape, dtype=masks.dtype)
+                    steps[b] ^= F.mul_col(pair[t], e).astype(index_dtype) << i * bits
+        walks.append((index, steps, np.empty(shape, dtype=masks.dtype)))
+    (_, _, found0), (_, _, found1) = walks
+    counts = np.zeros(np.broadcast_shapes(found0.shape, found1.shape), dtype=np.uint16)
     for k in range(q):
-        if k:
-            index ^= steps[:, (k & -k).bit_length() - 1]
-        np.take(masks, index, out=found)
-        counts += np.bitwise_count(found[0] & found[1])
+        for index, steps, found in walks:
+            if k:
+                index ^= steps[(k & -k).bit_length() - 1]
+            np.take(masks, index, out=found)
+        counts += np.bitwise_count(found0 & found1)
     return counts
 
 
@@ -823,21 +877,22 @@ def verify_hasse(F: Field) -> SuiteReport:
     # note: G always carries a13 and a33 here (s = 0 form); for classes with
     # a33 = 0 or a13 = 0 those coefficients vanish anyway.
 
-    # per block of classes: applicability, vbar, H, N(H) and the corrected
-    # transfer; only the counts and the two masks are kept for every class
+    # per chunk of classes on factored axes: applicability, vbar, H, N(H)
+    # and the corrected transfer; only the counts and the two masks are kept
+    # for every class
     n_h = np.zeros(len(cols[0]), dtype=np.uint16)
     applicable = np.zeros(len(cols[0]), dtype=bool)
     rational = np.zeros(len(cols[0]), dtype=bool)
     n_transfer = 0
-    for blk in _class_blocks(len(cols[0])):
-        bc = [c[blk] for c in cols]
+    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         a11, a12, a22, a13, a23, a33 = bc
-        app = applicable[blk] = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
-                                 & ((a12 != 0) | (a22 != 0)))
+        app = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
+               & ((a12 != 0) | (a22 != 0)))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
-        n_h[blk] = _cubic_h_counts(F, h)
-        rat = rational[blk] = app & (vbar[1] == 0)
+        rat = app & (vbar[1] == 0)
+        for out, value in ((n_h, _cubic_h_counts(F, h)), (applicable, app), (rational, rat)):
+            _chunk_view(out, blk, bc)[...] = value
         if not rat.any():
             continue
         # corrected transfer: the quadratic map sends the (up to) k points of
@@ -852,9 +907,10 @@ def verify_hasse(F: Field) -> SuiteReport:
             F.vmul(a12, r2) ^ F.vmul(a23, r) ^ a13,
             F.vmul(a22, F.vmul(r2, r2)) ^ F.vmul(a23, r2) ^ a33,
         )
-        corrected = (n_g[blk].astype(np.int32) - _quadratic_root_counts(F, g_on_vbar)
+        corrected = (_chunk_view(n_g, blk, bc).astype(np.int32)
+                     - _quadratic_root_counts(F, g_on_vbar)
                      + _quadratic_root_counts(F, (a12, h_x, h_const)))
-        n_transfer += int(np.count_nonzero(rat & (corrected == n_h[blk])))
+        n_transfer += int(np.count_nonzero(rat & (corrected == _chunk_view(n_h, blk, bc))))
     n_app = int(np.count_nonzero(applicable))
     n_rational = int(np.count_nonzero(rational))
 
@@ -866,6 +922,9 @@ def verify_hasse(F: Field) -> SuiteReport:
             note=(f"violations {n_app - n_eq}; first: "
                   + str([(_class_tuple(cols, i), int(n_g[i]), int(n_h[i]))
                          for i in _first_indices(unequal, 3)]) if n_eq != n_app else ""))
+    # each full-length mask below is freed once its checks are read: the
+    # masks alive together here set the suite's peak memory
+    del unequal
 
     if n_rational:
         rep.add("corrected transfer (axis-point bookkeeping) holds for rational vbar",
@@ -895,6 +954,7 @@ def verify_hasse(F: Field) -> SuiteReport:
                 True, int(np.count_nonzero(quad)), int(np.count_nonzero(quad & win)),
                 note="N(H) counts base-field points of a curve with extension "
                      "coefficients; the cubic-curve windows do not govern them")
+    del win, quad
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
@@ -933,8 +993,12 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     delta = delta or build_delta(F, include_origin=False)
     cols = conic_class_columns(F)
     counts = zero_counts(F, cols, delta.conic_monomials())
-    nondeg = degeneracy_columns(F, cols) != 0
-    family_parabola, family_vertical = exceptional_columns(F, cols)
+    nondeg, family_parabola, family_vertical = (np.zeros(len(counts), dtype=bool)
+                                                for _ in range(3))
+    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
+        for out, value in zip((nondeg, family_parabola, family_vertical),
+                              (degeneracy_columns(F, bc) != 0, *exceptional_columns(F, bc))):
+            _chunk_view(out, blk, bc)[...] = value
     in_win = np.array([in_sqrt_window(2 * c, q) for c in range(int(counts.max()) + 1)])
     window_ok = in_win[counts]
 

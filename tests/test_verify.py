@@ -155,6 +155,93 @@ def test_class_rank_rejects_unnormalized_classes():
         class_rank(4, 2, [np.array([1], dtype=np.uint8), np.array([4], dtype=np.uint8)])
 
 
+def _flat(col, shape):
+    return np.broadcast_to(col, shape).ravel()
+
+
+# A small block puts several coordinates on the prefix axis and ends a
+# lead block with a short chunk, which the default block does only at q >= 32.
+SMALL_BLOCK = 48
+
+
+@pytest.mark.parametrize("h, block", [(1, None), (2, None), (3, None), (4, None),
+                                      (1, SMALL_BLOCK), (2, SMALL_BLOCK), (3, SMALL_BLOCK)])
+def test_factored_chunks_tile_the_layout(h, block, monkeypatch):
+    """The chunks cover range(n) in order without gaps, hold at most
+    CLASS_BLOCK classes each, and their broadcast columns, flattened and
+    concatenated, are the layout itself with its dtype."""
+    from deltacodes import verify
+    from deltacodes.verify import factored_class_chunks
+    if block:
+        monkeypatch.setattr(verify, "CLASS_BLOCK", block)
+    q = 1 << h
+    for width in range(1, 7):
+        layout = projective_class_columns(q, width)
+        stop, parts = 0, [[] for _ in range(width)]
+        for blk, cols in factored_class_chunks(q, width):
+            shape = np.broadcast_shapes(*(c.shape for c in cols))
+            assert blk.start == stop
+            assert blk.stop - blk.start == np.prod(shape) <= verify.CLASS_BLOCK
+            stop = blk.stop
+            for part, col in zip(parts, cols):
+                part.append(_flat(col, shape))
+        assert stop == len(layout[0]), width
+        for part, col in zip(parts, layout):
+            joined = np.concatenate(part)
+            assert joined.dtype == col.dtype and np.array_equal(joined, col), width
+
+
+def _class_formulas(F, cols):
+    """The per-class arrays that hasse and reducibility read, from the
+    column formulas of curves and geometry on the given columns."""
+    from deltacodes import curves
+    from deltacodes.geometry import degeneracy_columns
+    from deltacodes.verify import _cubic_h_counts, _honest_linear_sweep
+    a11, a12, a22, a13, a23, a33 = cols
+    vbar = curves.vbar_columns(F, cols)
+    h = curves.cubic_h_columns(F, cols, vbar)
+    red = curves.reducibility_columns(F, cols, vbar, h)
+    applicable = curves.triples_ok_columns(cols) & ((a12 != 0) | (a22 != 0))
+    degenerate = degeneracy_columns(F, cols) == 0
+    return {
+        "applicable": applicable,
+        "degenerate": degenerate,
+        "stated": red["reducible"],
+        "honest": _honest_linear_sweep(F, cols, h, red),
+        "rational": applicable & ~degenerate & (vbar[1] == 0),
+        "n_h": _cubic_h_counts(F, h),
+        "identity_q12": red["identity_q12"],
+        "identity_q13": red["identity_q13"],
+        "both": applicable & (a12 != 0) & (a22 != 0),
+    }
+
+
+@pytest.mark.parametrize("h, block", [(2, None), (3, None), (4, None), (2, SMALL_BLOCK)])
+def test_factored_formulas_equal_flat_blocks(h, block, monkeypatch):
+    """On every class, the formulas evaluated on a chunk's broadcast axes
+    equal the same formulas on the flat conic_class_columns block; the
+    identity flags are compared where the suite reads them."""
+    from deltacodes import verify
+    from deltacodes.verify import factored_class_chunks
+    if block:
+        monkeypatch.setattr(verify, "CLASS_BLOCK", block)
+    F = Field(h)
+    cols = conic_class_columns(F)
+    for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+        shape = np.broadcast_shapes(*(c.shape for c in bc))
+        factored = _class_formulas(F, bc)
+        flat = _class_formulas(F, [c[blk] for c in cols])
+        both = flat["both"]
+        for key, value in factored.items():
+            value = _flat(value, shape)
+            assert value.dtype == flat[key].dtype, key
+            if key.startswith("identity"):
+                assert np.array_equal(value[both], flat[key][both]), (key, blk)
+                assert value[both].all(), (key, blk)
+            else:
+                assert np.array_equal(value, flat[key]), (key, blk)
+
+
 def test_counts_are_narrow(F16):
     """zero_counts returns the narrowest unsigned dtype that holds the number
     of points, and the root-mask popcounts are uint8."""
@@ -363,6 +450,23 @@ def test_cubic_h_walk_matches_grid_evaluation_q8(F8):
     n_h = _cubic_h_counts(F8, h)
     assert n_h.dtype == np.uint16
     assert np.array_equal(n_h, _h_grid_counts(F8, h))
+
+
+def test_cubic_h_walk_on_broadcast_h_q8(F8):
+    """The walk on the broadcast-shaped H of each factored chunk equals the
+    grid evaluation of the same H flattened; the second component, whose
+    coefficients do not involve a33, keeps a smaller shape."""
+    from deltacodes import curves
+    from deltacodes.verify import _cubic_h_counts, factored_class_chunks
+    for blk, bc in factored_class_chunks(F8.q, 6, F8.np_dtype):
+        shape = np.broadcast_shapes(*(c.shape for c in bc))
+        h = curves.cubic_h_columns(F8, bc, curves.vbar_columns(F8, bc))
+        if len(shape) > 1 and shape[-1] > 1:  # a33 on the last axis
+            assert all(pair[1].shape[-1] == 1 for pair in h.values()), blk
+        flat = {key: tuple(_flat(c, shape) for c in pair) for key, pair in h.items()}
+        n_h = _cubic_h_counts(F8, h)
+        assert n_h.dtype == np.uint16
+        assert np.array_equal(_flat(n_h, shape), _h_grid_counts(F8, flat)), blk
 
 
 def test_cubic_h_walk_matches_product_grouping_q16(F16):
