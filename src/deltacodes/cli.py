@@ -26,6 +26,7 @@ from .constructions import (
     find_lambda_point,
     full_conic_code,
     lambda_orbit_count,
+    lambda_orbit_size,
     line_code,
     make_net_context,
     build_net,
@@ -51,13 +52,18 @@ SYSTEMS = ("lines", "parabolas", "conics", "net")
 FAMILIES = ("lines", "parabolas", "all-conics")
 
 
-def make_field(args) -> Field:
+def field_order(args) -> int:
+    """The validated --q, before any field is built."""
     q = args.q
     if q is None:
         raise UsageError("--q is required (directly or via --config)")
     if q < 4 or q > 64 or q & (q - 1):
         raise UsageError(f"--q must be a power of 2 with 4 <= q <= 64, got {q}")
-    h = q.bit_length() - 1
+    return q
+
+
+def make_field(args) -> Field:
+    h = field_order(args).bit_length() - 1
     try:
         modulus = parse_modulus(args.modulus) if args.modulus else None
         return Field(h, modulus)
@@ -131,6 +137,9 @@ def hex6(coeffs) -> list[str]:
 def cmd_params(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.system == "net" and args.samples > lambda_orbit_size(field_order(args)):
+        raise UsageError(f"--samples {args.samples} exceeds the "
+                         f"{lambda_orbit_size(args.q)} distinct net base points at q = {args.q}")
     F = make_field(args)
     if args.system == "lines":
         report = line_code(F)
@@ -218,7 +227,7 @@ def cmd_net(args) -> int:
     if args.scan_count:
         accepted = lambda_orbit_count(E)
         q = F.q
-        expected = q ** 6 - q ** 5 - q ** 4 + q ** 3
+        expected = lambda_orbit_size(q)
         payload = {
             "kind": "net",
             "q": q,

@@ -39,7 +39,7 @@ from .codes import (
     singleton_ok,
     weight_distribution_enumerate,
 )
-from .verify import projective_class_columns
+from .verify import check_class_budget, projective_class_columns
 
 # basis polynomials as coefficient 6-tuples (a11, a12, a22, a13, a23, a33)
 POLY_X2: Coeffs6 = (1, 0, 0, 0, 0, 0)
@@ -91,7 +91,7 @@ def find_lambda_point(E: ExtField, mode: str = "seeded", seed: int = 0) -> ProjP
 
     'scan' returns the first such point in canonical coordinate order;
     'seeded' draws uniformly at random and is deterministic per seed.
-    The orbit has q^6 - q^5 - q^4 + q^3 > 0 points, so both terminate.
+    The orbit is not empty (lambda_orbit_size), so both terminate.
     """
     if mode == "scan":
         for p in projective_points(E):
@@ -112,8 +112,16 @@ def find_lambda_point(E: ExtField, mode: str = "seeded", seed: int = 0) -> ProjP
             return normalize_projective(E, p)  # type: ignore[arg-type]
 
 
+def lambda_orbit_size(q: int) -> int:
+    """The number of points of PG(2, GF(q^3)) off every rational line."""
+    return q ** 6 - q ** 5 - q ** 4 + q ** 3
+
+
 def lambda_orbit_count(E: ExtField) -> int:
-    """Exhaustive count of accepted points over all of PG(2, GF(q^3))."""
+    """Exhaustive count of accepted points over all of PG(2, GF(q^3)).
+    Raises BudgetError, before the scan, when its q^6 + q^3 + 1 points
+    exceed the class budget (q >= 32)."""
+    check_class_budget(E.order, 3)
     return sum(1 for p in projective_points(E) if in_lambda_orbit(E, p))
 
 
@@ -367,7 +375,11 @@ def _matches(report: dict) -> bool:
 
 
 def construction1_samples(F: Field, samples: int, seed: int = 0) -> list[dict]:
-    """Deterministic batch of net codes from distinct sampled base points."""
+    """Deterministic batch of net codes from distinct sampled base points.
+    Raises ValueError when the orbit has fewer than `samples` points."""
+    if samples > lambda_orbit_size(F.q):
+        raise ValueError(f"{samples} distinct base points requested; the orbit has "
+                         f"{lambda_orbit_size(F.q)} at q = {F.q}")
     E = ExtField(F, 3)
     delta = build_delta(F)
     rng = random.Random(seed)

@@ -15,17 +15,17 @@ count_affine_points evaluates a polynomial on the whole GF(q) x GF(q) grid
 at once, as columns: every monomial value lies in GF(q), so a coefficient
 of GF(q^r) scales it component by component with Field.mul_col and no
 ExtField product is taken.  It shares no code with the class sweeps of
-verify (zero_counts, the N(H) walk) that it referees.
+verify (zero_counts, the root-mask walk of N(G) and N(H)) that it referees.
 
 Each formula is written once.  F and G come from one table of terms per
 coefficient (QUARTIC_TERMS, SHEARED_TERMS).  The coefficient-triple
-hypothesis, the split exponent s, vbar, the coefficients of H, the
+hypothesis, the split exponent s, vbar, the coefficients of G and H, the
 tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities of the
 reducibility criteria are functions over class columns (triples_ok_columns,
-split_exponent_columns, vbar_columns, cubic_h_columns, f_minus_g_columns,
-reducibility_columns); the scalar API (coefficient_triples_ok, solve_vbar,
-build_family, predicted_f_minus_g, reducibility_details) is their one-class
-view.
+split_exponent_columns, vbar_columns, sheared_columns, cubic_h_columns,
+f_minus_g_columns, reducibility_columns); the scalar API
+(coefficient_triples_ok, solve_vbar, build_family, predicted_f_minus_g,
+reducibility_details) is their one-class view.
 """
 
 from __future__ import annotations
@@ -427,6 +427,13 @@ def sheared_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
     """Per point (x, v), the monomial values of G^(s), aligned with
     (a11, a12, a22, a13, a23, a33); zero for coefficients G^(s) lacks."""
     return _term_values(F, SHEARED_TERMS, pts, s, 0)
+
+
+def sheared_columns(cols: Sequence[np.ndarray]) -> dict[tuple[int, int], tuple[np.ndarray]]:
+    """The coefficients of G(X, V) per class, keyed by exponent (i, j) of
+    X^i V^j, each as the one component column of a GF(q) value (H's from
+    cubic_h_columns have two); G in its s = 0 form keeps every coefficient."""
+    return {e: (c,) for c, terms in zip(cols, SHEARED_TERMS) for e in terms}
 
 
 def _one_class(F: Field, conic: Conic) -> list[np.ndarray]:

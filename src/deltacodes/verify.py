@@ -6,15 +6,16 @@ classes (numpy table lookups); degeneracy and the exceptional families
 come from the column formulas in `geometry`, and the coefficient-triple
 hypothesis, the split exponent, vbar, the cubic H and the reducibility
 quantities from those in `curves`; their one-class view is the scalar API.
-The per-class sweeps (hasse, reducibility, the conic spectrum) evaluate
-those formulas on factored axes (`factored_class_chunks`): in a chunk of
-the layout each free coordinate is a broadcastable axis, so a value that
-depends on a few coefficients, such as vbar on (a11, a12, a22), is
-computed once per value of those coefficients, not once per class.
-A family with some coefficients fixed at zero is swept on the layout of
-the kept ones (`_sub_layout`): the lines on (a13, a23, a33), the parabola
-family on (a11, a13, a23, a33), and the split exponents s >= 1 on the
-coefficients that F^(s) keeps.
+Point-set counts (Delta, DeltaBar, the lemma and relations grids) come
+from `zero_counts` over a class layout.  hasse, reducibility and the conic
+spectrum evaluate their formulas on factored axes (`factored_class_chunks`),
+so a value that depends on a few coefficients, such as vbar on (a11, a12,
+a22), is computed once per value of those, not once per class; hasse
+counts both G and H there with one root-mask walk over the lines V = v.
+A class a report names is recovered from its layout position
+(`class_unrank`), so those sweeps hold no full conic columns.  A family
+with some coefficients fixed at zero is swept on the layout of the kept
+ones (`_sub_layout`).
 On a deterministic sample of classes each sweep is cross-checked against
 brute force: point counts by evaluating the curves at every point of the
 plane, and linear components of H by evaluating it at points of each
@@ -129,10 +130,15 @@ class ClassColumns(list):
         self.q, self.width = q, width
 
 
+def _layout_size(q: int, width: int) -> int:
+    """The number of projective classes of GF(q)^width."""
+    return (q ** width - 1) // (q - 1)
+
+
 def check_class_budget(q: int, width: int) -> None:
     """Raise BudgetError when the layout of `projective_class_columns` would
     hold more than CLASS_BUDGET classes; callers may check before any work."""
-    classes = (q ** width - 1) // (q - 1)
+    classes = _layout_size(q, width)
     if classes > CLASS_BUDGET:
         raise BudgetError(f"{classes} projective classes (q = {q}, width {width}) exceed "
                           f"the sweep budget of 2^{CLASS_BUDGET.bit_length() - 1}")
@@ -141,21 +147,14 @@ def check_class_budget(q: int, width: int) -> None:
 def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns:
     """Coefficient columns of all (q^width - 1)/(q - 1) projective classes,
     ordered with the leading 1 moving right and the tail in product order
-    (last coordinate fastest).  Raises BudgetError, before allocating,
-    when there are more than CLASS_BUDGET classes."""
+    (last coordinate fastest): the chunks of `factored_class_chunks`
+    flattened.  Raises BudgetError, before allocating, when there are more
+    than CLASS_BUDGET classes."""
     check_class_budget(q, width)
-    cols = [np.zeros((q ** width - 1) // (q - 1), dtype=dtype) for _ in range(width)]
-    digits = np.arange(q, dtype=dtype)[:, None]
-    lo = 0
-    for lead in range(width):
-        tail_len = width - lead - 1
-        block = slice(lo, lo + q ** tail_len)
-        cols[lead][block] = 1
-        for j in range(tail_len):
-            # tail digit j of class lo + i is (i // power) % q
-            power = q ** (tail_len - 1 - j)
-            cols[lead + 1 + j][block].reshape(-1, q, power)[:] = digits
-        lo = block.stop
+    cols = [np.empty(_layout_size(q, width), dtype=dtype) for _ in range(width)]
+    for blk, chunk in factored_class_chunks(q, width, dtype):
+        for col, c in zip(cols, chunk):
+            _chunk_view(col, blk, chunk)[...] = c
     return ClassColumns(cols, q, width)
 
 
@@ -224,6 +223,20 @@ def class_rank(q: int, width: int, cols: Sequence[np.ndarray]) -> np.ndarray:
     return (q ** width - q * lead_power) // (q - 1) + value - lead_power
 
 
+def class_unrank(q: int, width: int, rank: int) -> tuple[int, ...]:
+    """The class at position `rank` of the layout of
+    projective_class_columns(q, width): the inverse of class_rank, for one
+    class.  Raises ValueError for a rank outside the layout."""
+    rank = int(rank)
+    if not 0 <= rank < _layout_size(q, width):
+        raise ValueError(f"rank {rank} is outside the {_layout_size(q, width)} classes "
+                         f"of the layout (q = {q}, width {width})")
+    lead, t = 0, width - 1  # the block of leading 1 at `lead` holds q^t classes
+    while rank >= q ** t:
+        rank, lead, t = rank - q ** t, lead + 1, t - 1
+    return (0,) * lead + (1,) + tuple(rank // q ** (t - 1 - j) % q for j in range(t))
+
+
 def zero_counts(F: Field, coeff_arrays: ClassColumns,
                 point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
     """For each class of a `projective_class_columns` layout, the number of
@@ -244,7 +257,7 @@ def zero_counts(F: Field, coeff_arrays: ClassColumns,
     q, width = coeff_arrays.q, coeff_arrays.width
     monos = [[int(m) for m in point] for point in point_monomials]
     elems = np.arange(q, dtype=F.np_dtype)
-    counts = np.zeros((q ** width - 1) // (q - 1), dtype=np.min_scalar_type(len(monos)))
+    counts = np.zeros(_layout_size(q, width), dtype=np.min_scalar_type(len(monos)))
     lo = 0
     for lead in range(width):
         half = lead + 1 + (width - lead - 1) // 2
@@ -355,10 +368,6 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
         )
         found |= on & sing
     return found
-
-
-def _class_tuple(cols: list[np.ndarray], i: int) -> tuple[int, ...]:
-    return tuple(int(c[i]) for c in cols)
 
 
 def _class_blocks(n: int):
@@ -510,7 +519,7 @@ def verify_geometry(F: Field) -> SuiteReport:
     origin = ~unexplained & ~square & (a13 != 0) & (a23 != 0) & (a33 == 0)
     generic = ~(unexplained | square | origin)
     n_unexplained = int(np.count_nonzero(unexplained))
-    first = [(_class_tuple(cols[3:], i), int(td[i]), int(tb[i]), int(nd[i]), int(nb[i]))
+    first = [(class_unrank(q, 3, i), int(td[i]), int(tb[i]), int(nd[i]), int(nb[i]))
              for i in _first_indices(unexplained, 3)]
     rep.add("verified line closed form matches brute force on every line",
             not n_unexplained, 0, n_unexplained,
@@ -559,9 +568,7 @@ def verify_geometry(F: Field) -> SuiteReport:
         found = degeneracy_oracle_sweep(F, cols)
         stated = degeneracy_columns(F, cols) == 0
         agree = found == stated
-        bad = [
-            _class_tuple(cols, int(i)) for i in np.flatnonzero(~agree)[:3]
-        ]
+        bad = [class_unrank(q, 6, i) for i in np.flatnonzero(~agree)[:3]]
         rep.add("degeneracy criterion agrees with the singular-point oracle",
                 bool(agree.all()), 0, int((~agree).sum()),
                 note=f"first: {bad}" if bad else "")
@@ -570,7 +577,7 @@ def verify_geometry(F: Field) -> SuiteReport:
         rng_o = random.Random(q + 13)
         idx = [rng_o.randrange(len(cols[0])) for _ in range(12)]
         spot = all(
-            degenerate_by_singular_point(F, Conic(*_class_tuple(cols, i)), E2)
+            degenerate_by_singular_point(F, Conic(*class_unrank(q, 6, i)), E2)
             == bool(found[i])
             for i in idx
         )
@@ -642,7 +649,7 @@ def verify_lemma(F: Field) -> SuiteReport:
         odd = sel & (nf % 2 == 1)
         total_checked += int(np.count_nonzero(sel))
         bad = odd | (sel & (lhs != curves.lemma_rhs(nf, case)))
-        bad_examples += [(_class_tuple(cols, i), int(lhs[i])) for i in _first_indices(bad, 5)]
+        bad_examples += [(class_unrank(q, 6, i), int(lhs[i])) for i in _first_indices(bad, 5)]
         if odd.any():
             parity_bad.append(s)
     rep.add("intersection count equals its curve-count expression on every class",
@@ -656,8 +663,7 @@ def verify_lemma(F: Field) -> SuiteReport:
     hyp = curves.triples_ok_columns(cols)
     sample_ok = True
     for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
-        c = Conic(*_class_tuple(cols, i))
-        r = curves.verify_lemma_delta(F, c, delta_bar=dbar)
+        r = curves.verify_lemma_delta(F, Conic(*class_unrank(q, 6, i)), delta_bar=dbar)
         sample_ok &= r["ok"] and r["lhs"] == int(lhs[i])
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
@@ -690,7 +696,7 @@ def verify_relations(F: Field) -> SuiteReport:
         total += int(np.count_nonzero(sel))
         diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
         wrong = sel & (diff != predicted)
-        bad += [(_class_tuple(cols, i), int(diff[i]), int(predicted[i]))
+        bad += [(class_unrank(q, 6, i), int(diff[i]), int(predicted[i]))
                 for i in _first_indices(wrong, 5)]
         if (sel & (f_axis.astype(np.int16) - g_axis != diff)).any():
             axis_bad.append(s)
@@ -703,8 +709,7 @@ def verify_relations(F: Field) -> SuiteReport:
     hyp = curves.triples_ok_columns(cols)
     sample_ok = True
     for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
-        c = Conic(*_class_tuple(cols, i))
-        r = curves.verify_count_relations(F, c)
+        r = curves.verify_count_relations(F, Conic(*class_unrank(q, 6, i)))
         sample_ok &= r["ok"] and r["axis_ok"] and r["g_axis_closed_form_ok"]
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
@@ -758,8 +763,7 @@ def verify_reducibility(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
-    cols = conic_class_columns(F)
-    applicable, degenerate, stated, honest = (np.zeros(len(cols[0]), dtype=bool)
+    applicable, degenerate, stated, honest = (np.zeros(_layout_size(q, 6), dtype=bool)
                                               for _ in range(4))
     identities = {"identity_q12": True, "identity_q13": True}
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
@@ -778,7 +782,7 @@ def verify_reducibility(F: Field) -> SuiteReport:
 
     disagree = applicable & (stated != degenerate)
     n_checked = int(np.count_nonzero(applicable))
-    bad = [(_class_tuple(cols, i), bool(stated[i]), bool(degenerate[i]))
+    bad = [(class_unrank(q, 6, i), bool(stated[i]), bool(degenerate[i]))
            for i in _first_indices(disagree, 5)]
     rep.add("stated component criteria hold iff the conic is degenerate",
             not bad, 0, int(np.count_nonzero(disagree)),
@@ -791,7 +795,7 @@ def verify_reducibility(F: Field) -> SuiteReport:
         rep.add(name, identities[key])
 
     mismatch = applicable & (honest != degenerate)
-    bad_h = [(_class_tuple(cols, i), bool(honest[i]), bool(degenerate[i]))
+    bad_h = [(class_unrank(q, 6, i), bool(honest[i]), bool(degenerate[i]))
              for i in _first_indices(mismatch, 5)]
     rep.add("H has a linear component iff the conic is degenerate",
             not bad_h, 0, int(np.count_nonzero(mismatch)),
@@ -802,13 +806,13 @@ def verify_reducibility(F: Field) -> SuiteReport:
             not gap.any(), 0, int(gap.sum()),
             note=("classes with a line through (a22:a12:0) missed by the "
                   "stated criteria; first: "
-                  + str([_class_tuple(cols, i) for i in _first_indices(gap, 5)]))
+                  + str([class_unrank(q, 6, i) for i in _first_indices(gap, 5)]))
             if gap.any() else "")
 
     rng = random.Random(q * 7 + 3)
     picks = _sample_indices(rng, applicable, SAMPLE_CHECKS)
     picks += _sample_indices(rng, gap if gap.any() else applicable, 8)
-    sample_ok = all(curves.has_linear_component(F, Conic(*_class_tuple(cols, i)))[0]
+    sample_ok = all(curves.has_linear_component(F, Conic(*class_unrank(q, 6, i)))[0]
                     == bool(honest[i]) for i in picks)
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
@@ -820,49 +824,49 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # Hasse suite: windows for the cubic, and the transfer between G and H
 # ----------------------------------------------------------------------
 
-def _cubic_h_counts(F: Field, h: dict[tuple[int, int], curves.Pair]) -> np.ndarray:
-    """N(H) per class on the GF(q)^2 grid, as uint16 (N(H) <= q^2).
+def _cubic_h_counts(F: Field, curve: dict[tuple[int, int], tuple]) -> np.ndarray:
+    """Per class, the points of a curve on the GF(q)^2 grid, as uint16: the
+    one kernel of N(G) and N(H).  `curve` maps the exponent (i, j) of each
+    X^i V^j to its coefficient's component columns: (c,) in GF(q), as G's
+    from curves.sheared_columns, or (c0, c1) in GF(q^2), as H's.
 
-    On the line V = v, H is c2*X^2 + c1*X + c0 with GF(q^2) coefficients
-    c_i = sum_j h[(i, j)] * v^j, and its points there are the common roots
-    of the two component quadratics: the popcount of the AND of their root
-    masks.  V occurs only in degrees 0, 1 and 2 and squaring is additive,
-    so each component's mask index c2 << 2h | c1 << h | c0 is GF(2)-affine
-    in v: its value at v = 0 XOR one step column per set bit of v.  Visiting
-    v in Gray-code order flips one bit per line, so a line costs one XOR of
-    the indices.  The walk holds h + 2 index columns per class and
-    component, so callers pass chunks of at most CLASS_BLOCK classes.
-
-    Each component walks on the broadcast shape of its own coefficient
-    columns.  c2 lies in GF(q), so on factored class axes the second
-    component does not involve a33: its masks are gathered on that
-    smaller shape and ANDed into the first component's."""
-    if any(i > 2 or j > 2 for i, j in h):
-        raise AssertionError(f"the N(H) walk needs X and V degrees <= 2; got {sorted(h)}")
+    On the line V = v the curve is c2*X^2 + c1*X + c0, c_i = sum_j
+    curve[(i, j)] * v^j, and its points there are the common roots of the
+    component quadratics: the popcount of the AND of their root masks.  V
+    occurs in degree 0 or a power of 2, so v^j is additive and each mask
+    index c2 << 2h | c1 << h | c0 is GF(2)-affine in v: its value at v = 0
+    XOR one step column per set bit of v.  Visiting v in Gray-code order
+    costs one XOR of the indices per line.  The walk holds h + 2 index
+    columns per class and component, so callers pass chunks of at most
+    CLASS_BLOCK classes.  Each component walks on the broadcast shape of its
+    own columns: on factored class axes H's second one lacks a33."""
+    if any(i > 2 or j & (j - 1) for i, j in curve):
+        raise AssertionError("the root-mask walk needs X degree <= 2 and V degree 0 or "
+                             f"a power of 2; got {sorted(curve)}")
     q, bits = F.q, F.h
     masks = _root_masks(F)
     index_dtype = np.min_scalar_type(q ** 3 - 1)
-    basis_powers = {j: [F.pow(1 << b, j) for b in range(bits)] for j in (1, 2)}
+    basis_powers = {j: [F.pow(1 << b, j) for b in range(bits)] for _, j in curve if j}
     walks = []
-    for t in (0, 1):
-        shape = np.broadcast_shapes(*(pair[t].shape for pair in h.values()))
+    for t in range(len(next(iter(curve.values())))):
+        shape = np.broadcast_shapes(*(coeff[t].shape for coeff in curve.values()))
         index = np.zeros(shape, dtype=index_dtype)
         steps = np.zeros((bits,) + shape, dtype=index_dtype)
-        for (i, j), pair in h.items():
+        for (i, j), coeff in curve.items():
             if j == 0:
-                index |= pair[t].astype(index_dtype) << i * bits
-            elif pair[t].any():  # a V^1 or V^2 term that moves the index
+                index |= coeff[t].astype(index_dtype) << i * bits
+            elif coeff[t].any():  # a V^(2^e) term that moves the index
                 for b, e in enumerate(basis_powers[j]):
-                    steps[b] ^= F.mul_col(pair[t], e).astype(index_dtype) << i * bits
+                    steps[b] ^= F.mul_col(coeff[t], e).astype(index_dtype) << i * bits
         walks.append((index, steps, np.empty(shape, dtype=masks.dtype)))
-    (_, _, found0), (_, _, found1) = walks
-    counts = np.zeros(np.broadcast_shapes(found0.shape, found1.shape), dtype=np.uint16)
+    found = [w[2] for w in walks]
+    counts = np.zeros(np.broadcast_shapes(*(f.shape for f in found)), dtype=np.uint16)
     for k in range(q):
-        for index, steps, found in walks:
+        for index, steps, out in walks:
             if k:
                 index ^= steps[(k & -k).bit_length() - 1]
-            np.take(masks, index, out=found)
-        counts += np.bitwise_count(found0 & found1)
+            np.take(masks, index, out=out)
+        counts += np.bitwise_count(functools.reduce(np.bitwise_and, found))
     return counts
 
 
@@ -870,28 +874,26 @@ def verify_hasse(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("hasse", q, F.modulus)
-    cols = conic_class_columns(F)
-    grid = grid_points(F)
+    in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
+                       for x in range(q * q + 1)])  # the union window, for N(H) <= q^2
 
-    n_g = zero_counts(F, cols, curves.sheared_monomials(F, grid, 0))
-    # note: G always carries a13 and a33 here (s = 0 form); for classes with
-    # a33 = 0 or a13 = 0 those coefficients vanish anyway.
-
-    # per chunk of classes on factored axes: applicability, vbar, H, N(H)
-    # and the corrected transfer; only the counts and the two masks are kept
-    # for every class
-    n_h = np.zeros(len(cols[0]), dtype=np.uint16)
-    applicable = np.zeros(len(cols[0]), dtype=bool)
-    rational = np.zeros(len(cols[0]), dtype=bool)
+    # per chunk of classes on factored axes: applicability, vbar, G, H, both
+    # counts by the root-mask walk, the corrected transfer and the rational
+    # window violators; only the counts and two masks are kept for every class
+    n = _layout_size(q, 6)
+    n_g, n_h = (np.zeros(n, dtype=np.uint16) for _ in range(2))
+    applicable, rational = (np.zeros(n, dtype=bool) for _ in range(2))
     n_transfer = 0
+    viol_parts = [[np.zeros(0, dtype=F.np_dtype)] for _ in range(6)]
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         a11, a12, a22, a13, a23, a33 = bc
         app = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
                & ((a12 != 0) | (a22 != 0)))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
+        ng, nh = _cubic_h_counts(F, curves.sheared_columns(bc)), _cubic_h_counts(F, h)
         rat = app & (vbar[1] == 0)
-        for out, value in ((n_h, _cubic_h_counts(F, h)), (applicable, app), (rational, rat)):
+        for out, value in ((n_g, ng), (n_h, nh), (applicable, app), (rational, rat)):
             _chunk_view(out, blk, bc)[...] = value
         if not rat.any():
             continue
@@ -907,10 +909,12 @@ def verify_hasse(F: Field) -> SuiteReport:
             F.vmul(a12, r2) ^ F.vmul(a23, r) ^ a13,
             F.vmul(a22, F.vmul(r2, r2)) ^ F.vmul(a23, r2) ^ a33,
         )
-        corrected = (_chunk_view(n_g, blk, bc).astype(np.int32)
-                     - _quadratic_root_counts(F, g_on_vbar)
+        corrected = (ng.astype(np.int32) - _quadratic_root_counts(F, g_on_vbar)
                      + _quadratic_root_counts(F, (a12, h_x, h_const)))
-        n_transfer += int(np.count_nonzero(rat & (corrected == _chunk_view(n_h, blk, bc))))
+        n_transfer += int(np.count_nonzero(rat & (corrected == nh)))
+        viol = rat & ~in_win[nh]  # on the full chunk shape, as nh
+        for part, c in zip(viol_parts, bc):
+            part.append(np.broadcast_to(c, viol.shape)[viol])
     n_app = int(np.count_nonzero(applicable))
     n_rational = int(np.count_nonzero(rational))
 
@@ -920,10 +924,9 @@ def verify_hasse(F: Field) -> SuiteReport:
     rep.add("stated transfer N(G) = N(H) holds on every applicable class",
             n_eq == n_app, n_app, n_eq,
             note=(f"violations {n_app - n_eq}; first: "
-                  + str([(_class_tuple(cols, i), int(n_g[i]), int(n_h[i]))
+                  + str([(class_unrank(q, 6, i), int(n_g[i]), int(n_h[i]))
                          for i in _first_indices(unequal, 3)]) if n_eq != n_app else ""))
-    # each full-length mask below is freed once its checks are read: the
-    # masks alive together here set the suite's peak memory
+    # each full-length mask is freed once read: together they set the peak
     del unequal
 
     if n_rational:
@@ -931,16 +934,12 @@ def verify_hasse(F: Field) -> SuiteReport:
                 n_transfer == n_rational, n_rational, n_transfer)
 
     # claim 2: N(H) in the union of the elliptic and rational affine windows
-    in_win = np.array([
-        in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
-        for x in range(int(n_h.max()) + 1)
-    ])
     win = in_win[n_h]
     outside = applicable & ~win
     rep.add("N(H) lies in the union of the affine windows on every applicable class",
             not outside.any(), n_app, n_app - int(np.count_nonzero(outside)),
             note=("violations: "
-                  + str([(_class_tuple(cols, i), int(n_h[i])) for i in _first_indices(outside, 5)])
+                  + str([(class_unrank(q, 6, i), int(n_h[i])) for i in _first_indices(outside, 5)])
                   if outside.any() else ""))
     if n_rational:
         n_win = int(np.count_nonzero(rational & win))
@@ -958,8 +957,7 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
-    viol = outside & rational
-    viol_cols = [c[viol] for c in cols]
+    viol_cols = [np.concatenate(part) for part in viol_parts]
     viol_vbar = curves.vbar_columns(F, viol_cols)
     viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
     has_line = _honest_linear_sweep(
@@ -972,8 +970,7 @@ def verify_hasse(F: Field) -> SuiteReport:
     rng = random.Random(q * 7 + 4)
     sample_ok = True
     for i in _sample_indices(rng, applicable, SAMPLE_CHECKS):
-        c = Conic(*_class_tuple(cols, i))
-        res = curves.hasse_window_check(F, c)
+        res = curves.hasse_window_check(F, Conic(*class_unrank(q, 6, i)))
         sample_ok &= res["n_g"] == int(n_g[i]) and res["n_h"] == int(n_h[i])
     rep.add("vectorized counts agree with the per-conic implementation (sampled)",
             sample_ok)
@@ -991,8 +988,7 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     t0 = time.perf_counter()
     q = F.q
     delta = delta or build_delta(F, include_origin=False)
-    cols = conic_class_columns(F)
-    counts = zero_counts(F, cols, delta.conic_monomials())
+    counts = zero_counts(F, conic_class_columns(F), delta.conic_monomials())
     nondeg, family_parabola, family_vertical = (np.zeros(len(counts), dtype=bool)
                                                 for _ in range(3))
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
@@ -1013,7 +1009,7 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
         "window_violations": int(violations.sum()),
         "violation_counts": {int(c): int(n) for c, n in enumerate(viol_hist) if n},
         "violation_examples": [
-            (_class_tuple(cols, i), int(counts[i])) for i in _first_indices(violations, 8)
+            (class_unrank(q, 6, i), int(counts[i])) for i in _first_indices(violations, 8)
         ],
         "exceptional_parabola_classes": int((nondeg & family_parabola).sum()),
         "elapsed": round(time.perf_counter() - t0, 3),
@@ -1041,7 +1037,7 @@ def line_spectrum(F: Field) -> dict:
         "q": F.q,
         "lines": len(nd),
         "histogram_delta": {int(c): int(n) for c, n in enumerate(np.bincount(nd)) if n},
-        "stated_mismatches": [(_class_tuple(cols[3:], i), int(stated[i]), int(nd[i]),
+        "stated_mismatches": [(class_unrank(F.q, 3, i), int(stated[i]), int(nd[i]),
                                int(nb[i])) for i in flagged],
     }
 
@@ -1055,8 +1051,9 @@ def parabola_spectrum(F: Field) -> dict:
     pred_d = parabola_count_closed_form(F, cols)
     pred_b = pred_d + (cols[5] == 0)
     mismatches = [
-        (_class_tuple(cols, i), io, int(pred[i]), int(actual[i]))
+        ((a11, 0, 0, a13, a23, a33), io, int(pred[i]), int(actual[i]))
         for i in np.flatnonzero((pred_d != counts_d) | (pred_b != counts_b))
+        for a11, a13, a23, a33 in [class_unrank(F.q, 4, i)]
         for io, pred, actual in ((False, pred_d, counts_d), (True, pred_b, counts_b))
         if pred[i] != actual[i]
     ]

@@ -142,6 +142,29 @@ def test_samples_below_one_is_usage_error(capsys):
         assert code == EXIT_USAGE and out == ""
 
 
+def test_samples_beyond_the_orbit_is_usage_error(capsys, monkeypatch):
+    """q = 4 has 2880 distinct net base points; asking for 2881 is rejected
+    before any field is built, instead of sampling forever."""
+    def no_field(args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(cli, "make_field", no_field)
+    code, out = run(capsys, "params", "--q", "4", "--system", "net", "--samples", "2881")
+    assert code == EXIT_USAGE and out == ""
+
+
+def test_scan_count_over_the_class_budget_is_usage_error(capsys, monkeypatch):
+    """PG(2, GF(32^3)) has 2^30 + 2^15 + 1 points, over the class budget:
+    --scan-count exits 2 before the scan visits a point."""
+    from deltacodes import constructions
+    def no_scan(E):
+        raise AssertionError("the scan started")
+    monkeypatch.setattr(constructions, "projective_points", no_scan)
+    code = main(["net", "--q", "32", "--scan-count"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "exceed the sweep budget" in captured.err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"q": 8, "modulos": "0x13"}')

@@ -15,6 +15,7 @@ from deltacodes.constructions import (
     full_conic_code,
     in_lambda_orbit,
     lambda_orbit_count,
+    lambda_orbit_size,
     line_code,
     make_net_context,
     net_basis,
@@ -149,6 +150,14 @@ def test_construction1_samples_deterministic(F8):
     b = construction1_samples(F8, 3, seed=7)
     assert [r["point"] for r in a] == [r["point"] for r in b]
     assert [r["d"] for r in a] == [r["d"] for r in b]
+
+
+def test_construction1_samples_rejects_more_than_the_orbit(F4):
+    """The orbit at q = 4 has lambda_orbit_size(4) = 2880 points, so 2881
+    distinct base points cannot be drawn."""
+    assert lambda_orbit_size(4) == 2880
+    with pytest.raises(ValueError):
+        construction1_samples(F4, 2881)
 
 
 def test_net_rejects_bad_point(F4):

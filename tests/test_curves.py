@@ -26,10 +26,10 @@ from deltacodes.curves import (
 
 
 def all_classes(F, require_triples=True):
-    from deltacodes.verify import conic_class_columns, _class_tuple
+    from deltacodes.verify import conic_class_columns
     cols = conic_class_columns(F)
     for i in range(len(cols[0])):
-        c = Conic(*_class_tuple(cols, i))
+        c = Conic(*(int(col[i]) for col in cols))
         if require_triples and not coefficient_triples_ok(c):
             continue
         yield c
@@ -384,8 +384,8 @@ def test_invariants_survive_optimize():
 
 
 def test_cubic_h_walk_precondition_survives_optimize():
-    """Under python -O, an H with a V^3 term still stops the N(H) walk with
-    an AssertionError instead of a wrong count."""
+    """Under python -O, an H with a V^3 term still stops the root-mask walk
+    with an AssertionError instead of a wrong count."""
     script = "\n".join([
         "import numpy as np",
         "from deltacodes.field import Field",
@@ -396,7 +396,8 @@ def test_cubic_h_walk_precondition_survives_optimize():
     ])
     proc = _run_optimized(script)
     assert proc.returncode == 1, proc.stderr
-    assert "AssertionError: the N(H) walk needs X and V degrees <= 2" in proc.stderr
+    assert ("AssertionError: the root-mask walk needs X degree <= 2 and V degree 0 "
+            "or a power of 2") in proc.stderr
 
 
 def test_scalar_predicates_return_python_values(F8):

@@ -10,6 +10,7 @@ from deltacodes.field import Field
 from deltacodes.verify import (
     BudgetError,
     class_rank,
+    class_unrank,
     conic_class_columns,
     conic_spectrum,
     line_spectrum,
@@ -103,7 +104,6 @@ def test_projective_class_columns_cover_everything():
 
 def test_zero_counts_matches_scalar(F8):
     from deltacodes.geometry import Conic, build_delta, count_on_delta
-    from deltacodes.verify import _class_tuple
     delta = build_delta(F8)
     cols = conic_class_columns(F8)
     counts = zero_counts(F8, cols, delta.conic_monomials())
@@ -111,7 +111,7 @@ def test_zero_counts_matches_scalar(F8):
     rng = random.Random(1)
     for _ in range(30):
         i = rng.randrange(len(cols[0]))
-        c = Conic(*_class_tuple(cols, i))
+        c = Conic(*(int(col[i]) for col in cols))
         assert int(counts[i]) == count_on_delta(F8, c, delta)
 
 
@@ -139,10 +139,20 @@ def test_blocked_zero_counts_match_scalar_evaluation(F4, width):
 
 @pytest.mark.parametrize("h", [2, 3, 4])
 def test_class_rank_inverts_the_layout(h):
+    """class_rank maps the layout to arange; class_unrank returns the
+    layout's row for every rank at q <= 8 and for a stride of ranks, with
+    the last, at q = 16, and rejects a rank outside the layout."""
     q = 1 << h
     for width in range(1, 7):
-        ranks = class_rank(q, width, projective_class_columns(q, width))
-        assert np.array_equal(ranks, np.arange((q ** width - 1) // (q - 1))), width
+        layout = projective_class_columns(q, width)
+        n = (q ** width - 1) // (q - 1)
+        assert np.array_equal(class_rank(q, width, layout), np.arange(n)), width
+        rows = np.stack(layout, axis=1)
+        for rank in list(range(0, n, 1 if q <= 8 else 97)) + [n - 1]:
+            assert class_unrank(q, width, rank) == tuple(rows[rank].tolist()), (width, rank)
+        for rank in (-1, n):
+            with pytest.raises(ValueError):
+                class_unrank(q, width, rank)
 
 
 def test_class_rank_rejects_unnormalized_classes():
@@ -240,6 +250,27 @@ def test_factored_formulas_equal_flat_blocks(h, block, monkeypatch):
                 assert value[both].all(), (key, blk)
             else:
                 assert np.array_equal(value, flat[key]), (key, blk)
+
+
+@pytest.mark.parametrize("h, block", [(2, None), (3, None), (4, None), (2, SMALL_BLOCK)])
+def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
+    """N(G) by the root-mask walk on each factored chunk, as hasse counts
+    it, equals the zero_counts sweep of G's grid monomials on every class."""
+    from deltacodes import curves, verify
+    from deltacodes.verify import _cubic_h_counts, factored_class_chunks, grid_points
+    if block:
+        monkeypatch.setattr(verify, "CLASS_BLOCK", block)
+    F = Field(h)
+    expected = zero_counts(F, conic_class_columns(F),
+                           curves.sheared_monomials(F, grid_points(F), 0))
+    stop = 0
+    for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+        n_g = _cubic_h_counts(F, curves.sheared_columns(bc))
+        assert n_g.dtype == np.uint16
+        assert n_g.shape == np.broadcast_shapes(*(c.shape for c in bc)), blk
+        assert np.array_equal(n_g.ravel(), expected[blk]), blk
+        stop = blk.stop
+    assert stop == len(expected)
 
 
 def test_counts_are_narrow(F16):
@@ -405,7 +436,7 @@ def test_column_formulas_exhaustive_q4(F4):
     flag equals the point-evaluation test of has_linear_component."""
     from deltacodes import curves
     from deltacodes.geometry import Conic
-    from deltacodes.verify import _class_tuple, _cubic_h_counts, _honest_linear_sweep
+    from deltacodes.verify import _cubic_h_counts, _honest_linear_sweep
     cols = conic_class_columns(F4)
     vbar = curves.vbar_columns(F4, cols)
     h = curves.cubic_h_columns(F4, cols, vbar)
@@ -414,7 +445,7 @@ def test_column_formulas_exhaustive_q4(F4):
     has_line = _honest_linear_sweep(F4, cols, h, red)
     checked = 0
     for i in range(len(cols[0])):
-        c = Conic(*_class_tuple(cols, i))
+        c = Conic(*(int(col[i]) for col in cols))
         if not (c.a12 or c.a22) or not curves.coefficient_triples_ok(c):
             continue
         fam = curves.build_family(F4, c)
@@ -475,7 +506,7 @@ def test_cubic_h_walk_matches_product_grouping_q16(F16):
     grouping of H."""
     from deltacodes import curves
     from deltacodes.geometry import Conic
-    from deltacodes.verify import _class_tuple, _cubic_h_counts
+    from deltacodes.verify import _cubic_h_counts
     cols = conic_class_columns(F16)
     n_h = _cubic_h_counts(F16, curves.cubic_h_columns(F16, cols, curves.vbar_columns(F16, cols)))
     with_h = np.flatnonzero((cols[1] != 0) | (cols[2] != 0))
@@ -483,7 +514,7 @@ def test_cubic_h_walk_matches_product_grouping_q16(F16):
     sample = [c[picks] for c in cols]
     grid = _h_grid_counts(F16, curves.cubic_h_columns(F16, sample, curves.vbar_columns(F16, sample)))
     for k, i in enumerate(picks):
-        c = Conic(*_class_tuple(cols, int(i)))
+        c = Conic(*(int(col[i]) for col in cols))
         vbar, K = curves.solve_vbar(F16, c)
         expected = curves.count_affine_points(curves._cubic_h(K, c, vbar, ordering=1), F16)
         assert int(n_h[i]) == int(grid[k]) == expected, c
