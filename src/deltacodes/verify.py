@@ -824,7 +824,7 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # Hasse suite: windows for the cubic, and the transfer between G and H
 # ----------------------------------------------------------------------
 
-def _cubic_h_counts(F: Field, curve: dict[tuple[int, int], tuple]) -> np.ndarray:
+def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple]) -> np.ndarray:
     """Per class, the points of a curve on the GF(q)^2 grid, as uint16: the
     one kernel of N(G) and N(H).  `curve` maps the exponent (i, j) of each
     X^i V^j to its coefficient's component columns: (c,) in GF(q), as G's
@@ -874,24 +874,21 @@ def verify_hasse(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("hasse", q, F.modulus)
-    in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
-                       for x in range(q * q + 1)])  # the union window, for N(H) <= q^2
 
     # per chunk of classes on factored axes: applicability, vbar, G, H, both
-    # counts by the root-mask walk, the corrected transfer and the rational
-    # window violators; only the counts and two masks are kept for every class
+    # counts by the root-mask walk and the corrected transfer; only the
+    # counts and two masks are kept for every class
     n = _layout_size(q, 6)
     n_g, n_h = (np.zeros(n, dtype=np.uint16) for _ in range(2))
     applicable, rational = (np.zeros(n, dtype=bool) for _ in range(2))
     n_transfer = 0
-    viol_parts = [[np.zeros(0, dtype=F.np_dtype)] for _ in range(6)]
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         a11, a12, a22, a13, a23, a33 = bc
         app = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
                & ((a12 != 0) | (a22 != 0)))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
-        ng, nh = _cubic_h_counts(F, curves.sheared_columns(bc)), _cubic_h_counts(F, h)
+        ng, nh = _root_mask_counts(F, curves.sheared_columns(bc)), _root_mask_counts(F, h)
         rat = app & (vbar[1] == 0)
         for out, value in ((n_g, ng), (n_h, nh), (applicable, app), (rational, rat)):
             _chunk_view(out, blk, bc)[...] = value
@@ -912,9 +909,6 @@ def verify_hasse(F: Field) -> SuiteReport:
         corrected = (ng.astype(np.int32) - _quadratic_root_counts(F, g_on_vbar)
                      + _quadratic_root_counts(F, (a12, h_x, h_const)))
         n_transfer += int(np.count_nonzero(rat & (corrected == nh)))
-        viol = rat & ~in_win[nh]  # on the full chunk shape, as nh
-        for part, c in zip(viol_parts, bc):
-            part.append(np.broadcast_to(c, viol.shape)[viol])
     n_app = int(np.count_nonzero(applicable))
     n_rational = int(np.count_nonzero(rational))
 
@@ -934,6 +928,8 @@ def verify_hasse(F: Field) -> SuiteReport:
                 n_transfer == n_rational, n_rational, n_transfer)
 
     # claim 2: N(H) in the union of the elliptic and rational affine windows
+    in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
+                       for x in range(int(n_h.max()) + 1)])
     win = in_win[n_h]
     outside = applicable & ~win
     rep.add("N(H) lies in the union of the affine windows on every applicable class",
@@ -957,7 +953,8 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
-    viol_cols = [np.concatenate(part) for part in viol_parts]
+    viol = [class_unrank(q, 6, i) for i in np.flatnonzero(outside & rational)]
+    viol_cols = list(np.array(viol, dtype=F.np_dtype).reshape(-1, 6).T)
     viol_vbar = curves.vbar_columns(F, viol_cols)
     viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
     has_line = _honest_linear_sweep(
@@ -1051,9 +1048,8 @@ def parabola_spectrum(F: Field) -> dict:
     pred_d = parabola_count_closed_form(F, cols)
     pred_b = pred_d + (cols[5] == 0)
     mismatches = [
-        ((a11, 0, 0, a13, a23, a33), io, int(pred[i]), int(actual[i]))
+        (tuple(int(c[i]) for c in cols), io, int(pred[i]), int(actual[i]))
         for i in np.flatnonzero((pred_d != counts_d) | (pred_b != counts_b))
-        for a11, a13, a23, a33 in [class_unrank(F.q, 4, i)]
         for io, pred, actual in ((False, pred_d, counts_d), (True, pred_b, counts_b))
         if pred[i] != actual[i]
     ]

@@ -389,10 +389,10 @@ def test_cubic_h_walk_precondition_survives_optimize():
     script = "\n".join([
         "import numpy as np",
         "from deltacodes.field import Field",
-        "from deltacodes.verify import _cubic_h_counts",
+        "from deltacodes.verify import _root_mask_counts",
         "assert False, 'asserts must be stripped'",
         "zero = np.zeros(3, dtype=np.uint8)",
-        "_cubic_h_counts(Field(2), {(0, 0): (zero, zero), (0, 3): (zero, zero)})",
+        "_root_mask_counts(Field(2), {(0, 0): (zero, zero), (0, 3): (zero, zero)})",
     ])
     proc = _run_optimized(script)
     assert proc.returncode == 1, proc.stderr

@@ -179,7 +179,9 @@ SMALL_BLOCK = 48
 def test_factored_chunks_tile_the_layout(h, block, monkeypatch):
     """The chunks cover range(n) in order without gaps, hold at most
     CLASS_BLOCK classes each, and their broadcast columns, flattened and
-    concatenated, are the layout itself with its dtype."""
+    concatenated, are the layout itself with its dtype.  class_rank, which
+    computes positions arithmetically, maps them to arange: the layout is
+    filled from these chunks, so only that pins their order."""
     from deltacodes import verify
     from deltacodes.verify import factored_class_chunks
     if block:
@@ -196,9 +198,10 @@ def test_factored_chunks_tile_the_layout(h, block, monkeypatch):
             for part, col in zip(parts, cols):
                 part.append(_flat(col, shape))
         assert stop == len(layout[0]), width
-        for part, col in zip(parts, layout):
-            joined = np.concatenate(part)
-            assert joined.dtype == col.dtype and np.array_equal(joined, col), width
+        joined = [np.concatenate(part) for part in parts]
+        assert np.array_equal(class_rank(q, width, joined), np.arange(stop)), width
+        for part, col in zip(joined, layout):
+            assert part.dtype == col.dtype and np.array_equal(part, col), width
 
 
 def _class_formulas(F, cols):
@@ -206,7 +209,7 @@ def _class_formulas(F, cols):
     column formulas of curves and geometry on the given columns."""
     from deltacodes import curves
     from deltacodes.geometry import degeneracy_columns
-    from deltacodes.verify import _cubic_h_counts, _honest_linear_sweep
+    from deltacodes.verify import _root_mask_counts, _honest_linear_sweep
     a11, a12, a22, a13, a23, a33 = cols
     vbar = curves.vbar_columns(F, cols)
     h = curves.cubic_h_columns(F, cols, vbar)
@@ -219,7 +222,7 @@ def _class_formulas(F, cols):
         "stated": red["reducible"],
         "honest": _honest_linear_sweep(F, cols, h, red),
         "rational": applicable & ~degenerate & (vbar[1] == 0),
-        "n_h": _cubic_h_counts(F, h),
+        "n_h": _root_mask_counts(F, h),
         "identity_q12": red["identity_q12"],
         "identity_q13": red["identity_q13"],
         "both": applicable & (a12 != 0) & (a22 != 0),
@@ -257,7 +260,7 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
     """N(G) by the root-mask walk on each factored chunk, as hasse counts
     it, equals the zero_counts sweep of G's grid monomials on every class."""
     from deltacodes import curves, verify
-    from deltacodes.verify import _cubic_h_counts, factored_class_chunks, grid_points
+    from deltacodes.verify import _root_mask_counts, factored_class_chunks, grid_points
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = Field(h)
@@ -265,7 +268,7 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
                            curves.sheared_monomials(F, grid_points(F), 0))
     stop = 0
     for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
-        n_g = _cubic_h_counts(F, curves.sheared_columns(bc))
+        n_g = _root_mask_counts(F, curves.sheared_columns(bc))
         assert n_g.dtype == np.uint16
         assert n_g.shape == np.broadcast_shapes(*(c.shape for c in bc)), blk
         assert np.array_equal(n_g.ravel(), expected[blk]), blk
@@ -436,12 +439,12 @@ def test_column_formulas_exhaustive_q4(F4):
     flag equals the point-evaluation test of has_linear_component."""
     from deltacodes import curves
     from deltacodes.geometry import Conic
-    from deltacodes.verify import _cubic_h_counts, _honest_linear_sweep
+    from deltacodes.verify import _root_mask_counts, _honest_linear_sweep
     cols = conic_class_columns(F4)
     vbar = curves.vbar_columns(F4, cols)
     h = curves.cubic_h_columns(F4, cols, vbar)
     red = curves.reducibility_columns(F4, cols, vbar, h)
-    n_h = _cubic_h_counts(F4, h)
+    n_h = _root_mask_counts(F4, h)
     has_line = _honest_linear_sweep(F4, cols, h, red)
     checked = 0
     for i in range(len(cols[0])):
@@ -475,10 +478,10 @@ def _h_grid_counts(F, h):
 
 def test_cubic_h_walk_matches_grid_evaluation_q8(F8):
     from deltacodes import curves
-    from deltacodes.verify import _cubic_h_counts
+    from deltacodes.verify import _root_mask_counts
     cols = conic_class_columns(F8)
     h = curves.cubic_h_columns(F8, cols, curves.vbar_columns(F8, cols))
-    n_h = _cubic_h_counts(F8, h)
+    n_h = _root_mask_counts(F8, h)
     assert n_h.dtype == np.uint16
     assert np.array_equal(n_h, _h_grid_counts(F8, h))
 
@@ -488,14 +491,14 @@ def test_cubic_h_walk_on_broadcast_h_q8(F8):
     grid evaluation of the same H flattened; the second component, whose
     coefficients do not involve a33, keeps a smaller shape."""
     from deltacodes import curves
-    from deltacodes.verify import _cubic_h_counts, factored_class_chunks
+    from deltacodes.verify import _root_mask_counts, factored_class_chunks
     for blk, bc in factored_class_chunks(F8.q, 6, F8.np_dtype):
         shape = np.broadcast_shapes(*(c.shape for c in bc))
         h = curves.cubic_h_columns(F8, bc, curves.vbar_columns(F8, bc))
         if len(shape) > 1 and shape[-1] > 1:  # a33 on the last axis
             assert all(pair[1].shape[-1] == 1 for pair in h.values()), blk
         flat = {key: tuple(_flat(c, shape) for c in pair) for key, pair in h.items()}
-        n_h = _cubic_h_counts(F8, h)
+        n_h = _root_mask_counts(F8, h)
         assert n_h.dtype == np.uint16
         assert np.array_equal(_flat(n_h, shape), _h_grid_counts(F8, flat)), blk
 
@@ -506,9 +509,9 @@ def test_cubic_h_walk_matches_product_grouping_q16(F16):
     grouping of H."""
     from deltacodes import curves
     from deltacodes.geometry import Conic
-    from deltacodes.verify import _cubic_h_counts
+    from deltacodes.verify import _root_mask_counts
     cols = conic_class_columns(F16)
-    n_h = _cubic_h_counts(F16, curves.cubic_h_columns(F16, cols, curves.vbar_columns(F16, cols)))
+    n_h = _root_mask_counts(F16, curves.cubic_h_columns(F16, cols, curves.vbar_columns(F16, cols)))
     with_h = np.flatnonzero((cols[1] != 0) | (cols[2] != 0))
     picks = np.sort(np.random.default_rng(1604).choice(with_h, 48, replace=False))
     sample = [c[picks] for c in cols]
