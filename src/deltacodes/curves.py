@@ -14,16 +14,17 @@ these curves are verified against such counts, never assumed.
 count_affine_points evaluates a polynomial on the whole GF(q) x GF(q) grid
 at once, as columns: every monomial value lies in GF(q), so a coefficient
 of GF(q^r) scales it component by component with Field.mul_col and no
-ExtField product is taken.  It shares no code with the class sweeps of
-verify (zero_counts, the root-mask walk of N(G) and N(H)) that it referees.
+ExtField product is taken.  It shares no code with the root-mask walk of
+verify, which counts the conic, F, G and H in its class sweeps.
 
-Each formula is written once.  F and G come from one table of terms per
-coefficient (QUARTIC_TERMS, SHEARED_TERMS).  The coefficient-triple
-hypothesis, the split exponent s, vbar, the coefficients of G and H, the
-tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities of the
-reducibility criteria are functions over class columns (triples_ok_columns,
-split_exponent_columns, vbar_columns, sheared_columns, cubic_h_columns,
-f_minus_g_columns, reducibility_columns); the scalar API
+Each formula is written once.  The conic, F and G come from one table of
+terms per coefficient (CONIC_TERMS, QUARTIC_TERMS, SHEARED_TERMS), which
+term_columns turns into the walk's coefficient columns.  The
+coefficient-triple hypothesis, the split exponent s, vbar, the coefficients
+of H, the tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities
+of the reducibility criteria are functions over class columns
+(triples_ok_columns, split_exponent_columns, vbar_columns, term_columns,
+cubic_h_columns, f_minus_g_columns, reducibility_columns); the scalar API
 (coefficient_triples_ok, solve_vbar, build_family, predicted_f_minus_g,
 reducibility_details) is their one-class view.
 """
@@ -385,7 +386,9 @@ class CurveFamily:
 
 
 # Each conic coefficient (a11, a12, a22, a13, a23, a33) multiplies the sum
-# of these monomials: X^i T^j in the pullback quartic F, X^i V^j in G.
+# of these monomials: X^i Y^j in the conic, X^i T^j in the pullback quartic
+# F, X^i V^j in G.
+CONIC_TERMS = (((2, 0),), ((1, 1),), ((0, 2),), ((1, 0),), ((0, 1),), ((0, 0),))
 QUARTIC_TERMS = (((2, 0),), ((3, 2), (3, 1)), ((4, 4), (4, 2)), ((1, 0),), ((2, 2), (2, 1)), ((0, 0),))
 SHEARED_TERMS = (((2, 0),), ((1, 2), (2, 1)), ((0, 4), (2, 2)), ((1, 0),), ((1, 1), (0, 2)), ((0, 0),))
 
@@ -429,11 +432,12 @@ def sheared_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
     return _term_values(F, SHEARED_TERMS, pts, s, 0)
 
 
-def sheared_columns(cols: Sequence[np.ndarray]) -> dict[tuple[int, int], tuple[np.ndarray]]:
-    """The coefficients of G(X, V) per class, keyed by exponent (i, j) of
-    X^i V^j, each as the one component column of a GF(q) value (H's from
-    cubic_h_columns have two); G in its s = 0 form keeps every coefficient."""
-    return {e: (c,) for c, terms in zip(cols, SHEARED_TERMS) for e in terms}
+def term_columns(cols: Sequence[np.ndarray], terms, counted: int) -> dict[tuple[int, int], tuple]:
+    """A term table's curve per class, as verify's root-mask walk counts it
+    in U on the lines V = v: keyed by exponent (i, j) of U^i V^j, where U
+    is the variable at position `counted` of the table's exponent pairs,
+    each coefficient as the one component column of a GF(q) value."""
+    return {(e[counted], e[1 - counted]): (c,) for c, es in zip(cols, terms) for e in es}
 
 
 def _one_class(F: Field, conic: Conic) -> list[np.ndarray]:

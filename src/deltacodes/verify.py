@@ -2,20 +2,20 @@
 
 Every suite checks stated closed forms and identities against brute-force
 ground truth.  The sweeps are vectorized over projective coefficient
-classes (numpy table lookups); degeneracy and the exceptional families
-come from the column formulas in `geometry`, and the coefficient-triple
-hypothesis, the split exponent, vbar, the cubic H and the reducibility
-quantities from those in `curves`; their one-class view is the scalar API.
-Point-set counts (Delta, DeltaBar, the lemma and relations grids) come
-from `zero_counts` over a class layout.  hasse, reducibility and the conic
-spectrum evaluate their formulas on factored axes (`factored_class_chunks`),
-so a value that depends on a few coefficients, such as vbar on (a11, a12,
-a22), is computed once per value of those, not once per class; hasse
-counts both G and H there with one root-mask walk over the lines V = v.
-A class a report names is recovered from its layout position
-(`class_unrank`), so those sweeps hold no full conic columns.  A family
-with some coefficients fixed at zero is swept on the layout of the kept
-ones (`_sub_layout`).
+classes; the conic sweeps take them in factored chunks
+(`factored_class_chunks`) whose coefficients each sit on their own
+broadcast axis, so a value that depends on a few coefficients, such as
+vbar on (a11, a12, a22), is computed once per value of those.  Degeneracy
+and the exceptional families come from the column formulas in `geometry`;
+the coefficient-triple hypothesis, the split exponent, vbar, the curves F,
+G and H and the reducibility quantities from those in `curves`.  Every
+per-class point count (the conic on Delta and DeltaBar, F, G and H) comes
+from one root-mask walk over the lines of the plane (`_root_mask_counts`),
+and a class a report names is recovered from its layout position
+(`class_unrank`), so the conic sweeps hold no full conic columns; only the
+geometry suite's degeneracy oracle builds them, at q <= 8.  `zero_counts`
+remains the tests' independent count and the kernel of
+`codes.weight_distribution_classes`.
 On a deterministic sample of classes each sweep is cross-checked against
 brute force: point counts by evaluating the curves at every point of the
 plane, and linear components of H by evaluating it at points of each
@@ -279,54 +279,142 @@ def _xor_table(F: Field, elems: np.ndarray, monos: Sequence[int]) -> np.ndarray:
     return table
 
 
-def _sub_layout(F: Field, kept: Sequence[int],
-                *monomial_sets) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The projective layout over the conic coefficients at positions
-    `kept`, the others fixed at zero: its six conic columns (zero off
-    `kept`), and one zero_counts of each set of conic monomials over it."""
-    sub = projective_class_columns(F.q, len(kept), F.np_dtype)
-    cols = [np.zeros_like(sub[0])] * 6
-    for j, i in enumerate(kept):
-        cols[i] = sub[j]
-    counts = [zero_counts(F, sub, [[m[i] for i in kept] for m in monos])
-              for monos in monomial_sets]
-    return cols, counts
+SLOT_EXPONENTS = (0, 1, 2, 4)  # slot k of a root-mask index holds the coefficient of T^this
 
 
 @functools.lru_cache(maxsize=None)
-def _root_masks(F: Field) -> np.ndarray:
-    """Entry (c2*q + c1)*q + c0 has bit x set exactly when
-    c2*x^2 + c1*x + c0 = 0 in GF(q); one q-bit mask per coefficient triple,
-    built by evaluating every x."""
-    q, h = F.q, F.h
+def _root_masks(F: Field, slots: int = 3) -> np.ndarray:
+    """Entry ((c4*q + c2)*q + c1)*q + c0 has bit t set exactly when
+    c4*t^4 + c2*t^2 + c1*t + c0 = 0 in GF(q); `slots` = 3 builds the first
+    q^3 entries (c4 = 0).  Built by evaluating every t on a broadcast grid
+    of the coefficients."""
+    q = F.q
     if q > 64:
         raise ValueError(f"root masks are 64-bit, so q <= 64; got q = {q}")
     dtype = np.dtype(f"uint{max(8, q)}")
-    index = np.arange(q ** 3)
-    c2, c1, c0 = (((index >> shift) % q).astype(F.np_dtype) for shift in (2 * h, h, 0))
-    masks = np.zeros(q ** 3, dtype=dtype)
-    for x in F.elements():
-        value = F.mul_col(c2, F.mul(x, x)) ^ F.mul_col(c1, x) ^ c0
-        masks |= (value == 0).astype(dtype) << x
-    return masks
+    elems = np.arange(q, dtype=F.np_dtype)
+    masks = np.zeros((q,) * slots, dtype=dtype)
+    for t in F.elements():
+        value = functools.reduce(np.bitwise_xor, (  # slot k on axis -1 - k
+            F.mul_col(elems, F.pow(t, SLOT_EXPONENTS[k])).reshape((q,) + (1,) * k)
+            for k in range(slots)))
+        np.bitwise_or(masks, dtype.type(1 << t), out=masks, where=value == 0)
+    return masks.ravel()
 
 
-def _quadratic_root_counts(F: Field, *triples) -> np.ndarray:
-    """Per class, the number of x in GF(q) at which every quadratic
-    c2*x^2 + c1*x + c0 of the given (c2, c1, c0) column triples vanishes:
-    the popcount of the AND of their root masks, as uint8 (q <= 64)."""
-    masks = _root_masks(F)
-    index_dtype = np.min_scalar_type(F.q ** 3 - 1)
+def _root_counts(F: Field, *polys) -> np.ndarray:
+    """Per class, the number of t in GF(q) at which every polynomial
+    vanishes, each given by its coefficient columns (c2, c1, c0) or
+    (c4, c2, c1, c0), 0 for a zero column: the popcount of the AND of their
+    root masks, as uint8 (q <= 64)."""
+    slots = max(len(p) for p in polys)
+    masks = _root_masks(F, slots)
+    index_dtype = np.min_scalar_type(F.q ** slots - 1)
     common = None
-    for c2, c1, c0 in triples:
-        index = ((c2.astype(index_dtype) << 2 * F.h) | (c1.astype(index_dtype) << F.h)
-                 | c0.astype(index_dtype))
+    for p in polys:
+        index = functools.reduce(np.bitwise_or, (np.asarray(c).astype(index_dtype) << k * F.h
+                                                 for k, c in enumerate(reversed(p))))
         common = masks[index] if common is None else common & masks[index]
     return np.bitwise_count(common)
 
 
-def grid_points(F: Field) -> list[tuple[int, int]]:
-    return [(x, y) for x in F.elements() for y in F.elements()]
+def _line_masks(F: Field, points) -> np.ndarray:
+    """Per line V = v, the q-bit mask of a point set's points (v, t) on it,
+    in the dtype of the root masks."""
+    masks = np.zeros(F.q, dtype=_root_masks(F).dtype)
+    for v, t in points:
+        masks[v] |= 1 << t
+    return masks
+
+
+def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
+                      points: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per class, the points of a curve on the GF(q)^2 grid, or on the point
+    set with line masks `points` (_line_masks), as uint16: the one per-class
+    point counter of the sweeps.  `curve` maps the exponent (i, j) of each
+    T^i V^j to its coefficient's component columns, (c,) in GF(q) or
+    (c0, c1) in GF(q^2); T occurs in degrees 0, 1, 2 and 4.
+
+    On the line V = v the points are the common roots in T of the
+    components: the popcount of the AND of their root masks and the line's
+    point mask.  Where V occurs in degree 0 or a power of 2, v^j is
+    additive, so that part of a mask index is its value at v = 0 XOR one
+    step column per set bit of v: one XOR per line in Gray-code order.
+    Other powers of v (F's X^3) are evaluated on each line.  The walk holds
+    h + 2 index columns per class and component, so callers pass chunks of
+    at most CLASS_BLOCK classes."""
+    if any(i not in SLOT_EXPONENTS for i, _ in curve):
+        raise AssertionError("the root-mask walk needs the counted variable in degrees "
+                             f"0, 1, 2 and 4; got {sorted(curve)}")
+    q, bits = F.q, F.h
+    slots = 4 if any(i == 4 for i, _ in curve) else 3
+    masks = _root_masks(F, slots)
+    if points is None:  # every point of every line
+        points = np.full(q, (1 << q) - 1, dtype=masks.dtype)
+    index_dtype = np.min_scalar_type(q ** slots - 1)
+    walks = []
+    for t in range(len(next(iter(curve.values())))):
+        shape = np.broadcast_shapes(*(coeff[t].shape for coeff in curve.values()))
+        index = np.zeros(shape, dtype=index_dtype)
+        steps = np.zeros((bits,) + shape, dtype=index_dtype)
+        per_line = []  # (column, j, shift) of the terms evaluated on each line
+        for (i, j), coeff in curve.items():
+            c, shift = coeff[t], SLOT_EXPONENTS.index(i) * bits
+            if j == 0:
+                index |= c.astype(index_dtype) << shift
+            elif not c.any():
+                continue
+            elif j & (j - 1):
+                per_line.append((c, j, shift))
+            else:  # a V^(2^e) term that moves the index
+                for b in range(bits):
+                    steps[b] ^= F.mul_col(c, F.pow(1 << b, j)).astype(index_dtype) << shift
+        walks.append((index, steps, per_line, np.empty(shape, dtype=masks.dtype)))
+    found = [w[3] for w in walks]
+    counts = np.zeros(np.broadcast_shapes(*(f.shape for f in found)), dtype=np.uint16)
+    for k in range(q):
+        v = k ^ k >> 1  # the Gray code: line k flips bit (k & -k) of v
+        for index, steps, _, _ in walks:
+            if k:
+                index ^= steps[(k & -k).bit_length() - 1]
+        if not points[v]:
+            continue
+        for index, _, per_line, out in walks:
+            if per_line:
+                index = index ^ functools.reduce(np.bitwise_xor, (
+                    F.mul_col(c, F.pow(v, j)).astype(index_dtype) << shift
+                    for c, j, shift in per_line))
+            np.take(masks, index, out=out)
+        hits = functools.reduce(np.bitwise_and, found)
+        counts += np.bitwise_count(np.bitwise_and(hits, points[v], out=hits))
+    return counts
+
+
+def _delta_counts(F: Field, delta: DeltaSet, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """|C ∩ delta| per class of flat conic columns, in the narrowest unsigned
+    dtype that holds len(delta), CLASS_BLOCK classes at a time."""
+    masks = _line_masks(F, delta.points)
+    counts = np.zeros(len(cols[0]), dtype=np.min_scalar_type(len(delta)))
+    for blk in _class_blocks(len(counts)):
+        conic = curves.term_columns([c[blk] for c in cols], curves.CONIC_TERMS, 1)
+        counts[blk] = _root_mask_counts(F, conic, masks)
+    return counts
+
+
+def _quartic_counts(F: Field, cols: Sequence[np.ndarray], s) -> tuple[np.ndarray, np.ndarray]:
+    """Per class, N(F^(s)) at its own split exponent s, and the part of it
+    on the axis X = 0.  On a line X = x != 0, F^(s) = F / x^s has the roots
+    of F in T, so one walk of F over those lines serves every s; on the
+    axis F^(s) is the sum of F's X^s terms, one root-mask lookup."""
+    quartic = curves.term_columns(cols, curves.QUARTIC_TERMS, 1)
+    lines = np.full(F.q, (1 << F.q) - 1, dtype=_root_masks(F).dtype)  # every point of a line
+    lines[0] = 0  # but those of the axis
+    off_axis = _root_mask_counts(F, quartic, lines)
+    on_axis = dict.fromkeys(SLOT_EXPONENTS, 0)
+    for (j, i), (c,) in quartic.items():
+        on_axis[j] = on_axis[j] ^ np.where(s == i, c, 0)
+    axis = _root_counts(F, tuple(on_axis[j] for j in reversed(SLOT_EXPONENTS)))
+    return off_axis + axis, axis
 
 
 def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
@@ -384,6 +472,16 @@ def _first_indices(mask: np.ndarray, k: int) -> list[int]:
         if len(out) == k:
             break
     return out
+
+
+def _first_in_chunk(found: list, k: int, blk: slice, mask: np.ndarray, *values) -> None:
+    """Extend `found` with (layout position, value, ...) for the first
+    classes set in a chunk's mask, until it holds k; the mask has the
+    chunk's broadcast shape, and each value broadcasts against it."""
+    idx = np.flatnonzero(mask)[:k - len(found)]
+    at = np.unravel_index(idx, mask.shape)
+    found += zip((blk.start + idx).tolist(),
+                 *(np.broadcast_to(v, mask.shape)[at].tolist() for v in values))
 
 
 def _sample_indices(rng: random.Random, mask: np.ndarray, k: int) -> list[int]:
@@ -604,63 +702,38 @@ def verify_geometry(F: Field) -> SuiteReport:
 # Lemma suite: |DeltaBar ∩ C| from N(F^(s))
 # ----------------------------------------------------------------------
 
-def _split_masks(cols: list[np.ndarray]) -> dict[int, np.ndarray]:
-    """Per split exponent s, the classes under the coefficient-triple
-    hypothesis with that s."""
-    hyp = curves.triples_ok_columns(cols)
-    s = curves.split_exponent_columns(cols)
-    return {k: hyp & (s == k) for k in (0, 1, 2)}
-
-
-def _split_counts(F: Field, cols: ClassColumns, s: int, *monomial_sets) -> list[np.ndarray]:
-    """zero_counts of each set of F^(s) or G^(s) monomials over the conic
-    classes, read only where the split exponent is s.  Those classes have
-    a33 = 0 for s = 1, and a13 = a33 = 0 for s = 2, so for s >= 1 the sweep
-    runs on the width-5 or width-4 layout of the kept coefficients and its
-    counts are scattered back by class rank; other classes read 0."""
-    if s == 0:
-        return [zero_counts(F, cols, monos) for monos in monomial_sets]
-    full, sub_counts = _sub_layout(F, np.flatnonzero(curves._kept(s)), *monomial_sets)
-    rank = class_rank(F.q, 6, full)
-    out = []
-    for counts in sub_counts:
-        out.append(np.zeros(len(cols[0]), dtype=counts.dtype))
-        out[-1][rank] = counts
-    return out
-
-
 def verify_lemma(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("lemma", q, F.modulus)
-    cols = conic_class_columns(F)
     dbar = build_delta(F, include_origin=True)
-    lhs = zero_counts(F, cols, dbar.conic_monomials())
-    masks = _split_masks(cols)
-    case = curves.lemma_case_columns(F, cols)
-    grid = grid_points(F)
-    total_checked = 0
-    bad_examples = []
-    parity_bad = []
-    for s, sel in masks.items():
-        if not sel.any():
-            continue
-        (nf,) = _split_counts(F, cols, s, curves.quartic_monomials(F, grid, s))
-        odd = sel & (nf % 2 == 1)
-        total_checked += int(np.count_nonzero(sel))
-        bad = odd | (sel & (lhs != curves.lemma_rhs(nf, case)))
-        bad_examples += [(class_unrank(q, 6, i), int(lhs[i])) for i in _first_indices(bad, 5)]
-        if odd.any():
-            parity_bad.append(s)
+    dbar_masks = _line_masks(F, dbar.points)
+    n = _layout_size(q, 6)
+    lhs = np.zeros(n, dtype=np.min_scalar_type(len(dbar)))
+    hyp = np.zeros(n, dtype=bool)
+    bad = {s: [] for s in range(3)}  # the first failing classes per split exponent
+    parity_ok = True
+    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
+        ok = curves.triples_ok_columns(bc)
+        s = curves.split_exponent_columns(bc)
+        count = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), dbar_masks)
+        nf, _ = _quartic_counts(F, bc, s)
+        odd = ok & (nf % 2 == 1)
+        parity_ok &= not odd.any()
+        wrong = odd | (ok & (count != curves.lemma_rhs(nf, curves.lemma_case_columns(F, bc))))
+        for k in range(3) if wrong.any() else ():
+            _first_in_chunk(bad[k], 5, blk, wrong & (s == k), count)
+        for out, value in ((lhs, count), (hyp, ok)):
+            _chunk_view(out, blk, bc)[...] = value
+    bad_examples = [(class_unrank(q, 6, i), c) for k in range(3) for i, c in bad[k]]
     rep.add("intersection count equals its curve-count expression on every class",
             not bad_examples, 0, len(bad_examples),
-            note=f"checked {total_checked} classes"
+            note=f"checked {int(np.count_nonzero(hyp))} classes"
                  + (f"; first: {bad_examples[:3]}" if bad_examples else ""))
-    rep.add("curve point counts are even where halved", not parity_bad)
+    rep.add("curve point counts are even where halved", parity_ok)
 
     # scalar cross-check of the vectorized pipeline
     rng = random.Random(q * 7 + 1)
-    hyp = curves.triples_ok_columns(cols)
     sample_ok = True
     for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
         r = curves.verify_lemma_delta(F, Conic(*class_unrank(q, 6, i)), delta_bar=dbar)
@@ -679,34 +752,30 @@ def verify_relations(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
-    cols = conic_class_columns(F)
-    masks = _split_masks(cols)
-    grid = grid_points(F)
-    axis = [(0, t) for t in F.elements()]
-    bad = []
-    axis_bad = []
-    total = 0
-    for s, sel in masks.items():
-        if not sel.any():
-            continue
-        nf, ng, f_axis, g_axis = _split_counts(
-            F, cols, s, curves.quartic_monomials(F, grid, s), curves.sheared_monomials(F, grid, s),
-            curves.quartic_monomials(F, axis, s), curves.sheared_monomials(F, axis, s))
-        predicted = curves.f_minus_g_columns(F, cols, s)
-        total += int(np.count_nonzero(sel))
+    hyp = np.zeros(_layout_size(q, 6), dtype=bool)
+    bad = {s: [] for s in range(3)}  # the first failing classes per split exponent
+    axis_ok = True
+    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
+        ok = curves.triples_ok_columns(bc)
+        s = curves.split_exponent_columns(bc)
+        nf, f_axis = _quartic_counts(F, bc, s)
+        # N(G^(s)) = N(G): the coefficients G^(s) drops vanish at split exponent s
+        ng = _root_mask_counts(F, curves.term_columns(bc, curves.SHEARED_TERMS, 0))
+        g_axis = _root_counts(F, (bc[2], bc[4], 0, bc[5]))  # G(0, V) = a22 V^4 + a23 V^2 + a33
+        predicted = np.choose(s, [curves.f_minus_g_columns(F, bc, k) for k in range(3)])
         diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
-        wrong = sel & (diff != predicted)
-        bad += [(class_unrank(q, 6, i), int(diff[i]), int(predicted[i]))
-                for i in _first_indices(wrong, 5)]
-        if (sel & (f_axis.astype(np.int16) - g_axis != diff)).any():
-            axis_bad.append(s)
+        wrong = ok & (diff != predicted)
+        for k in range(3) if wrong.any() else ():
+            _first_in_chunk(bad[k], 5, blk, wrong & (s == k), diff, predicted)
+        axis_ok &= not (ok & (f_axis.astype(np.int16) - g_axis != diff)).any()
+        _chunk_view(hyp, blk, bc)[...] = ok
+    bad = [(class_unrank(q, 6, i), d, p) for k in range(3) for i, d, p in bad[k]]
     rep.add("tabulated count differences hold on every class", not bad, 0, len(bad),
-            note=f"checked {total} classes" + (f"; first: {bad[:3]}" if bad else ""))
-    rep.add("count differences are explained by points on the axis X = 0",
-            not axis_bad)
+            note=f"checked {int(np.count_nonzero(hyp))} classes"
+                 + (f"; first: {bad[:3]}" if bad else ""))
+    rep.add("count differences are explained by points on the axis X = 0", axis_ok)
 
     rng = random.Random(q * 7 + 2)
-    hyp = curves.triples_ok_columns(cols)
     sample_ok = True
     for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
         r = curves.verify_count_relations(F, Conic(*class_unrank(q, 6, i)))
@@ -824,52 +893,6 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # Hasse suite: windows for the cubic, and the transfer between G and H
 # ----------------------------------------------------------------------
 
-def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple]) -> np.ndarray:
-    """Per class, the points of a curve on the GF(q)^2 grid, as uint16: the
-    one kernel of N(G) and N(H).  `curve` maps the exponent (i, j) of each
-    X^i V^j to its coefficient's component columns: (c,) in GF(q), as G's
-    from curves.sheared_columns, or (c0, c1) in GF(q^2), as H's.
-
-    On the line V = v the curve is c2*X^2 + c1*X + c0, c_i = sum_j
-    curve[(i, j)] * v^j, and its points there are the common roots of the
-    component quadratics: the popcount of the AND of their root masks.  V
-    occurs in degree 0 or a power of 2, so v^j is additive and each mask
-    index c2 << 2h | c1 << h | c0 is GF(2)-affine in v: its value at v = 0
-    XOR one step column per set bit of v.  Visiting v in Gray-code order
-    costs one XOR of the indices per line.  The walk holds h + 2 index
-    columns per class and component, so callers pass chunks of at most
-    CLASS_BLOCK classes.  Each component walks on the broadcast shape of its
-    own columns: on factored class axes H's second one lacks a33."""
-    if any(i > 2 or j & (j - 1) for i, j in curve):
-        raise AssertionError("the root-mask walk needs X degree <= 2 and V degree 0 or "
-                             f"a power of 2; got {sorted(curve)}")
-    q, bits = F.q, F.h
-    masks = _root_masks(F)
-    index_dtype = np.min_scalar_type(q ** 3 - 1)
-    basis_powers = {j: [F.pow(1 << b, j) for b in range(bits)] for _, j in curve if j}
-    walks = []
-    for t in range(len(next(iter(curve.values())))):
-        shape = np.broadcast_shapes(*(coeff[t].shape for coeff in curve.values()))
-        index = np.zeros(shape, dtype=index_dtype)
-        steps = np.zeros((bits,) + shape, dtype=index_dtype)
-        for (i, j), coeff in curve.items():
-            if j == 0:
-                index |= coeff[t].astype(index_dtype) << i * bits
-            elif coeff[t].any():  # a V^(2^e) term that moves the index
-                for b, e in enumerate(basis_powers[j]):
-                    steps[b] ^= F.mul_col(coeff[t], e).astype(index_dtype) << i * bits
-        walks.append((index, steps, np.empty(shape, dtype=masks.dtype)))
-    found = [w[2] for w in walks]
-    counts = np.zeros(np.broadcast_shapes(*(f.shape for f in found)), dtype=np.uint16)
-    for k in range(q):
-        for index, steps, out in walks:
-            if k:
-                index ^= steps[(k & -k).bit_length() - 1]
-            np.take(masks, index, out=out)
-        counts += np.bitwise_count(functools.reduce(np.bitwise_and, found))
-    return counts
-
-
 def verify_hasse(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
@@ -888,7 +911,8 @@ def verify_hasse(F: Field) -> SuiteReport:
                & ((a12 != 0) | (a22 != 0)))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
-        ng, nh = _root_mask_counts(F, curves.sheared_columns(bc)), _root_mask_counts(F, h)
+        g = curves.term_columns(bc, curves.SHEARED_TERMS, 0)
+        ng, nh = _root_mask_counts(F, g), _root_mask_counts(F, h)
         rat = app & (vbar[1] == 0)
         for out, value in ((n_g, ng), (n_h, nh), (applicable, app), (rational, rat)):
             _chunk_view(out, blk, bc)[...] = value
@@ -906,8 +930,8 @@ def verify_hasse(F: Field) -> SuiteReport:
             F.vmul(a12, r2) ^ F.vmul(a23, r) ^ a13,
             F.vmul(a22, F.vmul(r2, r2)) ^ F.vmul(a23, r2) ^ a33,
         )
-        corrected = (ng.astype(np.int32) - _quadratic_root_counts(F, g_on_vbar)
-                     + _quadratic_root_counts(F, (a12, h_x, h_const)))
+        corrected = (ng.astype(np.int32) - _root_counts(F, g_on_vbar)
+                     + _root_counts(F, (a12, h_x, h_const)))
         n_transfer += int(np.count_nonzero(rat & (corrected == nh)))
     n_app = int(np.count_nonzero(applicable))
     n_rational = int(np.count_nonzero(rational))
@@ -981,34 +1005,31 @@ def verify_hasse(F: Field) -> SuiteReport:
 
 def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
-    window and exceptional-family accounting."""
+    window and exceptional-family accounting, reduced chunk by chunk."""
     t0 = time.perf_counter()
     q = F.q
     delta = delta or build_delta(F, include_origin=False)
-    counts = zero_counts(F, conic_class_columns(F), delta.conic_monomials())
-    nondeg, family_parabola, family_vertical = (np.zeros(len(counts), dtype=bool)
-                                                for _ in range(3))
+    masks = _line_masks(F, delta.points)
+    in_win = np.array([in_sqrt_window(2 * c, q) for c in range(len(delta) + 1)])
+    hist, viol_hist = (np.zeros(len(delta) + 1, dtype=np.int64) for _ in range(2))
+    n_parabola, examples = 0, []
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
-        for out, value in zip((nondeg, family_parabola, family_vertical),
-                              (degeneracy_columns(F, bc) != 0, *exceptional_columns(F, bc))):
-            _chunk_view(out, blk, bc)[...] = value
-    in_win = np.array([in_sqrt_window(2 * c, q) for c in range(int(counts.max()) + 1)])
-    window_ok = in_win[counts]
-
-    hist = np.bincount(counts[nondeg])
-    explained = window_ok | family_parabola | family_vertical
-    violations = nondeg & ~explained
-    viol_hist = np.bincount(counts[violations], minlength=1)
+        counts = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), masks)
+        nondeg = np.broadcast_to(degeneracy_columns(F, bc) != 0, counts.shape)
+        family_parabola, family_vertical = exceptional_columns(F, bc)
+        violations = nondeg & ~(in_win[counts] | family_parabola | family_vertical)
+        hist += np.bincount(counts[nondeg], minlength=len(hist))
+        viol_hist += np.bincount(counts[violations], minlength=len(hist))
+        n_parabola += int(np.count_nonzero(nondeg & family_parabola))
+        _first_in_chunk(examples, 8, blk, violations, counts)
     return {
         "q": q,
-        "nondegenerate_classes": int(nondeg.sum()),
-        "histogram": {int(c): int(n) for c, n in enumerate(hist) if n},
-        "window_violations": int(violations.sum()),
-        "violation_counts": {int(c): int(n) for c, n in enumerate(viol_hist) if n},
-        "violation_examples": [
-            (class_unrank(q, 6, i), int(counts[i])) for i in _first_indices(violations, 8)
-        ],
-        "exceptional_parabola_classes": int((nondeg & family_parabola).sum()),
+        "nondegenerate_classes": int(hist.sum()),
+        "histogram": {c: int(n) for c, n in enumerate(hist) if n},
+        "window_violations": int(viol_hist.sum()),
+        "violation_counts": {c: int(n) for c, n in enumerate(viol_hist) if n},
+        "violation_examples": [(class_unrank(q, 6, i), c) for i, c in examples],
+        "exceptional_parabola_classes": n_parabola,
         "elapsed": round(time.perf_counter() - t0, 3),
     }
 
@@ -1020,9 +1041,10 @@ def _line_sweep(F: Field, delta: DeltaSet, dbar: DeltaSet):
 
     The lines are the width-3 layout over (a13, a23, a33) minus its last
     class (0, 0, 1), the constant 1, so they come in `all_lines` order."""
-    cols, counts = _sub_layout(F, (3, 4, 5), delta.conic_monomials(), dbar.conic_monomials())
-    cols = [c[:-1] for c in cols]
-    nd, nb = (c[:-1] for c in counts)
+    a13, a23, a33 = (c[:-1] for c in projective_class_columns(F.q, 3, F.np_dtype))
+    zero = np.zeros_like(a13)
+    cols = [zero, zero, zero, a13, a23, a33]
+    nd, nb = (_delta_counts(F, s, cols) for s in (delta, dbar))
     return cols, line_delta_count_closed_form(F, cols[3:]), nd, nb
 
 
@@ -1042,9 +1064,11 @@ def line_spectrum(F: Field) -> dict:
 def parabola_spectrum(F: Field) -> dict:
     """Brute-force counts over every class with a12 = a22 = 0 (vectorized),
     compared against the closed form and its origin rule."""
-    cols, (counts_d, counts_b) = _sub_layout(
-        F, (0, 3, 4, 5), build_delta(F, include_origin=False).conic_monomials(),
-        build_delta(F, include_origin=True).conic_monomials())
+    a11, a13, a23, a33 = projective_class_columns(F.q, 4, F.np_dtype)
+    zero = np.zeros_like(a11)
+    cols = [a11, zero, zero, a13, a23, a33]
+    counts_d, counts_b = (_delta_counts(F, build_delta(F, include_origin=io), cols)
+                          for io in (False, True))
     pred_d = parabola_count_closed_form(F, cols)
     pred_b = pred_d + (cols[5] == 0)
     mismatches = [

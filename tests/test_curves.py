@@ -384,20 +384,28 @@ def test_invariants_survive_optimize():
 
 
 def test_cubic_h_walk_precondition_survives_optimize():
-    """Under python -O, an H with a V^3 term still stops the root-mask walk
-    with an AssertionError instead of a wrong count."""
+    """Under python -O, the root-mask kernel's preconditions still raise
+    instead of giving a wrong count: the tables stop at q = 64 (64-bit
+    masks), and a curve with the counted variable in a degree outside
+    0, 1, 2 and 4 (here T^3) stops the walk with an AssertionError."""
     script = "\n".join([
         "import numpy as np",
         "from deltacodes.field import Field",
-        "from deltacodes.verify import _root_mask_counts",
+        "from deltacodes.verify import _root_mask_counts, _root_masks",
         "assert False, 'asserts must be stripped'",
+        "try:",
+        "    _root_masks(Field(7), 4)",
+        "    raise SystemExit('root masks built at q = 128')",
+        "except ValueError as exc:",
+        "    print(exc)",
         "zero = np.zeros(3, dtype=np.uint8)",
-        "_root_mask_counts(Field(2), {(0, 0): (zero, zero), (0, 3): (zero, zero)})",
+        "_root_mask_counts(Field(2), {(0, 0): (zero, zero), (3, 0): (zero, zero)})",
     ])
     proc = _run_optimized(script)
     assert proc.returncode == 1, proc.stderr
-    assert ("AssertionError: the root-mask walk needs X degree <= 2 and V degree 0 "
-            "or a power of 2") in proc.stderr
+    assert "root masks are 64-bit, so q <= 64; got q = 128" in proc.stdout
+    assert ("AssertionError: the root-mask walk needs the counted variable in degrees "
+            "0, 1, 2 and 4") in proc.stderr
 
 
 def test_scalar_predicates_return_python_values(F8):

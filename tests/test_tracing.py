@@ -15,7 +15,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # from a traced call, so that renaming a wrapped function fails here
 REQUIRED_LAYERS = {
     ("verify", "--suite", "geometry", "--q", "4"): (
-        {"verify.class_columns", "verify.zero_counts"}, {"geometry.parabola_count_closed_form"}),
+        {"verify.class_columns"}, {"geometry.parabola_count_closed_form"}),
     ("verify", "--suite", "lemma", "--q", "4"): ({"geometry.count_on_delta"}, set()),
     ("net", "--q", "4", "--seed", "1"): ({"constructions.net"}, set()),
 }

@@ -3,8 +3,11 @@ closed forms that fail are pinned here by name so a regression in either
 direction (a truth check breaking, or a known discrepancy silently
 disappearing) is caught."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deltacodes.field import Field
 from deltacodes.verify import (
@@ -255,32 +258,101 @@ def test_factored_formulas_equal_flat_blocks(h, block, monkeypatch):
                 assert np.array_equal(value, flat[key]), (key, blk)
 
 
+def _zero_counts_at_own_s(F, cols, monomials_at):
+    """zero_counts of the monomial set monomials_at(s) on each class, read
+    at the class's own split exponent s."""
+    from deltacodes import curves
+    s_all = curves.split_exponent_columns(cols)
+    out = np.zeros(len(cols[0]), dtype=np.int64)
+    for s in range(3):
+        out[s_all == s] = zero_counts(F, cols, monomials_at(s))[s_all == s]
+    return out
+
+
 @pytest.mark.parametrize("h, block", [(2, None), (3, None), (4, None), (2, SMALL_BLOCK)])
 def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
-    """N(G) by the root-mask walk on each factored chunk, as hasse counts
-    it, equals the zero_counts sweep of G's grid monomials on every class."""
+    """Every count of the root-mask walk and its axis lookups, as the
+    sweeps take them on factored chunks, equals the zero_counts sweep of
+    the same curve's monomials on every class: Delta and DeltaBar, N(F^(s))
+    and its axis part at each class's own s, N(G) and its axis part, and
+    Delta and DeltaBar on the line and parabola sub-layouts."""
     from deltacodes import curves, verify
-    from deltacodes.verify import _root_mask_counts, factored_class_chunks, grid_points
+    from deltacodes.geometry import build_delta
+    from deltacodes.verify import (_delta_counts, _line_masks, _quartic_counts, _root_counts,
+                                   _root_mask_counts, factored_class_chunks)
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = Field(h)
-    expected = zero_counts(F, conic_class_columns(F),
-                           curves.sheared_monomials(F, grid_points(F), 0))
+    cols = conic_class_columns(F)
+    grid = [(x, y) for x in F.elements() for y in F.elements()]
+    axis = [(0, t) for t in F.elements()]
+    sets = [build_delta(F, include_origin=io) for io in (False, True)]
+    expected = {
+        "delta": zero_counts(F, cols, sets[0].conic_monomials()),
+        "dbar": zero_counts(F, cols, sets[1].conic_monomials()),
+        "n_f": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, grid, s)),
+        "f_axis": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, axis, s)),
+        "n_g": zero_counts(F, cols, curves.sheared_monomials(F, grid, 0)),
+        "g_axis": zero_counts(F, cols, curves.sheared_monomials(F, axis, 0)),
+    }
     stop = 0
     for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
-        n_g = _root_mask_counts(F, curves.sheared_columns(bc))
-        assert n_g.dtype == np.uint16
-        assert n_g.shape == np.broadcast_shapes(*(c.shape for c in bc)), blk
-        assert np.array_equal(n_g.ravel(), expected[blk]), blk
+        shape = np.broadcast_shapes(*(c.shape for c in bc))
+        n_f, f_axis = _quartic_counts(F, bc, curves.split_exponent_columns(bc))
+        conic = curves.term_columns(bc, curves.CONIC_TERMS, 1)
+        got = {
+            "delta": _root_mask_counts(F, conic, _line_masks(F, sets[0].points)),
+            "dbar": _root_mask_counts(F, conic, _line_masks(F, sets[1].points)),
+            "n_f": n_f,
+            "f_axis": f_axis,
+            "n_g": _root_mask_counts(F, curves.term_columns(bc, curves.SHEARED_TERMS, 0)),
+            "g_axis": _root_counts(F, (bc[2], bc[4], 0, bc[5])),
+        }
+        assert got["n_g"].dtype == np.uint16
+        assert got["n_g"].shape == shape, blk
+        for key, value in got.items():
+            assert np.array_equal(_flat(value, shape), expected[key][blk]), (key, blk)
         stop = blk.stop
-    assert stop == len(expected)
+    assert stop == len(cols[0])
+    for kept in ((3, 4, 5), (0, 3, 4, 5)):  # lines and the parabola family
+        sub = projective_class_columns(F.q, len(kept), F.np_dtype)
+        conic = [sub[kept.index(i)] if i in kept else np.zeros_like(sub[0]) for i in range(6)]
+        for delta in sets:
+            monos = [[m[i] for i in kept] for m in delta.conic_monomials()]
+            assert np.array_equal(_delta_counts(F, delta, conic), zero_counts(F, sub, monos)), kept
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(h):
+    """GF(2^h), its conic class columns and their factored chunks."""
+    from deltacodes.verify import factored_class_chunks
+    F = Field(h)
+    return F, conic_class_columns(F), list(factored_class_chunks(F.q, 6, F.np_dtype))
+
+
+@given(h=st.sampled_from([2, 3, 4]), data=st.data())
+def test_masked_walk_equals_zero_counts_on_random_point_sets(h, data):
+    """For a random point set S of the plane, the walk with S's line masks
+    equals zero_counts on S's conic monomials on every class of a random
+    chunk."""
+    from deltacodes.curves import CONIC_TERMS, term_columns
+    from deltacodes.verify import _line_masks, _root_mask_counts
+    F, cols, chunks = _layout(h)
+    q = F.q
+    lines = data.draw(st.lists(st.integers(0, (1 << q) - 1), min_size=q, max_size=q))
+    points = [(x, y) for x in F.elements() for y in F.elements() if lines[x] >> y & 1]
+    blk, bc = chunks[data.draw(st.integers(0, len(chunks) - 1))]
+    monos = [(F.mul(x, x), F.mul(x, y), F.mul(y, y), x, y, 1) for x, y in points]
+    got = _root_mask_counts(F, term_columns(bc, CONIC_TERMS, 1), _line_masks(F, points))
+    shape = np.broadcast_shapes(*(c.shape for c in bc))
+    assert np.array_equal(_flat(got, shape), zero_counts(F, cols, monos)[blk])
 
 
 def test_counts_are_narrow(F16):
     """zero_counts returns the narrowest unsigned dtype that holds the number
     of points, and the root-mask popcounts are uint8."""
     from deltacodes.geometry import build_delta
-    from deltacodes.verify import _quadratic_root_counts
+    from deltacodes.verify import _root_counts
     cols = conic_class_columns(F16)
     assert zero_counts(F16, cols, build_delta(F16).conic_monomials()).dtype == np.uint8
     for n in (255, 256):
@@ -289,27 +361,7 @@ def test_counts_are_narrow(F16):
         assert counts.dtype == np.min_scalar_type(n) == (np.uint8 if n < 256 else np.uint16)
         assert int(counts[-1]) == n
     triple = (cols[0], cols[1], cols[2])
-    assert _quadratic_root_counts(F16, triple).dtype == np.uint8
-
-
-@pytest.mark.parametrize("h", [2, 3, 4])
-def test_split_sub_layout_counts_equal_full_layout(h):
-    """For s = 1 and 2, the counts swept on the width-5 and width-4
-    sub-layouts and scattered back by class rank equal the full-layout
-    sweep on every class with a33 = 0 (and a13 = 0 for s = 2)."""
-    from deltacodes import curves
-    from deltacodes.verify import _split_counts, grid_points
-    F = Field(h)
-    cols = conic_class_columns(F)
-    grid, axis = grid_points(F), [(0, t) for t in F.elements()]
-    for s, selected in ((1, cols[5] == 0), (2, (cols[3] == 0) & (cols[5] == 0))):
-        sets = [curves.quartic_monomials(F, grid, s), curves.sheared_monomials(F, grid, s),
-                curves.quartic_monomials(F, axis, s), curves.sheared_monomials(F, axis, s)]
-        for monos, sub in zip(sets, _split_counts(F, cols, s, *sets)):
-            full = zero_counts(F, cols, monos)
-            assert sub.dtype == full.dtype
-            assert np.array_equal(sub[selected], full[selected]), s
-            assert not sub[~selected].any(), s
+    assert _root_counts(F16, triple).dtype == np.uint8
 
 
 def test_blockwise_indices_match_the_full_index():
@@ -339,18 +391,21 @@ def test_zero_counts_rejects_plain_columns(F4):
 
 @pytest.mark.parametrize("h", [2, 3])
 def test_root_masks_match_direct_evaluation(h):
+    """Both tables against scalar evaluation of c4*x^4 + c2*x^2 + c1*x + c0;
+    the 3-slot table is the 4-slot one with c4 = 0."""
+    import itertools
     from deltacodes.verify import _root_masks
     F = Field(h)
     q = F.q
-    masks = _root_masks(F)
-    assert len(masks) == q ** 3
-    for c2 in F.elements():
-        for c1 in F.elements():
-            for c0 in F.elements():
-                mask = int(masks[(c2 * q + c1) * q + c0])
-                for x in F.elements():
-                    value = F.mul(c2, F.mul(x, x)) ^ F.mul(c1, x) ^ c0
-                    assert bool(mask >> x & 1) == (value == 0), (c2, c1, c0, x)
+    masks = _root_masks(F, 4)
+    assert len(masks) == q ** 4
+    assert np.array_equal(_root_masks(F), masks[:q ** 3])
+    for c4, c2, c1, c0 in itertools.product(F.elements(), repeat=4):
+        mask = int(masks[((c4 * q + c2) * q + c1) * q + c0])
+        for x in F.elements():
+            x2 = F.mul(x, x)
+            value = F.mul(c4, F.mul(x2, x2)) ^ F.mul(c2, x2) ^ F.mul(c1, x) ^ c0
+            assert bool(mask >> x & 1) == (value == 0), (c4, c2, c1, c0, x)
 
 
 def _pair_roots(F, pairs):
@@ -370,9 +425,9 @@ def _pair_roots(F, pairs):
 
 
 def _pair_lookup(F, pairs):
-    from deltacodes.verify import _quadratic_root_counts
+    from deltacodes.verify import _root_counts
     col = lambda k, t: np.array([p[k][t] for p in pairs], dtype=F.np_dtype)
-    return _quadratic_root_counts(
+    return _root_counts(
         F, *[(col(0, t), col(1, t), col(2, t)) for t in (0, 1)]).tolist()
 
 
@@ -419,7 +474,7 @@ def test_line_spectrum_q64():
 
 
 def test_parabola_spectrum_q64():
-    # the column closed form against both zero_counts sweeps at every class
+    # the column closed form against both walks at every class
     spec = parabola_spectrum(Field(6))
     assert spec["classes"] == 266305
     assert not spec["closed_form_mismatches"]
