@@ -24,7 +24,7 @@ import numpy as np
 
 from .field import Field
 from .geometry import Coeffs6, Conic, DeltaSet, count_on_delta
-from .verify import BudgetError, check_class_budget, projective_class_columns, zero_counts
+from .verify import BudgetError, check_class_budget, zero_counts
 
 
 @dataclass
@@ -158,8 +158,10 @@ def weight_distribution_classes(g: GeneratorMatrix) -> Counter:
     combination), plus the zero word."""
     F = g.field
     q, k, n = F.q, g.k, g.n
-    zeros = zero_counts(F, projective_class_columns(q, k, F.np_dtype), g.entries.T)
-    hist = np.bincount(n - zeros, minlength=n + 1) * (q - 1)
+    zeros = zero_counts(F, k, g.entries.T)
+    # bincount widens to intp, so it takes the zero counts in slices (34.6 M at q = 32)
+    hist = sum(np.bincount(zeros[lo:lo + (1 << 20)], minlength=n + 1)
+               for lo in range(0, len(zeros), 1 << 20))[::-1] * (q - 1)
     hist[0] += 1
     return Counter({w: int(c) for w, c in enumerate(hist) if c})
 

@@ -2,7 +2,7 @@
 
 Every suite checks stated closed forms and identities against brute-force
 ground truth.  The sweeps are vectorized over projective coefficient
-classes; the conic sweeps take them in factored chunks
+classes; each conic suite is one loop over factored chunks
 (`factored_class_chunks`) whose coefficients each sit on their own
 broadcast axis, so a value that depends on a few coefficients, such as
 vbar on (a11, a12, a22), is computed once per value of those.  Degeneracy
@@ -10,13 +10,14 @@ and the exceptional families come from the column formulas in `geometry`;
 the coefficient-triple hypothesis, the split exponent, vbar, the curves F,
 G and H and the reducibility quantities from those in `curves`.  Every
 per-class point count (the conic on Delta and DeltaBar, F, G and H) comes
-from one root-mask walk over the lines of the plane (`_root_mask_counts`),
-and a class a report names is recovered from its layout position
-(`class_unrank`), so the conic sweeps hold no full conic columns; only the
-geometry suite's degeneracy oracle builds them, at q <= 8.  `zero_counts`
-remains the tests' independent count and the kernel of
+from one root-mask walk over the lines of the plane (`_root_mask_counts`).
+Each chunk is reduced before the next, to tallies and to the positions
+of the classes a report names or a cross-check draws (`_first_in_chunk`,
+`_Draw`; named by `class_unrank`), so the conic sweeps hold no per-class
+arrays.
+`zero_counts` remains the tests' independent count and the kernel of
 `codes.weight_distribution_classes`.
-On a deterministic sample of classes each sweep is cross-checked against
+On a deterministic draw of classes each sweep is cross-checked against
 brute force: point counts by evaluating the curves at every point of the
 plane, and linear components of H by evaluating it at points of each
 candidate line, so a bug in the fast path cannot silently pass.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence
@@ -54,8 +56,10 @@ from .geometry import (
 from . import curves
 
 SAMPLE_CHECKS = 40  # scalar cross-checks per vectorized sweep
-CLASS_BUDGET = 1 << 26  # projective classes one sweep may lay out
-CLASS_BLOCK = 1 << 16  # classes per block of the per-class sweeps
+# projective classes one sweep may take: a bound on run time, as the conic
+# sweeps hold no per-class array (the layouts built in full do)
+CLASS_BUDGET = 1 << 26
+CLASS_BLOCK = 1 << 16  # classes per chunk of the per-class sweeps
 
 
 class BudgetError(RuntimeError):
@@ -120,16 +124,6 @@ def _jsonable(v):
 # Vectorized class enumeration and zero counting
 # ----------------------------------------------------------------------
 
-class ClassColumns(list):
-    """The coefficient columns of `projective_class_columns`, together with
-    the (q, width) of their layout, which `zero_counts` sweeps block by
-    block instead of reading the columns."""
-
-    def __init__(self, columns, q: int, width: int):
-        super().__init__(columns)
-        self.q, self.width = q, width
-
-
 def _layout_size(q: int, width: int) -> int:
     """The number of projective classes of GF(q)^width."""
     return (q ** width - 1) // (q - 1)
@@ -144,7 +138,7 @@ def check_class_budget(q: int, width: int) -> None:
                           f"the sweep budget of 2^{CLASS_BUDGET.bit_length() - 1}")
 
 
-def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns:
+def projective_class_columns(q: int, width: int, dtype=np.uint8) -> list[np.ndarray]:
     """Coefficient columns of all (q^width - 1)/(q - 1) projective classes,
     ordered with the leading 1 moving right and the tail in product order
     (last coordinate fastest): the chunks of `factored_class_chunks`
@@ -153,12 +147,13 @@ def projective_class_columns(q: int, width: int, dtype=np.uint8) -> ClassColumns
     check_class_budget(q, width)
     cols = [np.empty(_layout_size(q, width), dtype=dtype) for _ in range(width)]
     for blk, chunk in factored_class_chunks(q, width, dtype):
+        shape = _chunk_shape(chunk)
         for col, c in zip(cols, chunk):
-            _chunk_view(col, blk, chunk)[...] = c
-    return ClassColumns(cols, q, width)
+            col[blk].reshape(shape)[...] = c
+    return cols
 
 
-def conic_class_columns(F: Field) -> ClassColumns:
+def conic_class_columns(F: Field) -> list[np.ndarray]:
     return projective_class_columns(F.q, 6, F.np_dtype)
 
 
@@ -196,10 +191,10 @@ def factored_class_chunks(q: int, width: int, dtype=np.uint8):
         lo += q ** t
 
 
-def _chunk_view(out: np.ndarray, blk: slice, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """The classes `blk` of a full-length per-class array, as a view with
-    the broadcast shape of a chunk's factored columns."""
-    return out[blk].reshape(np.broadcast_shapes(*(c.shape for c in cols)))
+def _chunk_shape(cols: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """The broadcast shape of a chunk's factored columns: its classes, in
+    layout order when flattened."""
+    return np.broadcast_shapes(*(c.shape for c in cols))
 
 
 def class_rank(q: int, width: int, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -237,12 +232,13 @@ def class_unrank(q: int, width: int, rank: int) -> tuple[int, ...]:
     return (0,) * lead + (1,) + tuple(rank // q ** (t - 1 - j) % q for j in range(t))
 
 
-def zero_counts(F: Field, coeff_arrays: ClassColumns,
-                point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
-    """For each class of a `projective_class_columns` layout, the number of
-    points whose monomial combination evaluates to zero, in the narrowest
-    unsigned dtype that holds the number of points.  coeff_arrays[i] pairs
-    with point_monomials[*][i].
+def zero_counts(F: Field, width: int, point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
+    """For each class of the layout of projective_class_columns(F.q, width),
+    the number of points whose monomial combination evaluates to zero, in
+    the narrowest unsigned dtype that holds the number of points.
+    Coordinate i of a class pairs with point_monomials[*][i].  Raises
+    BudgetError, before allocating, when there are more than CLASS_BUDGET
+    classes.
 
     In the block whose leading 1 sits at `lead`, with t tail coordinates, a
     class is a prefix index i over the first t//2 tail coordinates and a
@@ -251,10 +247,8 @@ def zero_counts(F: Field, coeff_arrays: ClassColumns,
     halves.  Each point and block then costs one broadcast compare instead
     of a gather over the classes, and adds into that block of the result.
     """
-    if not isinstance(coeff_arrays, ClassColumns):
-        raise TypeError("zero_counts sweeps the layout of projective_class_columns; "
-                        "got plain columns")
-    q, width = coeff_arrays.q, coeff_arrays.width
+    q = F.q
+    check_class_budget(q, width)
     monos = [[int(m) for m in point] for point in point_monomials]
     elems = np.arange(q, dtype=F.np_dtype)
     counts = np.zeros(_layout_size(q, width), dtype=np.min_scalar_type(len(monos)))
@@ -342,7 +336,7 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
     step column per set bit of v: one XOR per line in Gray-code order.
     Other powers of v (F's X^3) are evaluated on each line.  The walk holds
     h + 2 index columns per class and component, so callers pass chunks of
-    at most CLASS_BLOCK classes."""
+    at most CLASS_BLOCK classes or a small sub-layout."""
     if any(i not in SLOT_EXPONENTS for i, _ in curve):
         raise AssertionError("the root-mask walk needs the counted variable in degrees "
                              f"0, 1, 2 and 4; got {sorted(curve)}")
@@ -391,14 +385,10 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
 
 
 def _delta_counts(F: Field, delta: DeltaSet, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """|C ∩ delta| per class of flat conic columns, in the narrowest unsigned
-    dtype that holds len(delta), CLASS_BLOCK classes at a time."""
-    masks = _line_masks(F, delta.points)
-    counts = np.zeros(len(cols[0]), dtype=np.min_scalar_type(len(delta)))
-    for blk in _class_blocks(len(counts)):
-        conic = curves.term_columns([c[blk] for c in cols], curves.CONIC_TERMS, 1)
-        counts[blk] = _root_mask_counts(F, conic, masks)
-    return counts
+    """|C ∩ delta| per class of flat conic columns, as uint16, in one walk:
+    the line and parabola sub-layouts hold at most 266305 classes (q = 64)."""
+    conic = curves.term_columns(cols, curves.CONIC_TERMS, 1)
+    return _root_mask_counts(F, conic, _line_masks(F, delta.points))
 
 
 def _quartic_counts(F: Field, cols: Sequence[np.ndarray], s) -> tuple[np.ndarray, np.ndarray]:
@@ -458,47 +448,43 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
     return found
 
 
-def _class_blocks(n: int):
-    """Slices of CLASS_BLOCK consecutive classes that cover range(n)."""
-    return (slice(lo, lo + CLASS_BLOCK) for lo in range(0, n, CLASS_BLOCK))
-
-
-def _first_indices(mask: np.ndarray, k: int) -> list[int]:
-    """The first k classes set in mask, found block by block, so that no
-    index of every set class is built."""
-    out: list[int] = []
-    for blk in _class_blocks(len(mask)):
-        out += (blk.start + np.flatnonzero(mask[blk])[:k - len(out)]).tolist()
-        if len(out) == k:
-            break
-    return out
-
-
 def _first_in_chunk(found: list, k: int, blk: slice, mask: np.ndarray, *values) -> None:
     """Extend `found` with (layout position, value, ...) for the first
     classes set in a chunk's mask, until it holds k; the mask has the
     chunk's broadcast shape, and each value broadcasts against it."""
+    if len(found) == k:
+        return
     idx = np.flatnonzero(mask)[:k - len(found)]
     at = np.unravel_index(idx, mask.shape)
     found += zip((blk.start + idx).tolist(),
                  *(np.broadcast_to(v, mask.shape)[at].tolist() for v in values))
 
 
-def _sample_indices(rng: random.Random, mask: np.ndarray, k: int) -> list[int]:
-    """k draws, with replacement, of classes set in mask: each draw is a
-    uniform position in np.flatnonzero(mask), located through per-block
-    counts instead of that full index."""
-    counts = np.array([np.count_nonzero(mask[blk]) for blk in _class_blocks(len(mask))],
-                      dtype=np.int64)
-    ends = np.cumsum(counts)
-    n = int(ends[-1]) if len(ends) else 0
-    picks = []
-    for _ in range(min(k, n)):
-        r = rng.randrange(n)
-        b = int(np.searchsorted(ends, r, side="right"))
-        lo = b * CLASS_BLOCK
-        picks.append(lo + int(np.flatnonzero(mask[lo:lo + CLASS_BLOCK])[r - ends[b] + counts[b]]))
-    return picks
+class _Draw:
+    """The classes of a scalar cross-check: k seeded uniform positions in
+    the layout of the conic classes, each drawing the first class set in
+    the masks at or after it (with replacement).  Chunks come in layout
+    order; the draw does not depend on how the layout is chunked, and a
+    chunk that no pending position reaches costs nothing."""
+
+    def __init__(self, q: int, k: int, seed: int):
+        rng = random.Random(seed)
+        self.targets = sorted(rng.randrange(_layout_size(q, 6)) for _ in range(k))
+        self.drawn: list[tuple] = []  # (layout position, value, ...)
+
+    def add(self, blk: slice, mask: np.ndarray, *values) -> None:
+        """Draw for the positions before the chunk's end.  As in
+        `_first_in_chunk`, each value broadcasts against the mask."""
+        while self.targets and self.targets[0] < blk.stop:
+            flat = mask.ravel()
+            i = max(self.targets[0] - blk.start, 0)
+            i += int(np.argmax(flat[i:]))  # the first set class from i on, if any
+            if not flat[i]:
+                return  # the pending positions wait for the next chunk
+            at = np.unravel_index(i, mask.shape)
+            self.drawn.append((blk.start + i, *(np.broadcast_to(v, mask.shape)[at].item()
+                                                for v in values)))
+            self.targets.pop(0)
 
 
 # ----------------------------------------------------------------------
@@ -618,7 +604,7 @@ def verify_geometry(F: Field) -> SuiteReport:
     generic = ~(unexplained | square | origin)
     n_unexplained = int(np.count_nonzero(unexplained))
     first = [(class_unrank(q, 3, i), int(td[i]), int(tb[i]), int(nd[i]), int(nb[i]))
-             for i in _first_indices(unexplained, 3)]
+             for i in np.flatnonzero(unexplained)[:3]]
     rep.add("verified line closed form matches brute force on every line",
             not n_unexplained, 0, n_unexplained,
             note=f"first: {first}" if first else "")
@@ -708,13 +694,10 @@ def verify_lemma(F: Field) -> SuiteReport:
     rep = SuiteReport("lemma", q, F.modulus)
     dbar = build_delta(F, include_origin=True)
     dbar_masks = _line_masks(F, dbar.points)
-    n = _layout_size(q, 6)
-    lhs = np.zeros(n, dtype=np.min_scalar_type(len(dbar)))
-    hyp = np.zeros(n, dtype=bool)
+    n_hyp, parity_ok, draw = 0, True, _Draw(q, SAMPLE_CHECKS, q * 7 + 1)
     bad = {s: [] for s in range(3)}  # the first failing classes per split exponent
-    parity_ok = True
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
-        ok = curves.triples_ok_columns(bc)
+        ok = np.broadcast_to(curves.triples_ok_columns(bc), _chunk_shape(bc))
         s = curves.split_exponent_columns(bc)
         count = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), dbar_masks)
         nf, _ = _quartic_counts(F, bc, s)
@@ -723,21 +706,20 @@ def verify_lemma(F: Field) -> SuiteReport:
         wrong = odd | (ok & (count != curves.lemma_rhs(nf, curves.lemma_case_columns(F, bc))))
         for k in range(3) if wrong.any() else ():
             _first_in_chunk(bad[k], 5, blk, wrong & (s == k), count)
-        for out, value in ((lhs, count), (hyp, ok)):
-            _chunk_view(out, blk, bc)[...] = value
+        n_hyp += int(np.count_nonzero(ok))
+        draw.add(blk, ok, count)
     bad_examples = [(class_unrank(q, 6, i), c) for k in range(3) for i, c in bad[k]]
     rep.add("intersection count equals its curve-count expression on every class",
             not bad_examples, 0, len(bad_examples),
-            note=f"checked {int(np.count_nonzero(hyp))} classes"
+            note=f"checked {n_hyp} classes"
                  + (f"; first: {bad_examples[:3]}" if bad_examples else ""))
     rep.add("curve point counts are even where halved", parity_ok)
 
     # scalar cross-check of the vectorized pipeline
-    rng = random.Random(q * 7 + 1)
     sample_ok = True
-    for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
+    for i, lhs in draw.drawn:
         r = curves.verify_lemma_delta(F, Conic(*class_unrank(q, 6, i)), delta_bar=dbar)
-        sample_ok &= r["ok"] and r["lhs"] == int(lhs[i])
+        sample_ok &= r["ok"] and r["lhs"] == lhs
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
     rep.elapsed = time.perf_counter() - t0
@@ -752,11 +734,10 @@ def verify_relations(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
-    hyp = np.zeros(_layout_size(q, 6), dtype=bool)
+    n_hyp, axis_ok, draw = 0, True, _Draw(q, SAMPLE_CHECKS, q * 7 + 2)
     bad = {s: [] for s in range(3)}  # the first failing classes per split exponent
-    axis_ok = True
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
-        ok = curves.triples_ok_columns(bc)
+        ok = np.broadcast_to(curves.triples_ok_columns(bc), _chunk_shape(bc))
         s = curves.split_exponent_columns(bc)
         nf, f_axis = _quartic_counts(F, bc, s)
         # N(G^(s)) = N(G): the coefficients G^(s) drops vanish at split exponent s
@@ -768,18 +749,19 @@ def verify_relations(F: Field) -> SuiteReport:
         for k in range(3) if wrong.any() else ():
             _first_in_chunk(bad[k], 5, blk, wrong & (s == k), diff, predicted)
         axis_ok &= not (ok & (f_axis.astype(np.int16) - g_axis != diff)).any()
-        _chunk_view(hyp, blk, bc)[...] = ok
+        n_hyp += int(np.count_nonzero(ok))
+        draw.add(blk, ok, nf, ng)
     bad = [(class_unrank(q, 6, i), d, p) for k in range(3) for i, d, p in bad[k]]
     rep.add("tabulated count differences hold on every class", not bad, 0, len(bad),
-            note=f"checked {int(np.count_nonzero(hyp))} classes"
+            note=f"checked {n_hyp} classes"
                  + (f"; first: {bad[:3]}" if bad else ""))
     rep.add("count differences are explained by points on the axis X = 0", axis_ok)
 
-    rng = random.Random(q * 7 + 2)
     sample_ok = True
-    for i in _sample_indices(rng, hyp, SAMPLE_CHECKS):
+    for i, nf, ng in draw.drawn:
         r = curves.verify_count_relations(F, Conic(*class_unrank(q, 6, i)))
-        sample_ok &= r["ok"] and r["axis_ok"] and r["g_axis_closed_form_ok"]
+        sample_ok &= (r["ok"] and r["axis_ok"] and r["g_axis_closed_form_ok"]
+                      and (r["n_f"], r["n_g"]) == (nf, ng))
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
     rep.elapsed = time.perf_counter() - t0
@@ -832,30 +814,36 @@ def verify_reducibility(F: Field) -> SuiteReport:
     t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
-    applicable, degenerate, stated, honest = (np.zeros(_layout_size(q, 6), dtype=bool)
-                                              for _ in range(4))
-    identities = {"identity_q12": True, "identity_q13": True}
+    identities, tally = {"identity_q12": True, "identity_q13": True}, Counter()
+    first = {key: [] for key in ("disagree", "mismatch", "gap")}  # in layout order
+    # 40 applicable classes, and 8 more from the gap where there is one
+    draws = [_Draw(q, SAMPLE_CHECKS, q * 7 + 3), _Draw(q, 8, q * 7 + 5), _Draw(q, 8, q * 7 + 5)]
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         a11, a12, a22, a13, a23, a33 = bc
-        app = curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0))
+        app = np.broadcast_to(curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0)),
+                              _chunk_shape(bc))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
         red = curves.reducibility_columns(F, bc, vbar, h)
-        for out, value in ((applicable, app), (degenerate, degeneracy_columns(F, bc) == 0),
-                           (stated, red["reducible"]),
-                           (honest, _honest_linear_sweep(F, bc, h, red))):
-            _chunk_view(out, blk, bc)[...] = value
+        degenerate, stated = degeneracy_columns(F, bc) == 0, red["reducible"]
+        honest = _honest_linear_sweep(F, bc, h, red)
+        masks = {"checked": app, "disagree": app & (stated != degenerate),
+                 "mismatch": app & (honest != degenerate), "gap": app & honest & ~stated}
+        for key, mask in masks.items():
+            tally[key] += int(np.count_nonzero(mask))
+        _first_in_chunk(first["disagree"], 5, blk, masks["disagree"], stated, degenerate)
+        _first_in_chunk(first["mismatch"], 5, blk, masks["mismatch"], honest, degenerate)
+        _first_in_chunk(first["gap"], 5, blk, masks["gap"])
         both = app & (a12 != 0) & (a22 != 0)
         for key in identities:
             identities[key] &= not (both & ~red[key]).any()
+        for draw, mask in zip(draws, (app, masks["gap"], app)):
+            draw.add(blk, mask, honest)
 
-    disagree = applicable & (stated != degenerate)
-    n_checked = int(np.count_nonzero(applicable))
-    bad = [(class_unrank(q, 6, i), bool(stated[i]), bool(degenerate[i]))
-           for i in _first_indices(disagree, 5)]
+    bad = [(class_unrank(q, 6, i), s, d) for i, s, d in first["disagree"]]
     rep.add("stated component criteria hold iff the conic is degenerate",
-            not bad, 0, int(np.count_nonzero(disagree)),
-            note=f"checked {n_checked} classes" + (f"; first: {bad}" if bad else ""))
+            not bad, 0, tally["disagree"],
+            note=f"checked {tally['checked']} classes" + (f"; first: {bad}" if bad else ""))
 
     for name, key in (
         ("resultant identity Q12 = a22 * R12", "identity_q12"),
@@ -863,26 +851,22 @@ def verify_reducibility(F: Field) -> SuiteReport:
     ):
         rep.add(name, identities[key])
 
-    mismatch = applicable & (honest != degenerate)
-    bad_h = [(class_unrank(q, 6, i), bool(honest[i]), bool(degenerate[i]))
-             for i in _first_indices(mismatch, 5)]
+    bad_h = [(class_unrank(q, 6, i), h, d) for i, h, d in first["mismatch"]]
     rep.add("H has a linear component iff the conic is degenerate",
-            not bad_h, 0, int(np.count_nonzero(mismatch)),
+            not bad_h, 0, tally["mismatch"],
             note=("stated equivalence fails: the criteria miss lines through "
                   "the third infinite point; first: " + str(bad_h)) if bad_h else "")
-    gap = applicable & honest & ~stated
     rep.add("stated criteria capture every linear component",
-            not gap.any(), 0, int(gap.sum()),
+            not tally["gap"], 0, tally["gap"],
             note=("classes with a line through (a22:a12:0) missed by the "
                   "stated criteria; first: "
-                  + str([class_unrank(q, 6, i) for i in _first_indices(gap, 5)]))
-            if gap.any() else "")
+                  + str([class_unrank(q, 6, i) for i, in first["gap"]]))
+            if tally["gap"] else "")
 
-    rng = random.Random(q * 7 + 3)
-    picks = _sample_indices(rng, applicable, SAMPLE_CHECKS)
-    picks += _sample_indices(rng, gap if gap.any() else applicable, 8)
-    sample_ok = all(curves.has_linear_component(F, Conic(*class_unrank(q, 6, i)))[0]
-                    == bool(honest[i]) for i in picks)
+    checked, gap, more = (draw.drawn for draw in draws)
+    picks = checked + (gap or more)
+    sample_ok = all(curves.has_linear_component(F, Conic(*class_unrank(q, 6, i)))[0] == line
+                    for i, line in picks)
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
     rep.elapsed = time.perf_counter() - t0
@@ -898,24 +882,31 @@ def verify_hasse(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("hasse", q, F.modulus)
 
-    # per chunk of classes on factored axes: applicability, vbar, G, H, both
-    # counts by the root-mask walk and the corrected transfer; only the
-    # counts and two masks are kept for every class
-    n = _layout_size(q, 6)
-    n_g, n_h = (np.zeros(n, dtype=np.uint16) for _ in range(2))
-    applicable, rational = (np.zeros(n, dtype=bool) for _ in range(2))
-    n_transfer = 0
+    # per chunk on factored axes: applicability, vbar, G, H, both counts by the
+    # root-mask walk, the windows and the corrected transfer, reduced to tallies,
+    # the first violators and the positions of the rational-vbar window violators
+    in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
+                       for x in range(q * q + 1)])  # N(H) <= q^2
+    tally, unequal, outside, viol = Counter(), [], [], []
+    draw = _Draw(q, SAMPLE_CHECKS, q * 7 + 4)
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         a11, a12, a22, a13, a23, a33 = bc
-        app = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
-               & ((a12 != 0) | (a22 != 0)))
+        app = np.broadcast_to(curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
+                              & ((a12 != 0) | (a22 != 0)), _chunk_shape(bc))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
         g = curves.term_columns(bc, curves.SHEARED_TERMS, 0)
         ng, nh = _root_mask_counts(F, g), _root_mask_counts(F, h)
-        rat = app & (vbar[1] == 0)
-        for out, value in ((n_g, ng), (n_h, nh), (applicable, app), (rational, rat)):
-            _chunk_view(out, blk, bc)[...] = value
+        rat, win = app & (vbar[1] == 0), in_win[nh]
+        masks = {"applicable": app, "rational": rat, "unequal": app & (ng != nh),
+                 "outside": app & ~win, "rational_in_window": rat & win,
+                 "quadratic": app & ~rat, "quadratic_in_window": app & ~rat & win}
+        for key, mask in masks.items():
+            tally[key] += int(np.count_nonzero(mask))
+        _first_in_chunk(unequal, 3, blk, masks["unequal"], ng, nh)
+        _first_in_chunk(outside, 5, blk, masks["outside"], nh)
+        viol += (blk.start + np.flatnonzero(masks["outside"] & rat)).tolist()
+        draw.add(blk, app, ng, nh)
         if not rat.any():
             continue
         # corrected transfer: the quadratic map sends the (up to) k points of
@@ -932,52 +923,41 @@ def verify_hasse(F: Field) -> SuiteReport:
         )
         corrected = (ng.astype(np.int32) - _root_counts(F, g_on_vbar)
                      + _root_counts(F, (a12, h_x, h_const)))
-        n_transfer += int(np.count_nonzero(rat & (corrected == nh)))
-    n_app = int(np.count_nonzero(applicable))
-    n_rational = int(np.count_nonzero(rational))
+        tally["transfer"] += int(np.count_nonzero(rat & (corrected == nh)))
+    n_app, n_rational = tally["applicable"], tally["rational"]
 
     # claim 1: N(G) = N(H)
-    unequal = applicable & (n_g != n_h)
-    n_eq = n_app - int(np.count_nonzero(unequal))
+    n_eq = n_app - tally["unequal"]
     rep.add("stated transfer N(G) = N(H) holds on every applicable class",
             n_eq == n_app, n_app, n_eq,
             note=(f"violations {n_app - n_eq}; first: "
-                  + str([(class_unrank(q, 6, i), int(n_g[i]), int(n_h[i]))
-                         for i in _first_indices(unequal, 3)]) if n_eq != n_app else ""))
-    # each full-length mask is freed once read: together they set the peak
-    del unequal
+                  + str([(class_unrank(q, 6, i), g, h) for i, g, h in unequal])
+                  if n_eq != n_app else ""))
 
     if n_rational:
         rep.add("corrected transfer (axis-point bookkeeping) holds for rational vbar",
-                n_transfer == n_rational, n_rational, n_transfer)
+                tally["transfer"] == n_rational, n_rational, tally["transfer"])
 
     # claim 2: N(H) in the union of the elliptic and rational affine windows
-    in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
-                       for x in range(int(n_h.max()) + 1)])
-    win = in_win[n_h]
-    outside = applicable & ~win
     rep.add("N(H) lies in the union of the affine windows on every applicable class",
-            not outside.any(), n_app, n_app - int(np.count_nonzero(outside)),
-            note=("violations: "
-                  + str([(class_unrank(q, 6, i), int(n_h[i])) for i in _first_indices(outside, 5)])
-                  if outside.any() else ""))
+            not tally["outside"], n_app, n_app - tally["outside"],
+            note=("violations: " + str([(class_unrank(q, 6, i), h) for i, h in outside])
+                  if tally["outside"] else ""))
     if n_rational:
-        n_win = int(np.count_nonzero(rational & win))
+        n_win = tally["rational_in_window"]
         rep.add("N(H) lies in the union window on every rational-vbar class",
                 n_win == n_rational, n_rational, n_win,
                 note="" if n_win == n_rational else
                 "window fails even where the cubic is defined over the base field")
-    quad = applicable & ~rational
-    if quad.any():
+    if tally["quadratic"]:
         rep.add("window status on quadratic-vbar classes (informational)",
-                True, int(np.count_nonzero(quad)), int(np.count_nonzero(quad & win)),
+                True, tally["quadratic"], tally["quadratic_in_window"],
                 note="N(H) counts base-field points of a curve with extension "
                      "coefficients; the cubic-curve windows do not govern them")
-    del win, quad
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
-    viol = [class_unrank(q, 6, i) for i in np.flatnonzero(outside & rational)]
+    viol = [class_unrank(q, 6, i) for i in viol]
     viol_cols = list(np.array(viol, dtype=F.np_dtype).reshape(-1, 6).T)
     viol_vbar = curves.vbar_columns(F, viol_cols)
     viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
@@ -988,11 +968,10 @@ def verify_hasse(F: Field) -> SuiteReport:
             note="their conics are non-degenerate, so the stated reducibility "
                  "criteria do not see these lines")
 
-    rng = random.Random(q * 7 + 4)
     sample_ok = True
-    for i in _sample_indices(rng, applicable, SAMPLE_CHECKS):
+    for i, ng, nh in draw.drawn:
         res = curves.hasse_window_check(F, Conic(*class_unrank(q, 6, i)))
-        sample_ok &= res["n_g"] == int(n_g[i]) and res["n_h"] == int(n_h[i])
+        sample_ok &= res["n_g"] == ng and res["n_h"] == nh
     rep.add("vectorized counts agree with the per-conic implementation (sampled)",
             sample_ok)
     rep.elapsed = time.perf_counter() - t0

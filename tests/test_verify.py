@@ -109,7 +109,7 @@ def test_zero_counts_matches_scalar(F8):
     from deltacodes.geometry import Conic, build_delta, count_on_delta
     delta = build_delta(F8)
     cols = conic_class_columns(F8)
-    counts = zero_counts(F8, cols, delta.conic_monomials())
+    counts = zero_counts(F8, 6, delta.conic_monomials())
     import random
     rng = random.Random(1)
     for _ in range(30):
@@ -127,7 +127,7 @@ def test_blocked_zero_counts_match_scalar_evaluation(F4, width):
     monos = [(0,) * width, (1,) * width] + [
         tuple(rng.randrange(4) for _ in range(width)) for _ in range(10)]
     cols = projective_class_columns(4, width, F4.np_dtype)
-    counts = zero_counts(F4, cols, monos)
+    counts = zero_counts(F4, width, monos)
     assert len(counts) == (4 ** width - 1) // 3
     for i in range(len(counts)):
         cls = [int(c[i]) for c in cols]
@@ -265,7 +265,7 @@ def _zero_counts_at_own_s(F, cols, monomials_at):
     s_all = curves.split_exponent_columns(cols)
     out = np.zeros(len(cols[0]), dtype=np.int64)
     for s in range(3):
-        out[s_all == s] = zero_counts(F, cols, monomials_at(s))[s_all == s]
+        out[s_all == s] = zero_counts(F, 6, monomials_at(s))[s_all == s]
     return out
 
 
@@ -288,12 +288,12 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
     axis = [(0, t) for t in F.elements()]
     sets = [build_delta(F, include_origin=io) for io in (False, True)]
     expected = {
-        "delta": zero_counts(F, cols, sets[0].conic_monomials()),
-        "dbar": zero_counts(F, cols, sets[1].conic_monomials()),
+        "delta": zero_counts(F, 6, sets[0].conic_monomials()),
+        "dbar": zero_counts(F, 6, sets[1].conic_monomials()),
         "n_f": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, grid, s)),
         "f_axis": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, axis, s)),
-        "n_g": zero_counts(F, cols, curves.sheared_monomials(F, grid, 0)),
-        "g_axis": zero_counts(F, cols, curves.sheared_monomials(F, axis, 0)),
+        "n_g": zero_counts(F, 6, curves.sheared_monomials(F, grid, 0)),
+        "g_axis": zero_counts(F, 6, curves.sheared_monomials(F, axis, 0)),
     }
     stop = 0
     for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
@@ -319,7 +319,8 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
         conic = [sub[kept.index(i)] if i in kept else np.zeros_like(sub[0]) for i in range(6)]
         for delta in sets:
             monos = [[m[i] for i in kept] for m in delta.conic_monomials()]
-            assert np.array_equal(_delta_counts(F, delta, conic), zero_counts(F, sub, monos)), kept
+            assert np.array_equal(_delta_counts(F, delta, conic),
+                                  zero_counts(F, len(kept), monos)), kept
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,7 +346,7 @@ def test_masked_walk_equals_zero_counts_on_random_point_sets(h, data):
     monos = [(F.mul(x, x), F.mul(x, y), F.mul(y, y), x, y, 1) for x, y in points]
     got = _root_mask_counts(F, term_columns(bc, CONIC_TERMS, 1), _line_masks(F, points))
     shape = np.broadcast_shapes(*(c.shape for c in bc))
-    assert np.array_equal(_flat(got, shape), zero_counts(F, cols, monos)[blk])
+    assert np.array_equal(_flat(got, shape), zero_counts(F, 6, monos)[blk])
 
 
 def test_counts_are_narrow(F16):
@@ -354,39 +355,55 @@ def test_counts_are_narrow(F16):
     from deltacodes.geometry import build_delta
     from deltacodes.verify import _root_counts
     cols = conic_class_columns(F16)
-    assert zero_counts(F16, cols, build_delta(F16).conic_monomials()).dtype == np.uint8
+    assert zero_counts(F16, 6, build_delta(F16).conic_monomials()).dtype == np.uint8
     for n in (255, 256):
         # the last class, (0, ..., 0, 1), is zero at every point
-        counts = zero_counts(F16, cols, [(1, 0, 0, 0, 0, 0)] * n)
+        counts = zero_counts(F16, 6, [(1, 0, 0, 0, 0, 0)] * n)
         assert counts.dtype == np.min_scalar_type(n) == (np.uint8 if n < 256 else np.uint16)
         assert int(counts[-1]) == n
     triple = (cols[0], cols[1], cols[2])
     assert _root_counts(F16, triple).dtype == np.uint8
 
 
-def test_blockwise_indices_match_the_full_index():
-    """_first_indices and _sample_indices scan a mask block by block; they
-    return what the full np.flatnonzero index gives, with the same draws."""
+@pytest.mark.parametrize("k", [5, 40])
+def test_draw_is_the_same_at_any_block(k, monkeypatch):
+    """_Draw takes, for each of k seeded uniform layout positions, the
+    first set class at or after it, with the value there: every draw is a
+    set class, the draw repeats, it is the same at the default block and
+    at small ones, and a mask with fewer set classes than k, or none, is
+    handled."""
     import random
-    from deltacodes.verify import CLASS_BLOCK, _first_indices, _sample_indices
+    from deltacodes import verify
+    from deltacodes.verify import _Draw, factored_class_chunks
+    q, seed = 8, 17
+    n = (q ** 6 - 1) // (q - 1)
     rng = np.random.default_rng(11)
-    n = 3 * CLASS_BLOCK + 123
-    masks = [rng.random(n) < p for p in (0.5, 1e-4)]
-    masks += [np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)]
-    masks[-2][[5, CLASS_BLOCK, n - 1]] = True  # one set class in three blocks
-    for mask in masks:
-        idx = np.flatnonzero(mask)
-        assert _first_indices(mask, 5) == idx[:5].tolist()
-        a, b = random.Random(7), random.Random(7)
-        expected = [int(idx[a.randrange(len(idx))]) for _ in range(min(40, len(idx)))]
-        assert _sample_indices(b, mask, 40) == expected
-        assert a.random() == b.random()  # the same number of draws
+    values = rng.integers(0, 1000, n)
+    few = np.zeros(n, dtype=bool)
+    few[[5, 4096, n - 1]] = True  # three set classes in three chunks
+    masks = {"dense": rng.random(n) < 0.5, "sparse": rng.random(n) < 1e-3,
+             "few": few, "none": np.zeros(n, dtype=bool)}
 
+    def draw(block, mask, seed=seed):
+        monkeypatch.setattr(verify, "CLASS_BLOCK", block)
+        sample = _Draw(q, k, seed)
+        for blk, bc in factored_class_chunks(q, 6):
+            shape = np.broadcast_shapes(*(c.shape for c in bc))
+            sample.add(blk, mask[blk].reshape(shape), values[blk].reshape(shape))
+        return sample.drawn
 
-def test_zero_counts_rejects_plain_columns(F4):
-    cols = conic_class_columns(F4)
-    with pytest.raises(TypeError):
-        zero_counts(F4, list(cols), [(1,) * 6])
+    for name, mask in masks.items():
+        got = draw(1 << 16, mask)
+        assert got == draw(1 << 16, mask), name
+        assert got == draw(4096, mask) == draw(48, mask), name
+        set_classes = np.flatnonzero(mask)
+        uniform = random.Random(seed)
+        starts = sorted(uniform.randrange(n) for _ in range(k))
+        after = np.searchsorted(set_classes, starts)
+        assert [i for i, _ in got] == [set_classes[j] for j in after if j < len(set_classes)], name
+        assert all(mask[i] and v == values[i] for i, v in got), name
+    assert len(draw(1 << 16, masks["few"])) == k  # with replacement
+    assert draw(1 << 16, masks["dense"], seed + 1) != draw(1 << 16, masks["dense"])
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -590,23 +607,43 @@ def test_class_budget_raises_before_allocating():
     assert peak < 1 << 20
 
 
-def test_hasse_memory_peak_q16(F16):
-    """hasse keeps only narrow per-class results at full length and builds
-    the rest per block of classes: its tracemalloc peak at q = 16, after
-    the field tables are built, stays under 48 MiB (102.6 MiB when every
-    intermediate was a full-length column, much of it int64)."""
+def _suite_peak(F, suite):
+    """A suite's report and its tracemalloc peak, once the field tables,
+    the root masks and the quadratic extension are built."""
     import tracemalloc
     from deltacodes import curves
-    from deltacodes.verify import _root_masks
-    _root_masks(F16)
-    curves._quadratic_extension(F16)
-    for table in (F16.mul_table, F16.trace_table, F16.sqrt_table):
+    from deltacodes.verify import SUITES, _root_masks
+    _root_masks(F), _root_masks(F, 3), _root_masks(F, 4)  # each call form is cached apart
+    curves._quadratic_extension(F)
+    for table in (F.mul_table, F.trace_table, F.sqrt_table):
         assert table is not None
     tracemalloc.start()
     try:
-        rep = verify_hasse(F16)
+        rep = SUITES[suite](F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return rep, peak
+
+
+def test_hasse_memory_peak_q16(F16):
+    """hasse holds no per-class array: at the default block its
+    tracemalloc peak at q = 16 stays under 8 MiB (102.6 MiB when every
+    intermediate was a full-length column, much of it int64, and 10.7 MiB
+    while the counts and masks were)."""
+    rep, peak = _suite_peak(F16, "hasse")
     assert failing_names(rep) == KNOWN_DEFECTS["hasse"]
-    assert peak < 48 << 20
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("suite", ["lemma", "relations", "reducibility", "hasse"])
+def test_conic_suite_memory_peak_q16(F16, suite, monkeypatch):
+    """Each conic suite reduces a chunk before the next: with chunks of
+    4096 classes its tracemalloc peak at q = 16 stays under 1 MiB, less
+    than a byte for each of the 1118481 classes (2.4 to 10.9 MiB when the
+    suites filled full-length per-class arrays)."""
+    from deltacodes import verify
+    monkeypatch.setattr(verify, "CLASS_BLOCK", 4096)
+    rep, peak = _suite_peak(F16, suite)
+    assert failing_names(rep) == KNOWN_DEFECTS.get(suite, set())
+    assert peak < 1 << 20
