@@ -4,7 +4,15 @@ Base-field elements are plain ints whose binary digits are the coefficients
 in the polynomial basis modulo a fixed irreducible polynomial over GF(2).
 Extension-field elements are tuples of base-field ints (coefficient vectors
 over GF(q)), so the embedded copy of GF(q) and the Frobenius map x -> x^q
-are structural rather than computed through discrete logs.
+are structural rather than computed through discrete logs: Frobenius is the
+GF(q)-linear map fixed by the image of the adjoined variable, taken once by
+schoolbook squaring.
+
+Products go through log/antilog tables where those are small: in GF(2^h)
+up to order 2^16, built with each field; in GF(q^r) up to order 2^14,
+built on first use by doubling over columns and shared by every instance
+of one (base field, degree).  Above those orders a schoolbook product
+serves, and it stays the oracle the tables are tested against.
 
 Zero and one are always represented by 0 and 1 (by (0,..) and (1,0,..) in
 extensions).  Addition is XOR.
@@ -12,7 +20,9 @@ extensions).  Addition is XOR.
 
 from __future__ import annotations
 
+import functools
 from functools import reduce
+from operator import xor
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -20,6 +30,7 @@ import numpy as np
 MAX_H = 20  # fields beyond 2^20 are out of scope
 _TABLE_LIMIT = 1 << 16  # log/antilog tables only up to this order
 _COLUMN_LIMIT = 1 << 8  # the product table of column arithmetic only up to this order
+_EXT_TABLE_LIMIT = 1 << 14  # extension log/antilog tables only up to this order
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +85,17 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _power(mul, one, a, e: int):
+    """a^e for e >= 0, by square and multiply under the product `mul`."""
+    r = one
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        e >>= 1
+    return r
 
 
 def is_irreducible_gf2(p: int) -> bool:
@@ -200,13 +222,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return _power(self.mul, 1, a, e)
 
     def sqrt(self, a: int) -> int:
         """The unique square root, a^(2^(h-1))."""
@@ -277,19 +293,9 @@ class Field:
         n = self.q - 1
         cofactors = [n // p for p in _prime_factors(n)]
         for g in range(2, self.q):
-            powg = lambda e: self._pow_raw(g, e)
-            if all(powg(c) != 1 for c in cofactors):
+            if all(_power(self._mul_raw, 1, g, c) != 1 for c in cofactors):
                 return g
         raise RuntimeError("no primitive element found")  # unreachable
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
 
     @property
     def mul_table(self) -> np.ndarray:
@@ -371,6 +377,11 @@ class ExtField:
     coefficient-encoding order, so a given (h, base modulus) always yields
     the same extension.  Base elements embed as constant polynomials, and
     membership in the embedded base field is a structural test.
+
+    Constructing one builds no table.  `mul`, `inv` and `pow` read
+    log/antilog tables keyed by the element tuple when the order is at
+    most 2^14, and `frobenius` reads lists of base products at every
+    order; both are built on first use, once per (base field, degree).
     """
 
     def __init__(self, base: Field, degree: int):
@@ -388,6 +399,21 @@ class ExtField:
 
     def __repr__(self) -> str:
         return f"ExtField({self.base!r}, degree={self.degree})"
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ExtField)
+                and (self.base, self.degree) == (other.base, other.degree))
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.degree))
+
+    @functools.cached_property
+    def _tables(self) -> Optional[tuple[list[ExtElement], dict[ExtElement, int]]]:
+        return _ext_log_tables(self)
+
+    @functools.cached_property
+    def _frobenius_table(self) -> list[list[ExtElement]]:
+        return _ext_frobenius_table(self)
 
     def _poly_eval(self, low_coeffs: Sequence[int], x: int) -> int:
         # monic polynomial x^r + sum c_i x^i evaluated in the base field
@@ -409,9 +435,17 @@ class ExtField:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        return tuple(x ^ y for x, y in zip(a, b))
+        return tuple(map(xor, a, b))
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
+        tables = self._tables
+        if tables is None:
+            return self._mul_raw(a, b)
+        exp, log = tables
+        return exp[log[a] + log[b]]
+
+    def _mul_raw(self, a: ExtElement, b: ExtElement) -> ExtElement:
+        """The schoolbook product, reduced by the modulus."""
         F, r = self.base, self.degree
         prod = [0] * (2 * r - 1)
         for i, ai in enumerate(a):
@@ -448,25 +482,34 @@ class ExtField:
     def pow(self, a: ExtElement, e: int) -> ExtElement:
         if e < 0:
             a, e = self.inv(a), -e
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        tables = self._tables
+        if tables is None:
+            return _power(self.mul, self.one, a, e)
+        if a == self.zero:
+            return self.zero if e else self.one
+        exp, log = tables
+        return exp[log[a] * e % (self.order - 1)]
 
     def inv(self, a: ExtElement) -> ExtElement:
         if a == self.zero:
             raise ZeroDivisionError("inversion of zero in extension field")
-        return self.pow(a, self.order - 2)
+        tables = self._tables
+        if tables is None:
+            return self.pow(a, self.order - 2)
+        exp, log = tables
+        return exp[self.order - 1 - log[a]]
 
     def frobenius(self, a: ExtElement) -> ExtElement:
-        """a^q: the generator of the Galois group over the base field."""
-        r = a
-        for _ in range(self.base.h):
-            r = self.mul(r, r)
-        return r
+        """a^q: the generator of the Galois group over the base field.  It is
+        GF(q)-linear and fixes GF(q), so a0 + a1 x + a2 x^2 goes to
+        a0 + a1 x^q + a2 x^(2q), each a_j x^(jq) read from a list of base
+        products."""
+        table = self._frobenius_table
+        t = table[0][a[1]]
+        if self.degree == 2:
+            return (a[0] ^ t[0], t[1])
+        u = table[1][a[2]]
+        return (a[0] ^ t[0] ^ u[0], t[1] ^ u[1], t[2] ^ u[2])
 
     def embed(self, c: int) -> ExtElement:
         return (c,) + (0,) * (self.degree - 1)
@@ -503,3 +546,49 @@ class ExtField:
         if t is None:
             return None
         return t, self.add(t, self.one)
+
+
+@functools.lru_cache(maxsize=None)
+def _ext_log_tables(E: ExtField) -> Optional[tuple[list[ExtElement], dict[ExtElement, int]]]:
+    """The antilog list and the log of every element for a primitive g and
+    n = order - 1; None above the table limit.  The list holds g^0 .. g^(n-1)
+    twice and then 2n + 1 zeros, and log(0) = 2n, so every sum of two logs
+    indexes the product, zero included.  The powers are built as r
+    component columns by doubling, g^k..g^(2k-1) = (g^0..g^(k-1)) * g^k in
+    one `vmul`."""
+    if E.order > _EXT_TABLE_LIMIT:
+        return None
+    n = E.order - 1
+    cofactors = [n // p for p in _prime_factors(n)]
+    g = next((x for x in E.elements()
+              if not E.in_base(x) and all(_power(E._mul_raw, E.one, x, c) != E.one
+                                          for c in cofactors)),
+             None)
+    if g is None:
+        raise RuntimeError(f"no primitive element in {E!r}")  # unreachable
+    cols = tuple(np.array([c], dtype=E.base.np_dtype) for c in E.one)
+    step = g
+    while len(cols[0]) < n:
+        cols = tuple(np.concatenate(pair) for pair in zip(cols, E.vmul(cols, step)))
+        step = E._mul_raw(step, step)
+    exp = list(zip(*(c[:n].tolist() for c in cols)))
+    log = dict(zip(exp, range(n)))
+    if len(log) != n:
+        raise RuntimeError(f"the powers of {g} repeat before order {n} in {E!r}")  # unreachable
+    log[E.zero] = 2 * n
+    return exp + exp + [E.zero] * (2 * n + 1), log
+
+
+@functools.lru_cache(maxsize=None)
+def _ext_frobenius_table(E: ExtField) -> list[list[ExtElement]]:
+    """Per j = 1 .. r-1, the list over c in GF(q) of c * x^(jq), a tuple
+    of r base products; x^q comes from h schoolbook squarings of x."""
+    F = E.base
+    xq = E.gen
+    for _ in range(F.h):
+        xq = E._mul_raw(xq, xq)
+    power, table = E.one, []
+    for _ in range(1, E.degree):
+        power = E._mul_raw(power, xq)
+        table.append([tuple(F.mul(c, b) for b in power) for c in F.elements()])
+    return table

@@ -414,16 +414,17 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
 
     The conic value and the partials are GF(q)-linear in the coefficients,
     so each scanned point costs a few table gathers per coefficient
-    component over the whole class list.
+    component over the whole class list, and the partials only over the
+    classes whose conic passes through the point.
     """
     E2 = ExtField(F, 2)
     a11, a12, a22, a13, a23, a33 = cols
-    n = len(a11)
-    found = np.zeros(n, dtype=bool)
+    found = np.zeros(len(a11), dtype=bool)
 
     def gather(pairs) -> np.ndarray:
         """zero-mask of sum of coeff*scalar with scalars in GF(q^2):
         both components must vanish."""
+        n = len(pairs[0][0])
         out = np.ones(n, dtype=bool)
         for t in range(2):
             acc = np.zeros(n, dtype=F.np_dtype)
@@ -436,15 +437,17 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
     for X, Y, Z in projective_points(E2):
         X2, Y2, Z2 = E2.mul(X, X), E2.mul(Y, Y), E2.mul(Z, Z)
         XY, XZ, YZ = E2.mul(X, Y), E2.mul(X, Z), E2.mul(Y, Z)
-        on = gather([(a11, X2), (a12, XY), (a22, Y2), (a13, XZ), (a23, YZ), (a33, Z2)])
-        if not on.any():
+        on = np.flatnonzero(
+            gather([(a11, X2), (a12, XY), (a22, Y2), (a13, XZ), (a23, YZ), (a33, Z2)]))
+        if not len(on):
             continue
+        b12, b13, b23 = a12[on], a13[on], a23[on]
         sing = (
-            gather([(a12, Y), (a13, Z)])
-            & gather([(a12, X), (a23, Z)])
-            & gather([(a13, X), (a23, Y)])
+            gather([(b12, Y), (b13, Z)])
+            & gather([(b12, X), (b23, Z)])
+            & gather([(b13, X), (b23, Y)])
         )
-        found |= on & sing
+        found[on[sing]] = True
     return found
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -45,6 +46,25 @@ def test_net_fixture_regression(capsys):
     assert code == EXIT_OK
     with open(os.path.join(FIXTURES, "net_q8_seed1.json")) as fh:
         assert json.loads(out) == json.load(fh)
+
+
+# SHA-256 of stdout for the reports that run on GF(q^2) and GF(q^3)
+# arithmetic, recorded with the schoolbook extension product and Frobenius
+# as h squarings, before the log/antilog tables and the linear Frobenius
+@pytest.mark.parametrize("argv, digest", [
+    ("verify --suite field --q 16",
+     "1d35846010f6de322d8f22b9a8df9a20b821b6362f3fb0e725ac371eacbb6f73"),
+    ("net --q 4 --scan-count",
+     "534b144c40e20080ab0e92085d8033976f5535fc27c01966b09501566216383a"),
+    ("params --system net --q 16 --samples 32 --seed 1",
+     "3becc47ec0c7c186d7612eebddb4c06e245baa3f9202ca42be4ae925d05d4b7a"),
+    ("net --q 64 --seed 1",
+     "3d004abcbb85d843a43797e3fcdab6e1b5a6709ab315b2b1f2ac06982bdb1742"),
+])
+def test_extension_field_reports_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_errors(capsys):

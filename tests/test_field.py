@@ -1,6 +1,12 @@
+import functools
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from deltacodes import field
 from deltacodes.field import (
     ExtField,
     Field,
@@ -224,3 +230,138 @@ def test_column_arithmetic_stops_at_256():
         F.mul_col(np.array([1, 2]), 3)
     assert F._mul_table is None
     assert F.mul(3, F.inv(3)) == 1  # scalar arithmetic is unaffected
+
+
+# ----------------------------------------------------------------------
+# GF(q^r): log/antilog tables and the linear Frobenius against schoolbook
+# ----------------------------------------------------------------------
+
+def _raw_pow(E, a, e):
+    """a^e by square and multiply on the schoolbook product, e >= 0."""
+    r = E.one
+    while e:
+        if e & 1:
+            r = E._mul_raw(r, a)
+        a = E._mul_raw(a, a)
+        e >>= 1
+    return r
+
+
+def _raw_frobenius(E, a):
+    """a^q as h schoolbook squarings."""
+    for _ in range(E.base.h):
+        a = E._mul_raw(a, a)
+    return a
+
+
+def _check_table_arithmetic(E, pairs):
+    assert E._tables is not None
+    n = E.order - 1
+    for a, b in pairs:
+        assert E.mul(a, b) == E._mul_raw(a, b)
+    for a, _ in pairs:
+        for e in (0, 1, 2, 5, n - 1, n, n + 3):
+            assert E.pow(a, e) == _raw_pow(E, a, e)
+        if a != E.zero:
+            inv = E.inv(a)
+            assert E._mul_raw(a, inv) == E.one
+            assert E.pow(a, -3) == _raw_pow(E, inv, 3)
+
+
+@pytest.mark.parametrize("h, r", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_ext_tables_match_schoolbook_on_every_pair(h, r):
+    """Orders 16, 64, 64 and 256: every product, and pow and inv of every
+    element."""
+    E = ExtField(Field(h), r)
+    elems = list(E.elements())
+    assert E.order <= 256
+    for a in elems:
+        for b in elems:
+            assert E.mul(a, b) == E._mul_raw(a, b)
+    _check_table_arithmetic(E, [(a, a) for a in elems])
+
+
+@pytest.mark.parametrize("h, r", [(4, 3), (6, 2), (7, 2)])
+def test_ext_tables_match_schoolbook_sampled(h, r):
+    """Orders 4096 (both ways) and 2^14 = 16384, the table limit."""
+    E = ExtField(Field(h), r)
+    assert E.order <= field._EXT_TABLE_LIMIT
+    rng = random.Random(E.order + r)
+    draw = lambda: tuple(rng.randrange(E.base.q) for _ in range(r))
+    _check_table_arithmetic(E, [(draw(), draw()) for _ in range(400)] + [(E.zero, draw())])
+
+
+def test_ext_tables_stop_at_the_limit():
+    E = ExtField(Field(5), 3)  # order 32768
+    assert E.order > field._EXT_TABLE_LIMIT
+    assert E._tables is None
+    a, b = (3, 17, 29), (30, 0, 1)
+    assert E.mul(a, b) == E._mul_raw(a, b)
+    assert E._mul_raw(a, E.inv(a)) == E.one
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3])
+def test_frobenius_is_h_schoolbook_squarings(h, r):
+    E = ExtField(Field(h), r)
+    for a in E.elements():
+        assert E.frobenius(a) == _raw_frobenius(E, a)
+
+
+@pytest.mark.parametrize("h", [5, 6])
+@pytest.mark.parametrize("r", [2, 3])
+def test_frobenius_is_h_schoolbook_squarings_sampled(h, r):
+    """q = 32 and 64, GF(64^3) (order 2^18) far above the table limit."""
+    E = ExtField(Field(h), r)
+    rng = random.Random(h * r)
+    for _ in range(200):
+        a = tuple(rng.randrange(E.base.q) for _ in range(r))
+        assert E.frobenius(a) == _raw_frobenius(E, a)
+
+
+def test_ext_tables_are_built_once_and_only_on_use():
+    F = Field(4, modulus=0x19)  # x^4 + x^3 + 1: a cache key no other test uses
+    tables, frob = field._ext_log_tables.cache_info(), field._ext_frobenius_table.cache_info()
+    E1, E2 = ExtField(F, 3), ExtField(Field(4, modulus=0x19), 3)
+    assert field._ext_log_tables.cache_info() == tables
+    assert field._ext_frobenius_table.cache_info() == frob
+    assert "_tables" not in vars(E1) and "_frobenius_table" not in vars(E2)
+    x = (1, 2, 3)
+    assert E1.mul(x, x) == E2.mul(x, x) == E1._mul_raw(x, x)
+    assert E2.inv(x) == E1.inv(x)
+    assert E1.frobenius(x) == E2.frobenius(x)
+    assert field._ext_log_tables.cache_info().misses == tables.misses + 1
+    assert field._ext_frobenius_table.cache_info().misses == frob.misses + 1
+    assert E1._tables is E2._tables
+
+
+def test_ext_table_builder_raises_on_a_non_primitive_generator(monkeypatch):
+    """Without the cofactor test the builder takes x, which has order 3 in
+    GF(8^2) over x^3 + x^2 + 1; the repeat is raised, not asserted, so it
+    survives python -O."""
+    monkeypatch.setattr(field, "_prime_factors", lambda n: [])
+    with pytest.raises(RuntimeError, match="repeat"):
+        ExtField(Field(3, modulus=0xD), 2).mul((1, 1), (1, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _ext(h, r):
+    return ExtField(Field(h), r)
+
+
+@st.composite
+def _ext_triples(draw):
+    E = _ext(draw(st.integers(2, 6)), draw(st.sampled_from([2, 3])))
+    elem = st.tuples(*[st.integers(0, E.base.q - 1)] * E.degree)
+    return E, draw(elem), draw(elem), draw(elem)
+
+
+@given(_ext_triples())
+def test_ext_field_axioms_property(case):
+    """GF(q^r), q = 4 .. 64: the table path up to order 2^14, schoolbook above."""
+    E, a, b, c = case
+    assert E.mul(a, E.mul(b, c)) == E.mul(E.mul(a, b), c)
+    assert E.mul(a, E.add(b, c)) == E.add(E.mul(a, b), E.mul(a, c))
+    assert E.mul(a, b) == E.mul(b, a)
+    if a != E.zero:
+        assert E.mul(a, E.inv(a)) == E.one

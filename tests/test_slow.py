@@ -1,4 +1,5 @@
-"""The q = 32 data of README "What the verification finds", outside tier-1.
+"""The q = 32 data of README "What the verification finds", and the full
+scan of PG(2, GF(8^3)) behind `net --scan-count`, outside tier-1.
 
 Deselected by default; run with `pytest -m slow` (about 75 s and a
 160 MiB peak RSS on a 2-core Xeon host whose speed varies between runs;
@@ -12,7 +13,17 @@ import pytest
 
 from deltacodes.cli import EXIT_MISMATCH, EXIT_OK, main
 from deltacodes.codes import ConicSystem, evaluate_system, weight_distribution_classes
-from deltacodes.constructions import POLY_1, POLY_X, POLY_X2, POLY_XY, POLY_Y, POLY_Y2
+from deltacodes.constructions import (
+    POLY_1,
+    POLY_X,
+    POLY_X2,
+    POLY_XY,
+    POLY_Y,
+    POLY_Y2,
+    lambda_orbit_count,
+    lambda_orbit_size,
+)
+from deltacodes.field import ExtField, Field
 from deltacodes.geometry import build_delta
 
 pytestmark = pytest.mark.slow
@@ -125,3 +136,9 @@ def test_hasse_q32(capsys):
                   ) == (17775648, 17760272)
     assert counts("every rational-vbar window violation comes from a reducible cubic"
                   ) == (15376, 15376)
+
+
+def test_lambda_orbit_scan_q8():
+    """Every one of the 262657 points of PG(2, GF(8^3)) through the
+    determinant test of `in_lambda_orbit`."""
+    assert lambda_orbit_count(ExtField(Field(3), 3)) == lambda_orbit_size(8) == 225792
