@@ -10,7 +10,9 @@ and the exceptional families come from the column formulas in `geometry`;
 the coefficient-triple hypothesis, the split exponent, vbar, the curves F,
 G and H and the reducibility quantities from those in `curves`.  Every
 per-class point count (the conic on Delta and DeltaBar, F, G and H) comes
-from one root-mask walk over the lines of the plane (`_root_mask_counts`).
+from one root-mask walk over the lines of the plane (`_root_mask_counts`);
+where a33 lies alone on a chunk's last axis, the walk reads the q classes
+along it as one row of a cached table (`_row_table`).
 Each chunk is reduced before the next, to tallies and to the positions
 of the classes a report names or a cross-check draws (`_first_in_chunk`,
 `_Draw`; named by `class_unrank`), so the conic sweeps hold no per-class
@@ -321,6 +323,42 @@ def _line_masks(F: Field, points) -> np.ndarray:
     return masks
 
 
+# bytes of row tables one walk may read; above it the walk gathers single
+# masks (q = 64, where one conic row table is 16 MiB per line mask)
+ROW_TABLE_BYTES = 1 << 25
+
+
+@functools.lru_cache(maxsize=None)
+def _row_table(F: Field, slots: int, shift: int, line: Optional[int]) -> np.ndarray:
+    """Entry [b, c] is root mask b ^ (c << shift), or, given a line's point
+    mask, the popcount of that root mask AND the line mask, as uint8.  Slot
+    shift / h of the index runs over GF(q) along a row, so the q classes
+    that differ only in a coefficient entering that slot alone read one
+    row.  Built by q gathers of q-entry permutations, with no index array
+    of the table's size."""
+    q, k = F.q, shift // F.h
+    table = _root_masks(F, slots)
+    if line is not None:
+        table = np.bitwise_count(table & table.dtype.type(line))
+    table = table.reshape(-1, q, q ** k)  # axis 1 is slot k
+    rows = np.empty(table.shape + (q,), dtype=table.dtype)
+    for c in range(q):
+        rows[..., c] = table[:, np.arange(q) ^ c]
+    return rows.reshape(-1, q)
+
+
+def _row_term(terms: dict[tuple[int, int], np.ndarray], q: int) -> Optional[tuple[int, int]]:
+    """The exponent of the term free of the line variable whose column is
+    GF(q) in order, alone on the last axis (a33 in a factored chunk's
+    tail), or None."""
+    for key, c in terms.items():
+        if (key[1] == 0 and c.shape[-1:] == (q,) and c.size == q
+                and all(o.shape[-1:] in ((), (1,)) for k, o in terms.items() if k != key)
+                and np.array_equal(c.ravel(), np.arange(q))):
+            return key
+    return None
+
+
 def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
                       points: Optional[np.ndarray] = None) -> np.ndarray:
     """Per class, the points of a curve on the GF(q)^2 grid, or on the point
@@ -334,7 +372,16 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
     point mask.  Where V occurs in degree 0 or a power of 2, v^j is
     additive, so that part of a mask index is its value at v = 0 XOR one
     step column per set bit of v: one XOR per line in Gray-code order.
-    Other powers of v (F's X^3) are evaluated on each line.  The walk holds
+    Other powers of v (F's X^3) are evaluated on each line.
+
+    A component whose columns hold a row term (_row_term) leaves it out of
+    the index and reads rows of q entries (_row_table): one gather per q
+    classes.  A walk of one such component reads rows of popcounts, one
+    table per line mask, so a line costs one XOR, one gather and one add;
+    other walks AND the masks and popcount them, uint16 masks per byte
+    (numpy's popcount of uint16 masks takes about six times as long as
+    that of their bytes).  Rows are read
+    only while the tables stay within ROW_TABLE_BYTES.  The walk holds
     h + 2 index columns per class and component, so callers pass chunks of
     at most CLASS_BLOCK classes or a small sub-layout."""
     if any(i not in SLOT_EXPONENTS for i, _ in curve):
@@ -345,43 +392,68 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
     masks = _root_masks(F, slots)
     if points is None:  # every point of every line
         points = np.full(q, (1 << q) - 1, dtype=masks.dtype)
+    lines = {int(m) for m in points if m}
     index_dtype = np.min_scalar_type(q ** slots - 1)
+    components = [{key: coeff[t] for key, coeff in curve.items()}
+                  for t in range(len(next(iter(curve.values()))))]
+    rows = [_row_term(terms, q) for terms in components]
+    counted = len(components) == 1  # one table of popcounts per line mask
+    row_bytes = q ** (slots + 1) * (len(lines) if counted else masks.itemsize)
+    if sum(row is not None for row in rows) * row_bytes > ROW_TABLE_BYTES:
+        rows = [None] * len(rows)
+    counted &= rows[0] is not None
     walks = []
-    for t in range(len(next(iter(curve.values())))):
-        shape = np.broadcast_shapes(*(coeff[t].shape for coeff in curve.values()))
+    for terms, row in zip(components, rows):
+        shape = np.broadcast_shapes(*(c.shape for key, c in terms.items() if key != row))
         index = np.zeros(shape, dtype=index_dtype)
         steps = np.zeros((bits,) + shape, dtype=index_dtype)
         per_line = []  # (column, j, shift) of the terms evaluated on each line
-        for (i, j), coeff in curve.items():
-            c, shift = coeff[t], SLOT_EXPONENTS.index(i) * bits
-            if j == 0:
-                index |= c.astype(index_dtype) << shift
-            elif not c.any():
+        for (i, j), c in terms.items():
+            shift = SLOT_EXPONENTS.index(i) * bits
+            if (i, j) == row or (j and not c.any()):
                 continue
+            if j == 0:
+                index ^= c.astype(index_dtype) << shift
             elif j & (j - 1):
                 per_line.append((c, j, shift))
             else:  # a V^(2^e) term that moves the index
                 for b in range(bits):
                     steps[b] ^= F.mul_col(c, F.pow(1 << b, j)).astype(index_dtype) << shift
-        walks.append((index, steps, per_line, np.empty(shape, dtype=masks.dtype)))
-    found = [w[3] for w in walks]
-    counts = np.zeros(np.broadcast_shapes(*(f.shape for f in found)), dtype=np.uint16)
+        if row is None:
+            tables = dict.fromkeys(lines, masks[:, None])
+        else:
+            shift = SLOT_EXPONENTS.index(row[0]) * bits
+            tables = {m: _row_table(F, slots, shift, m if counted else None) for m in lines}
+        out = np.empty(shape + (1 if row is None else q,),
+                       dtype=np.uint8 if counted else masks.dtype)
+        walks.append((index, steps, per_line, tables, out))
+    # each component's gathered rows, on the shape of its classes
+    found = [out.reshape(out.shape[:-2] + (-1,)) for *_, out in walks]
+    shape = np.broadcast_shapes(*(f.shape for f in found))
+    lanes = 2 if masks.itemsize == 2 and not counted else 1  # uint16 masks count per byte
+    lane = np.dtype(f"u{masks.itemsize // lanes}")
+    counts = np.zeros(shape[:-1] + (shape[-1] * lanes,), dtype=np.uint16)
     for k in range(q):
         v = k ^ k >> 1  # the Gray code: line k flips bit (k & -k) of v
-        for index, steps, _, _ in walks:
+        for index, steps, *_ in walks:
             if k:
                 index ^= steps[(k & -k).bit_length() - 1]
         if not points[v]:
             continue
-        for index, _, per_line, out in walks:
+        for index, _, per_line, tables, out in walks:
             if per_line:
                 index = index ^ functools.reduce(np.bitwise_xor, (
                     F.mul_col(c, F.pow(v, j)).astype(index_dtype) << shift
                     for c, j, shift in per_line))
-            np.take(masks, index, out=out)
+            np.take(tables[int(points[v])], index, axis=0, out=out)
+        if counted:
+            counts += found[0]
+            continue
         hits = functools.reduce(np.bitwise_and, found)
-        counts += np.bitwise_count(np.bitwise_and(hits, points[v], out=hits))
-    return counts
+        np.bitwise_and(hits, points[v], out=hits)
+        counts += np.bitwise_count(hits.view(lane))
+    counts = counts.reshape(shape + (lanes,))  # added as views: numpy sums a short axis slowly
+    return functools.reduce(np.add, (counts[..., i] for i in range(lanes)))
 
 
 def _delta_counts(F: Field, delta: DeltaSet, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -746,7 +818,8 @@ def verify_relations(F: Field) -> SuiteReport:
         # N(G^(s)) = N(G): the coefficients G^(s) drops vanish at split exponent s
         ng = _root_mask_counts(F, curves.term_columns(bc, curves.SHEARED_TERMS, 0))
         g_axis = _root_counts(F, (bc[2], bc[4], 0, bc[5]))  # G(0, V) = a22 V^4 + a23 V^2 + a33
-        predicted = np.choose(s, [curves.f_minus_g_columns(F, bc, k) for k in range(3)])
+        fmg = [curves.f_minus_g_columns(F, bc, k) for k in range(3)]
+        predicted = np.where(s == 0, fmg[0], np.where(s == 1, fmg[1], fmg[2]))
         diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
         wrong = ok & (diff != predicted)
         for k in range(3) if wrong.any() else ():
@@ -899,7 +972,9 @@ def verify_hasse(F: Field) -> SuiteReport:
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
         g = curves.term_columns(bc, curves.SHEARED_TERMS, 0)
-        ng, nh = _root_mask_counts(F, g), _root_mask_counts(F, h)
+        # H is counted in V on the lines X = x, where a33 is V's coefficient
+        ng = _root_mask_counts(F, g)
+        nh = _root_mask_counts(F, {(j, i): c for (i, j), c in h.items()})
         rat, win = app & (vbar[1] == 0), in_win[nh]
         masks = {"applicable": app, "rational": rat, "unequal": app & (ng != nh),
                  "outside": app & ~win, "rational_in_window": rat & win,

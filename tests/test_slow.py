@@ -1,7 +1,7 @@
 """The q = 32 data of README "What the verification finds", and the full
 scan of PG(2, GF(8^3)) behind `net --scan-count`, outside tier-1.
 
-Deselected by default; run with `pytest -m slow` (about 75 s and a
+Deselected by default; run with `pytest -m slow` (about 40 s and a
 160 MiB peak RSS on a 2-core Xeon host whose speed varies between runs;
 the class route of the full conic code,
 `codes.weight_distribution_classes`, sets the peak).

@@ -349,6 +349,89 @@ def test_masked_walk_equals_zero_counts_on_random_point_sets(h, data):
     assert np.array_equal(_flat(got, shape), zero_counts(F, 6, monos)[blk])
 
 
+def _chunk_walks(F, bc, sets):
+    """Every root-mask walk the sweeps take on one chunk: the conic on
+    Delta and DeltaBar, N(F^(s)) at each class's own s, N(G), and N(H)
+    counted in V on the lines X = x."""
+    from deltacodes import curves
+    from deltacodes.verify import _line_masks, _quartic_counts, _root_mask_counts
+    conic = curves.term_columns(bc, curves.CONIC_TERMS, 1)
+    h = curves.cubic_h_columns(F, bc, curves.vbar_columns(F, bc))
+    return {
+        "delta": _root_mask_counts(F, conic, _line_masks(F, sets[0].points)),
+        "dbar": _root_mask_counts(F, conic, _line_masks(F, sets[1].points)),
+        "n_f": _quartic_counts(F, bc, curves.split_exponent_columns(bc))[0],
+        "n_g": _root_mask_counts(F, curves.term_columns(bc, curves.SHEARED_TERMS, 0)),
+        "n_h": _root_mask_counts(F, {(j, i): c for (i, j), c in h.items()}),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_oracle(h):
+    """zero_counts of the one-component walks of _chunk_walks on every class."""
+    from deltacodes import curves
+    from deltacodes.geometry import build_delta
+    F, cols, _ = _layout(h)
+    grid = [(x, y) for x in F.elements() for y in F.elements()]
+    sets = [build_delta(F, include_origin=io) for io in (False, True)]
+    return sets, {
+        "delta": zero_counts(F, 6, sets[0].conic_monomials()),
+        "dbar": zero_counts(F, 6, sets[1].conic_monomials()),
+        "n_f": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, grid, s)),
+        "n_g": zero_counts(F, 6, curves.sheared_monomials(F, grid, 0)),
+    }
+
+
+@pytest.mark.parametrize("h, block", [(2, None), (3, None), (4, None), (2, SMALL_BLOCK),
+                                      (3, SMALL_BLOCK), (4, 4096)])
+def test_row_walk_equals_element_walk(h, block, monkeypatch):
+    """On every class, each walk that reads q-entry rows (a33 alone on the
+    chunk's last axis) equals the same walk forced to single-mask gathers
+    by a zero ROW_TABLE_BYTES, and the one-component walks equal
+    zero_counts.  Rows are read on exactly the chunks with a33 on the last
+    axis; the lead-5 chunk, whose a33 is fixed, reads none."""
+    from deltacodes import verify
+    from deltacodes.verify import factored_class_chunks
+    if block:
+        monkeypatch.setattr(verify, "CLASS_BLOCK", block)
+    F = _layout(h)[0]
+    sets, expected = _walk_oracle(h)
+    built, row_table = [], verify._row_table
+    monkeypatch.setattr(verify, "_row_table", lambda *args: built.append(args) or row_table(*args))
+    stop = 0
+    for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+        shape = np.broadcast_shapes(*(c.shape for c in bc))
+        built.clear()
+        rows = _chunk_walks(F, bc, sets)
+        assert bool(built) == (shape[-1] == F.q), blk
+        with monkeypatch.context() as m:
+            m.setattr(verify, "ROW_TABLE_BYTES", 0)
+            built.clear()
+            elements = _chunk_walks(F, bc, sets)
+            assert not built, blk
+        for key, value in rows.items():
+            assert value.dtype == np.uint16 and value.shape == shape, (key, blk)
+            assert np.array_equal(value, elements[key]), (key, blk)
+            if key in expected:
+                assert np.array_equal(_flat(value, shape), expected[key][blk]), (key, blk)
+        stop = blk.stop
+    assert stop == len(_layout(h)[1][0])
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_h_counted_in_v_equals_h_counted_in_x(h):
+    """N(H) on every class is the same counted in V on the lines X = x (the
+    sweeps' walk, with a33 in V's coefficient) and counted in X on the
+    lines V = v."""
+    from deltacodes import curves
+    from deltacodes.verify import _root_mask_counts
+    F, _, chunks = _layout(h)
+    for blk, bc in chunks:
+        cubic = curves.cubic_h_columns(F, bc, curves.vbar_columns(F, bc))
+        in_v = _root_mask_counts(F, {(j, i): c for (i, j), c in cubic.items()})
+        assert np.array_equal(in_v, _root_mask_counts(F, cubic)), blk
+
+
 def test_counts_are_narrow(F16):
     """zero_counts returns the narrowest unsigned dtype that holds the number
     of points, and the root-mask popcounts are uint8."""
@@ -609,11 +692,18 @@ def test_class_budget_raises_before_allocating():
 
 def _suite_peak(F, suite):
     """A suite's report and its tracemalloc peak, once the field tables,
-    the root masks and the quadratic extension are built."""
+    the root masks, the row tables of the walks and the quadratic
+    extension are built."""
     import tracemalloc
     from deltacodes import curves
-    from deltacodes.verify import SUITES, _root_masks
+    from deltacodes.geometry import build_delta
+    from deltacodes.verify import SUITES, _line_masks, _root_masks, _row_table
     _root_masks(F), _root_masks(F, 3), _root_masks(F, 4)  # each call form is cached apart
+    full = (1 << F.q) - 1
+    dbar = {int(m) for m in _line_masks(F, build_delta(F, include_origin=True).points) if m}
+    for slots, line in [(3, full), (4, full)] + [(3, m) for m in sorted(dbar)]:
+        _row_table(F, slots, 0, line)  # popcount rows of G, F and the conic on DeltaBar
+    _row_table(F, 3, F.h, None)  # mask rows of H, whose a33 is V's coefficient
     curves._quadratic_extension(F)
     for table in (F.mul_table, F.trace_table, F.sqrt_table):
         assert table is not None
