@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import Field
-from .geometry import Coeffs6, Conic, DeltaSet, count_on_delta
+from .geometry import Coeffs6, DeltaSet
 from .verify import BudgetError, check_class_budget, zero_counts
 
 
@@ -171,11 +171,6 @@ def min_distance(distribution: Counter) -> int:
     if not nonzero:
         raise ValueError("the code has no nonzero codeword")
     return min(nonzero)
-
-
-def weight_of_polynomial(F: Field, poly: Coeffs6, delta: DeltaSet) -> int:
-    """n minus the number of zeros of the polynomial on the point set."""
-    return len(delta) - count_on_delta(F, Conic(*poly), delta)
 
 
 # ----------------------------------------------------------------------

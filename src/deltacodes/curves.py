@@ -26,7 +26,8 @@ of the reducibility criteria are functions over class columns
 (triples_ok_columns, split_exponent_columns, vbar_columns, term_columns,
 cubic_h_columns, f_minus_g_columns, reducibility_columns); the scalar API
 (coefficient_triples_ok, solve_vbar, build_family, predicted_f_minus_g,
-reducibility_details) is their one-class view.
+reducibility_details) is their one-class view.  has_linear_component
+decides reducibility of H on one class and returns the lines it finds.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .field import ExtField, Field
-from .geometry import (Conic, DeltaSet, build_delta, count_on_delta, eval_conic, in_sqrt_window,
-                       is_degenerate)
+from .geometry import Conic, DeltaSet, build_delta, count_on_delta, in_sqrt_window, is_degenerate
 
 AnyField = Union[Field, ExtField]
 
@@ -89,10 +89,6 @@ class Poly2:
                 out[e] = K.add(out.get(e, K.zero), K.mul(c1, c2))
         return Poly2(K, out, self.vars)
 
-    def scale(self, c) -> Poly2:
-        K = self.field
-        return Poly2(K, {e: K.mul(c, v) for e, v in self.coeffs.items()}, self.vars)
-
     def eval(self, x, y):
         K = self.field
         max_i = max((i for i, _ in self.coeffs), default=0)
@@ -113,51 +109,6 @@ class Poly2:
         if any(i < s for i, _ in self.coeffs):
             raise AssertionError(f"X^{s} does not divide every term of {self.dump()}")
         return Poly2(self.field, {(i - s, j): c for (i, j), c in self.coeffs.items()}, self.vars)
-
-    def coeffs_in_x(self) -> dict[int, dict[int, object]]:
-        """View as a polynomial in X: {x_exponent: {y_exponent: coeff}}."""
-        out: dict[int, dict] = {}
-        for (i, j), c in self.coeffs.items():
-            out.setdefault(i, {})[j] = c
-        return out
-
-    def coeffs_in_y(self) -> dict[int, dict[int, object]]:
-        out: dict[int, dict] = {}
-        for (i, j), c in self.coeffs.items():
-            out.setdefault(j, {})[i] = c
-        return out
-
-    def divide_linear(self, var: int, root) -> Poly2:
-        """Exact division by (X - root) (var=0) or (Y - root) (var=1);
-        raises if the division leaves a remainder."""
-        K = self.field
-        view = self.coeffs_in_x() if var == 0 else self.coeffs_in_y()
-        d = max(view)
-        quot: dict[int, dict[int, object]] = {}
-        carry: dict[int, object] = {}
-        for e in range(d, 0, -1):
-            cur = dict(view.get(e, {}))
-            for j, c in carry.items():
-                cur[j] = K.add(cur.get(j, K.zero), c)
-            quot[e - 1] = cur
-            carry = {j: K.mul(root, c) for j, c in cur.items() if c != K.zero}
-        rem = dict(view.get(0, {}))
-        for j, c in carry.items():
-            rem[j] = K.add(rem.get(j, K.zero), c)
-        if any(c != K.zero for c in rem.values()):
-            raise ValueError("polynomial is not divisible by the given linear factor")
-        out: dict = {}
-        for e, row in quot.items():
-            for j, c in row.items():
-                if c != K.zero:
-                    out[(e, j) if var == 0 else (j, e)] = c
-        return Poly2(K, out, self.vars)
-
-    def lift(self, ext: ExtField) -> Poly2:
-        """Embed a base-field polynomial into an extension of its field."""
-        if not (isinstance(self.field, Field) and ext.base == self.field):
-            raise AssertionError("lift needs an extension of the polynomial's own field")
-        return Poly2(ext, {e: ext.embed(c) for e, c in self.coeffs.items()}, self.vars)
 
     def dump(self) -> list[tuple[int, int, str]]:
         """Sorted (i, j, hex coefficient) triples; extension coefficients
@@ -621,23 +572,6 @@ def verify_lemma_delta(
     return {"case": case, "lhs": lhs, "rhs": rhs, "n_f_s": n, "ok": lhs == rhs and halves_ok}
 
 
-def psi_fiber_check(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> bool:
-    """Every point (x, t) of F with x != 0 maps to a point of DeltaBar ∩ C
-    whose full fiber is exactly {(x, t), (x, t+1)}."""
-    fam = fam or build_family(F, conic)
-    dbar = set(build_delta(F, include_origin=True).points)
-    fibers: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for x in F.nonzero_elements():
-        for t in F.elements():
-            if fam.F.eval(x, t) == 0:
-                y = F.mul(F.mul(t, t) ^ t, F.mul(x, x))
-                if (x, y) not in dbar or eval_conic(F, conic, x, y) != 0:
-                    return False
-                fibers.setdefault((x, y), set()).add((x, t))
-    return all(fib == {(x, t), (x, t ^ 1)} for (x, _), fib in fibers.items()
-               for (x, t) in [next(iter(fib))])
-
-
 # ----------------------------------------------------------------------
 # Reducibility of the cubic H versus degeneracy of the conic
 # ----------------------------------------------------------------------
@@ -676,12 +610,6 @@ def reducibility_details(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
     out.update((key, bool(red[key][0])) for key in ("reducible", "identity_q12", "identity_q13"))
     out.update((key, _from_pair(K, red[key])) for key in ("u12", "r12", "r13", "q12", "q13", "s12"))
     return out
-
-
-def reducibility_conditions(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> bool:
-    """True iff H has a linear component, per the criterion matching the
-    (a12, a22) pattern.  Compare with geometry.is_degenerate."""
-    return reducibility_details(F, conic, fam)["reducible"]
 
 
 def _line_divides(h: Poly2, K: AnyField, a, b, c) -> bool:
@@ -738,53 +666,6 @@ def has_linear_component(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
         if _line_divides(h, K, a22, a12, w_star):
             lines.append(("w", w_star))
     return bool(lines), lines
-
-
-def linear_components(F: Field, fam: CurveFamily) -> tuple[list[tuple], Optional[Poly2]]:
-    """Split all linear factors of the form X = x0 or V = v0 off H, working
-    over GF(q^2) so conjugate factors are visible.
-
-    Returns (lines, residual): each line is ('x'|'v'|'general', root or
-    coefficient data), and residual is the unfactored cofactor (None when
-    H splits completely).  Exhaustive over GF(q^2); meant for small q.
-    """
-    if fam.H is None:
-        raise ValueError("H requires a12 != 0 or a22 != 0")
-    if isinstance(fam.vfield, ExtField):
-        K, h = fam.vfield, fam.H
-    else:
-        K = ExtField(F, 2)
-        h = fam.H.lift(K)
-    lines: list[tuple] = []
-    for var in (0, 1):
-        changed = True
-        while changed and h.degree() > 1:
-            changed = False
-            for root in K.elements():
-                if _substitution_vanishes(h, var, root):
-                    h = h.divide_linear(var, root)
-                    lines.append(("x" if var == 0 else "v", root))
-                    changed = True
-                    break
-    if h.degree() == 1:
-        lines.append(("general", dict(h.coeffs)))
-        return lines, None
-    return lines, (None if h.degree() <= 0 else h)
-
-
-def _substitution_vanishes(p: Poly2, var: int, root) -> bool:
-    """(X - root) | p (var = 0) or (V - root) | p (var = 1): substituting
-    the root must kill the polynomial identically."""
-    K = p.field
-    view = p.coeffs_in_x() if var == 0 else p.coeffs_in_y()
-    residue: dict[int, object] = {}
-    for e, row in view.items():
-        pw = K.one
-        for _ in range(e):
-            pw = K.mul(pw, root)
-        for j, c in row.items():
-            residue[j] = K.add(residue.get(j, K.zero), K.mul(c, pw))
-    return all(c == K.zero for c in residue.values())
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""The affine plane over GF(q), the evaluation set, lines and conics.
+"""The affine plane over GF(q), the evaluation set, and conics.
 
 The evaluation set Delta is the union of the parabolas Y = a*X^2 over the
 trace-zero elements a, minus the origin; DeltaBar includes the origin.  It
 equals the image of the points with distinct coordinates under the
 symmetric-function map (x1, x2) -> (x1 + x2, x1 * x2).
 
-Intersection counts of lines and conics with Delta are provided both by
-closed-form case analysis and by direct evaluation over the point set; the
-closed forms are never trusted without the brute-force oracle.
+A line a*X + b*Y + c = 0 is the conic (0, 0, 0, a, b, c).  Intersection
+counts of lines and conics with Delta are provided both by closed-form case
+analysis and by direct evaluation over the point set; the closed forms are
+never trusted without the brute-force oracle.
 
 The degeneracy criterion, the exceptional families and the closed form of
 the parabola family a12 = a22 = 0 are written once, over the six
@@ -15,7 +16,7 @@ coefficients of one conic or over class columns (degeneracy_columns,
 exceptional_columns, parabola_count_closed_form); degeneracy_criterion,
 is_degenerate, classify_exceptional and line_counts are their one-class
 view.  The stated line case list, line_delta_count_closed_form, is
-likewise written once over the (a, b, c) of one line or of columns.
+likewise written once over one (a, b, c) or over columns.
 """
 
 from __future__ import annotations
@@ -32,43 +33,6 @@ Coeffs6 = tuple[int, int, int, int, int, int]  # (a11, a12, a22, a13, a23, a33)
 # exceptional-family identifiers for intersection sizes outside the generic window
 EXC_PARABOLA = "parabola-orbit"       # a12=a22=0, a23!=0, a13^2 = a23*a33
 EXC_VERTICAL_PAIR = "vertical-pair"   # a12=a22=a23=0, a11*a13*a33 != 0
-
-
-# ----------------------------------------------------------------------
-# Lines
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Line:
-    """a*X + b*Y + c = 0 with (a, b) != (0, 0), scaled so the first nonzero
-    coefficient of (a, b, c) is 1."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def is_vertical(self) -> bool:
-        return self.b == 0
-
-    def coeffs(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-    def __iter__(self):
-        return iter(self.coeffs())
-
-
-def eval_line(F: Field, line: Line, x: int, y: int) -> int:
-    return F.mul(line.a, x) ^ F.mul(line.b, y) ^ line.c
-
-
-def all_lines(F: Field) -> Iterator[Line]:
-    """All q^2 + q affine lines, in canonical order."""
-    for b in range(F.q):  # a = 1
-        for c in range(F.q):
-            yield Line(1, b, c)
-    for c in range(F.q):  # a = 0, b = 1
-        yield Line(0, 1, c)
 
 
 # ----------------------------------------------------------------------
@@ -237,10 +201,9 @@ def distinguished_points(F: Field) -> Iterator[tuple[int, int]]:
                 yield (x1, x2)
 
 
-def count_on_delta(F: Field, zeroset: Conic | Line, delta: DeltaSet) -> int:
-    """Exact |delta ∩ Z(f)| by evaluating f at every point of the set."""
-    if isinstance(zeroset, Line):
-        return sum(1 for x, y in delta.points if eval_line(F, zeroset, x, y) == 0)
+def count_on_delta(F: Field, zeroset: Conic, delta: DeltaSet) -> int:
+    """Exact |delta ∩ Z(f)| by evaluating f at every point of the set; a
+    line a*X + b*Y + c is the conic (0, 0, 0, a, b, c)."""
     return sum(1 for x, y in delta.points if eval_conic(F, zeroset, x, y) == 0)
 
 
@@ -250,8 +213,8 @@ def count_on_delta(F: Field, zeroset: Conic | Line, delta: DeltaSet) -> int:
 
 def line_delta_count_closed_form(F: Field, coeffs):
     """The literal case-analysis value for the intersection of the line
-    a*X + b*Y + c = 0 with the origin-included set, for the (a, b, c) of
-    one `Line` or for columns:
+    a*X + b*Y + c = 0 with the origin-included set, for one (a, b, c) or
+    for columns:
 
       * Y = 0           -> q
       * Y = m*X + k, (m, k) != (0, 0)  -> (q - 2) / 2
@@ -273,10 +236,10 @@ def line_delta_count_closed_form(F: Field, coeffs):
                     np.where(c != 0, q // 2, 1))
 
 
-def line_counts(F: Field, line: Line) -> tuple[int, int]:
-    """Verified closed-form pair (|line ∩ Delta|, |line ∩ DeltaBar|): the
-    parabola-family closed form on (0, 0, 0, a, b, c), plus the origin
-    when c = 0.
+def line_counts(F: Field, line: tuple[int, int, int]) -> tuple[int, int]:
+    """Verified closed-form pair (|line ∩ Delta|, |line ∩ DeltaBar|) for the
+    line (a, b, c): the parabola-family closed form on (0, 0, 0, a, b, c),
+    plus the origin when c = 0.
 
     One non-vertical family behaves unlike the generic slanted line: when
     the intercept is the square of the slope, Y = m*X + m^2 is the image of
@@ -287,8 +250,9 @@ def line_counts(F: Field, line: Line) -> tuple[int, int]:
     giving (q - 2)/2; a vertical line X = c != 0 lifts to a full line
     parallel to the diagonal, giving q/2.
     """
-    nd = int(parabola_count_closed_form(F, (0, 0, 0, line.a, line.b, line.c)))
-    return nd, nd + (line.c == 0)
+    a, b, c = line
+    nd = int(parabola_count_closed_form(F, (0, 0, 0, a, b, c)))
+    return nd, nd + (c == 0)
 
 
 # ----------------------------------------------------------------------

@@ -1097,7 +1097,8 @@ def _line_sweep(F: Field, delta: DeltaSet, dbar: DeltaSet):
     brute-force counts on the set and on the origin-included set.
 
     The lines are the width-3 layout over (a13, a23, a33) minus its last
-    class (0, 0, 1), the constant 1, so they come in `all_lines` order."""
+    class (0, 0, 1), the constant 1: the lines (1, b, c), then (0, 1, c),
+    each in product order."""
     a13, a23, a33 = (c[:-1] for c in projective_class_columns(F.q, 3, F.np_dtype))
     zero = np.zeros_like(a13)
     cols = [zero, zero, zero, a13, a23, a33]

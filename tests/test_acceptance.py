@@ -18,7 +18,6 @@ from itertools import product
 from deltacodes.field import ExtField, Field
 from deltacodes.geometry import (
     Conic,
-    all_lines,
     build_delta,
     check_corollary_bounds,
     count_on_delta,
@@ -33,7 +32,6 @@ from deltacodes.codes import (
     evaluate_system,
     weight_distribution_classes,
     weight_distribution_enumerate,
-    weight_of_polynomial,
 )
 from deltacodes.curves import (
     Poly2,
@@ -41,7 +39,7 @@ from deltacodes.curves import (
     coefficient_triples_ok,
     has_linear_component,
     hasse_window_check,
-    reducibility_conditions,
+    reducibility_details,
 )
 from deltacodes.constructions import (
     POLY_1,
@@ -54,6 +52,7 @@ from deltacodes.constructions import (
     line_code,
 )
 from deltacodes.verify import (
+    class_unrank,
     conic_spectrum,
     parabola_spectrum,
     verify_field,
@@ -123,14 +122,16 @@ def test_criterion_03_line_spectra():
         delta = build_delta(F)
         dbar = build_delta(F, include_origin=True)
         through_origin[q] = square_intercept[q] = 0
-        for line in all_lines(F):
+        for k in range(q * q + q):
+            line = class_unrank(q, 3, k)  # the line a*X + b*Y + c = 0 as (a, b, c)
             stated = line_delta_count_closed_form(F, line)
-            nb = count_on_delta(F, line, dbar)
+            nb = count_on_delta(F, Conic(0, 0, 0, *line), dbar)
             if stated == nb:
                 continue
-            nd = count_on_delta(F, line, delta)
-            m = None if line.is_vertical else F.div(line.a, line.b)
-            b = None if line.is_vertical else F.div(line.c, line.b)
+            nd = count_on_delta(F, Conic(0, 0, 0, *line), delta)
+            vertical = line[1] == 0
+            m = None if vertical else F.div(line[0], line[1])
+            b = None if vertical else F.div(line[2], line[1])
             slanted = m is not None and m != 0
             if (slanted and b == 0 and stated == nd == (q - 2) // 2 and nb == q // 2
                     and line_counts(F, line) == (nd, nb)):
@@ -139,7 +140,7 @@ def test_criterion_03_line_spectra():
                     and nd == nb == q - 1 and line_counts(F, line) == (q - 1, q - 1)):
                 square_intercept[q] += 1
             else:
-                unexpected.append((q, line.coeffs(), stated, nd, nb))
+                unexpected.append((q, line, stated, nd, nb))
     ok = not unexpected and all(
         through_origin[q] == square_intercept[q] == q - 1 for q in through_origin)
     detail = (f"mismatching lines per q: through the origin {through_origin}, "
@@ -312,7 +313,7 @@ def test_criterion_09_hasse_window():
     res = hasse_window_check(F, example, fam)
     found, lines = has_linear_component(F, example, fam)
     if not (coefficient_triples_ok(example) and not is_degenerate(F, example)
-            and fam.vbar_rational and not reducibility_conditions(F, example, fam)
+            and fam.vbar_rational and not reducibility_details(F, example, fam)["reducible"]
             and found and any(kind == "w" for kind, _ in lines)
             and res["n_h"] == 29 and not res["in_window"]):
         problems["example"] = (res, lines)
@@ -349,7 +350,8 @@ def test_criterion_10_full_conic_code():
     for q, rep in reports.items():
         F = field(q)
         true_d = (q - 2) * (q - 3) // 2
-        witness_weights[q] = weight_of_polynomial(F, two_line_conic(F, 1, 2), build_delta(F))
+        delta = build_delta(F)
+        witness_weights[q] = len(delta) - count_on_delta(F, Conic(*two_line_conic(F, 1, 2)), delta)
         ok &= rep["n"] == q * (q - 1) // 2 and rep["k"] == 6
         ok &= rep["expected"]["d"] == q * (q - 3) // 2 and not rep["matches_expected"]
         ok &= rep["d"] == true_d == witness_weights[q]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deltacodes.field import Field
-from deltacodes.geometry import DeltaSet, build_delta
+from deltacodes.geometry import Conic, DeltaSet, build_delta, count_on_delta
 from deltacodes.codes import (
     BudgetError,
     ConicSystem,
@@ -19,7 +19,6 @@ from deltacodes.codes import (
     singleton_ok,
     weight_distribution_classes,
     weight_distribution_enumerate,
-    weight_of_polynomial,
 )
 from deltacodes.constructions import (
     POLY_1,
@@ -127,7 +126,7 @@ def test_weight_of_polynomial_matches_rows(F8):
             int(np.bitwise_xor.reduce([F8.mul(mc, pc) for mc, pc in zip(msg, col)]))
             for col in zip(*FULL)
         )
-        assert int(np.count_nonzero(word)) == weight_of_polynomial(F8, poly, delta)
+        assert int(np.count_nonzero(word)) == len(delta) - count_on_delta(F8, Conic(*poly), delta)
 
 
 def test_scalar_and_permutation_invariance(F8):

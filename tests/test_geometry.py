@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from deltacodes.field import ExtField, Field
@@ -5,8 +7,6 @@ from deltacodes.geometry import (
     EXC_PARABOLA,
     EXC_VERTICAL_PAIR,
     Conic,
-    Line,
-    all_lines,
     build_delta,
     check_corollary_bounds,
     classify_exceptional,
@@ -21,15 +21,16 @@ from deltacodes.geometry import (
     parabola_count_closed_form,
     pi_map,
 )
-from deltacodes.verify import _line_sweep
+from deltacodes.verify import _line_sweep, class_unrank
 
 
 def make_line(F, a, b, c):
-    """The line a*X + b*Y + c = 0, scaled so its first nonzero coefficient is 1."""
+    """The line a*X + b*Y + c = 0 as (a, b, c), scaled so its first nonzero
+    coefficient is 1."""
     if a == 0 and b == 0:
         raise ValueError("a line needs (a, b) != (0, 0)")
     s = F.inv(a if a else b)
-    return Line(F.mul(s, a), F.mul(s, b), F.mul(s, c))
+    return (F.mul(s, a), F.mul(s, b), F.mul(s, c))
 
 
 @pytest.mark.parametrize("h,expected", [(2, 6), (3, 28), (4, 120), (5, 496), (6, 2016)])
@@ -92,13 +93,34 @@ def test_line_counts_match_brute_force(h):
     dbar = build_delta(F, include_origin=True)
     cols, stated, sweep_nd, sweep_nb = _line_sweep(F, delta, dbar)
     assert len(sweep_nd) == F.q * F.q + F.q
-    for k, line in enumerate(all_lines(F)):
-        nd = count_on_delta(F, line, delta)
-        nb = count_on_delta(F, line, dbar)
+    for k in range(F.q * F.q + F.q):
+        line = class_unrank(F.q, 3, k)
+        nd = count_on_delta(F, Conic(0, 0, 0, *line), delta)
+        nb = count_on_delta(F, Conic(0, 0, 0, *line), dbar)
         assert line_counts(F, line) == (nd, nb), line
         assert tuple(int(c[k]) for c in cols) == (0, 0, 0, *line), line
         assert (sweep_nd[k], sweep_nb[k]) == (nd, nb), line
         assert stated[k] == line_delta_count_closed_form(F, line), line
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_lines_are_the_width3_layout(h):
+    # every line a*X + b*Y + c = 0, normalized by make_line, is exactly one
+    # of the q^2 + q classes the line sweep counts, and those classes come
+    # in the order (1, b, c), then (0, 1, c)
+    F = Field(h)
+    q = F.q
+    cols = _line_sweep(F, build_delta(F), build_delta(F, include_origin=True))[0]
+    assert all(not c.any() for c in cols[:3])
+    layout = list(zip(*(c.tolist() for c in cols[3:])))
+    assert layout == ([(1, b, c) for b in range(q) for c in range(q)]
+                      + [(0, 1, c) for c in range(q)])
+    position = {line: k for k, line in enumerate(layout)}
+    hits = [0] * (q * q + q)
+    for a, b, c in product(range(q), repeat=3):
+        if a or b:
+            hits[position[make_line(F, a, b, c)]] += 1
+    assert hits == [q - 1] * (q * q + q)
 
 
 def test_squared_intercept_lines(F8):
@@ -106,7 +128,7 @@ def test_squared_intercept_lines(F8):
     delta = build_delta(F8)
     for m in F8.nonzero_elements():
         line = make_line(F8, m, 1, F8.mul(m, m))
-        assert count_on_delta(F8, line, delta) == 7
+        assert count_on_delta(F8, Conic(0, 0, 0, *line), delta) == 7
         assert line_delta_count_closed_form(F8, line) == 3  # the stated value
 
 
