@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import random
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -258,7 +257,6 @@ def _report(F: Field, name: str, system: ConicSystem,
             delta: DeltaSet) -> tuple[dict, GeneratorMatrix]:
     """The code's parameters and weight distribution, with its generator
     matrix."""
-    t0 = time.perf_counter()
     g = evaluate_system(system, delta)
     dist = weight_distribution_enumerate(g)
     d = min_distance(dist)
@@ -272,7 +270,6 @@ def _report(F: Field, name: str, system: ConicSystem,
         "weights": sorted((int(w), int(c)) for w, c in dist.items()),
         "weight_set": sorted(int(w) for w in dist if w > 0),
         "singleton_ok": singleton_ok(g.n, g.rank, d),
-        "elapsed": round(time.perf_counter() - t0, 6),
     }
     return report, g
 

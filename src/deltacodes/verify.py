@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence
 
@@ -92,7 +91,6 @@ class SuiteReport:
     q: int
     modulus: int
     checks: list[Check] = dataclass_field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -107,7 +105,6 @@ class SuiteReport:
             "q": self.q,
             "modulus": format(self.modulus, "#x"),
             "passed": self.passed,
-            "elapsed": round(self.elapsed, 3),
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -567,7 +564,6 @@ class _Draw:
 # ----------------------------------------------------------------------
 
 def verify_field(F: Field) -> SuiteReport:
-    t0 = time.perf_counter()
     rep = SuiteReport("field", F.q, F.modulus)
     q = F.q
     exhaustive = q <= 16
@@ -626,7 +622,6 @@ def verify_field(F: Field) -> SuiteReport:
                     all((E.frobenius(x) == x) == E.in_base(x) for x in xs))
             rep.add(f"degree-{r} Frobenius has order dividing {r} (sampled)",
                     all(_frob_iter(E, x, r) == x for x in xs))
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -641,7 +636,6 @@ def _frob_iter(E: ExtField, x, times: int):
 # ----------------------------------------------------------------------
 
 def verify_geometry(F: Field) -> SuiteReport:
-    t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("geometry", q, F.modulus)
     delta = build_delta(F, include_origin=False)
@@ -754,8 +748,6 @@ def verify_geometry(F: Field) -> SuiteReport:
         s = rng.randrange(1, q)
         norm_ok &= make_conic(F, tuple(F.mul(s, v) for v in coeffs)) == c
     rep.add("conic normalization is idempotent and scale-invariant", norm_ok)
-
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -764,7 +756,6 @@ def verify_geometry(F: Field) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 def verify_lemma(F: Field) -> SuiteReport:
-    t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("lemma", q, F.modulus)
     dbar = build_delta(F, include_origin=True)
@@ -797,7 +788,6 @@ def verify_lemma(F: Field) -> SuiteReport:
         sample_ok &= r["ok"] and r["lhs"] == lhs
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -806,7 +796,6 @@ def verify_lemma(F: Field) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 def verify_relations(F: Field) -> SuiteReport:
-    t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
     n_hyp, axis_ok, draw = 0, True, _Draw(q, SAMPLE_CHECKS, q * 7 + 2)
@@ -840,7 +829,6 @@ def verify_relations(F: Field) -> SuiteReport:
                       and (r["n_f"], r["n_g"]) == (nf, ng))
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -887,7 +875,6 @@ def _honest_linear_sweep(F: Field, cols: list[np.ndarray],
 
 
 def verify_reducibility(F: Field) -> SuiteReport:
-    t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
     identities, tally = {"identity_q12": True, "identity_q13": True}, Counter()
@@ -945,7 +932,6 @@ def verify_reducibility(F: Field) -> SuiteReport:
                     for i, line in picks)
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -954,7 +940,6 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 def verify_hasse(F: Field) -> SuiteReport:
-    t0 = time.perf_counter()
     q = F.q
     rep = SuiteReport("hasse", q, F.modulus)
 
@@ -1052,7 +1037,6 @@ def verify_hasse(F: Field) -> SuiteReport:
         sample_ok &= res["n_g"] == ng and res["n_h"] == nh
     rep.add("vectorized counts agree with the per-conic implementation (sampled)",
             sample_ok)
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -1063,7 +1047,6 @@ def verify_hasse(F: Field) -> SuiteReport:
 def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
     window and exceptional-family accounting, reduced chunk by chunk."""
-    t0 = time.perf_counter()
     q = F.q
     delta = delta or build_delta(F, include_origin=False)
     masks = _line_masks(F, delta.points)
@@ -1087,7 +1070,6 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
         "violation_counts": {c: int(n) for c, n in enumerate(viol_hist) if n},
         "violation_examples": [(class_unrank(q, 6, i), c) for i, c in examples],
         "exceptional_parabola_classes": n_parabola,
-        "elapsed": round(time.perf_counter() - t0, 3),
     }
 
 
