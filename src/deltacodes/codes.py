@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,18 +33,12 @@ class ConicSystem:
 
     field: Field
     polys: list[Coeffs6]
-    names: Optional[list[str]] = None
 
     def __post_init__(self) -> None:
         if not self.polys:
             raise ValueError("empty linear system")
-        if coefficient_rank(self.field, self.polys) != len(self.polys):
+        if gf_rank(self.field, [list(p) for p in self.polys]) != len(self.polys):
             raise ValueError("basis polynomials are linearly dependent")
-
-
-def coefficient_rank(F: Field, polys: Sequence[Coeffs6]) -> int:
-    rows = [list(p) for p in polys]
-    return gf_rank(F, rows)
 
 
 def gf_rank(F: Field, rows: list[list[int]]) -> int:

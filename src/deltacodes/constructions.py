@@ -149,17 +149,12 @@ def _line_product_coeffs(E: ExtField, l: ProjPoint3, m: ProjPoint3) -> tuple[Ext
 
 @dataclass
 class NetContext:
-    """The triangle data behind the net: a point of the special orbit, its
-    Frobenius images, the side lines, and a generator of GF(q^3) over GF(q)."""
+    """The triangle behind the net: a point of the special orbit, and the
+    products l1*l2, l2*l3 and l3*l1 of the sides through it and its two
+    Frobenius images, as homogeneous conic coefficients over GF(q^3)."""
 
     ext: ExtField
     P: ProjPoint3
-    P1: ProjPoint3
-    P2: ProjPoint3
-    l1: ProjPoint3
-    l2: ProjPoint3
-    l3: ProjPoint3
-    beta: ExtElement
     quad12: tuple[ExtElement, ...]
     quad23: tuple[ExtElement, ...]
     quad31: tuple[ExtElement, ...]
@@ -181,7 +176,7 @@ def make_net_context(E: ExtField, p: ProjPoint3) -> NetContext:
         if frobenius_point(E, side) != conjugate:
             raise AssertionError(f"Frobenius does not cycle the sides of the net at {p}")
     return NetContext(
-        ext=E, P=p, P1=p1, P2=p2, l1=l1, l2=l2, l3=l3, beta=E.gen,
+        ext=E, P=p,
         quad12=_line_product_coeffs(E, l1, l2),
         quad23=_line_product_coeffs(E, l2, l3),
         quad31=_line_product_coeffs(E, l3, l1),
@@ -241,22 +236,22 @@ def build_net(F: Field, ctx: NetContext) -> list[Conic]:
 
 
 def net_basis(F: Field, ctx: NetContext) -> ConicSystem:
-    """The conics of 1, beta, beta^2: they span the net over GF(q) since
-    lambda -> C_lambda is GF(q)-linear."""
+    """The conics of 1, beta, beta^2 for the generator beta of GF(q^3):
+    they span the net over GF(q) since lambda -> C_lambda is GF(q)-linear."""
     E = ctx.ext
-    b2 = E.mul(ctx.beta, ctx.beta)
-    polys = [conic_from_lambda(ctx, lam) for lam in (E.one, ctx.beta, b2)]
-    return ConicSystem(field=F, polys=list(polys), names=["C_1", "C_beta", "C_beta2"])
+    lams = (E.one, E.gen, E.mul(E.gen, E.gen))
+    return ConicSystem(field=F, polys=[conic_from_lambda(ctx, lam) for lam in lams])
 
 
 # ----------------------------------------------------------------------
 # Code reports
 # ----------------------------------------------------------------------
 
-def _report(F: Field, name: str, system: ConicSystem,
-            delta: DeltaSet) -> tuple[dict, GeneratorMatrix]:
+def _report(F: Field, name: str, system: ConicSystem, delta: DeltaSet,
+            expected: Optional[dict] = None) -> tuple[dict, GeneratorMatrix]:
     """The code's parameters and weight distribution, with its generator
-    matrix."""
+    matrix.  Stated parameters, when given, are reported under `expected`
+    and compared key by key into `matches_expected`."""
     g = evaluate_system(system, delta)
     dist = weight_distribution_enumerate(g)
     d = min_distance(dist)
@@ -271,16 +266,16 @@ def _report(F: Field, name: str, system: ConicSystem,
         "weight_set": sorted(int(w) for w in dist if w > 0),
         "singleton_ok": singleton_ok(g.n, g.rank, d),
     }
+    if expected is not None:
+        report["expected"] = expected
+        report["matches_expected"] = all(report[key] == value for key, value in expected.items())
     return report, g
 
 
-def line_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
+def line_code(F: Field) -> dict:
     """Evaluation code of the linear system {Y, X, 1}."""
-    delta = delta or build_delta(F)
-    system = ConicSystem(F, [POLY_Y, POLY_X, POLY_1], names=["Y", "X", "1"])
-    report = _report(F, "lines", system, delta)[0]
     q = F.q
-    report["expected"] = {
+    expected = {
         "n": q * (q - 1) // 2,
         "k": 3,
         "d": (q - 1) * (q - 2) // 2,
@@ -291,18 +286,14 @@ def line_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
             q * (q - 1) // 2,
         }),
     }
-    report["matches_expected"] = _matches(report)
-    return report
+    system = ConicSystem(F, [POLY_Y, POLY_X, POLY_1])
+    return _report(F, "lines", system, build_delta(F), expected)[0]
 
 
-def construction2_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
+def construction2_code(F: Field) -> dict:
     """Evaluation code of the parabola system {X^2, X, Y, 1}."""
-    delta = delta or build_delta(F)
-    system = ConicSystem(F, [POLY_X2, POLY_X, POLY_Y, POLY_1],
-                         names=["X^2", "X", "Y", "1"])
-    report = _report(F, "parabolas", system, delta)[0]
     q = F.q
-    report["expected"] = {
+    expected = {
         "n": q * (q - 1) // 2,
         "k": 4,
         "d": q * (q - 3) // 2,
@@ -314,24 +305,16 @@ def construction2_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
             q * (q - 1) // 2,
         }),
     }
-    report["matches_expected"] = _matches(report)
-    return report
+    system = ConicSystem(F, [POLY_X2, POLY_X, POLY_Y, POLY_1])
+    return _report(F, "parabolas", system, build_delta(F), expected)[0]
 
 
-def full_conic_code(F: Field, delta: Optional[DeltaSet] = None) -> dict:
+def full_conic_code(F: Field) -> dict:
     """Evaluation code of all six degree-<=2 monomials."""
-    delta = delta or build_delta(F)
-    system = ConicSystem(F, [POLY_X2, POLY_XY, POLY_Y2, POLY_X, POLY_Y, POLY_1],
-                         names=["X^2", "XY", "Y^2", "X", "Y", "1"])
-    report = _report(F, "conics", system, delta)[0]
     q = F.q
-    report["expected"] = {
-        "n": q * (q - 1) // 2,
-        "k": 6,
-        "d": q * (q - 3) // 2,
-    }
-    report["matches_expected"] = _matches(report)
-    return report
+    expected = {"n": q * (q - 1) // 2, "k": 6, "d": q * (q - 3) // 2}
+    system = ConicSystem(F, [POLY_X2, POLY_XY, POLY_Y2, POLY_X, POLY_Y, POLY_1])
+    return _report(F, "conics", system, build_delta(F), expected)[0]
 
 
 def construction1_code(F: Field, point: Optional[ProjPoint3] = None,
@@ -361,14 +344,6 @@ def construction1_code(F: Field, point: Optional[ProjPoint3] = None,
     report["weights_in_window_as_counts"] = all(
         in_sqrt_window(2 * (n - w), q) for w in nonzero_weights)
     return report
-
-
-def _matches(report: dict) -> bool:
-    exp = report["expected"]
-    ok = report["n"] == exp["n"] and report["k"] == exp["k"] and report["d"] == exp["d"]
-    if "weight_set" in exp:
-        ok = ok and report["weight_set"] == exp["weight_set"]
-    return ok
 
 
 def construction1_samples(F: Field, samples: int, seed: int = 0) -> list[dict]:

@@ -24,10 +24,12 @@ coefficient-triple hypothesis, the split exponent s, vbar, the coefficients
 of H, the tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities
 of the reducibility criteria are functions over class columns
 (triples_ok_columns, split_exponent_columns, vbar_columns, term_columns,
-cubic_h_columns, f_minus_g_columns, reducibility_columns); the scalar API
+cubic_h_columns, f_minus_g_columns, reducibility_columns).  The scalar API
 (coefficient_triples_ok, solve_vbar, build_family, predicted_f_minus_g,
-reducibility_details) is their one-class view.  has_linear_component
-decides reducibility of H on one class and returns the lines it finds.
+reducibility_details) is their one-class view: it calls the same formulas
+on the conic's six coefficients, and a rational vbar enters them as the
+pair (vbar, 0).  has_linear_component decides reducibility of H on one
+class and returns the lines it finds.
 """
 
 from __future__ import annotations
@@ -171,6 +173,7 @@ def count_affine_points(poly: Poly2, F: Field) -> int:
 
 # A column of GF(q^2) = GF(q)[rho] values, one per class, carried as the pair
 # (c0, c1) of component columns of c0 + c1*rho; GF(q) values have c1 = 0.
+# For one class the components are scalars.
 Pair = tuple[np.ndarray, np.ndarray]
 
 
@@ -321,7 +324,6 @@ def split_exponent_columns(coeffs):
 
 @dataclass
 class CurveFamily:
-    conic: Conic
     s: int                      # multiplicity of the split-off line X = 0
     F: Poly2                    # quartic pullback, variables (X, T)
     F_s: Poly2                  # F with X^s removed
@@ -391,19 +393,12 @@ def term_columns(cols: Sequence[np.ndarray], terms, counted: int) -> dict[tuple[
     return {(e[counted], e[1 - counted]): (c,) for c, es in zip(cols, terms) for e in es}
 
 
-def _one_class(F: Field, conic: Conic) -> list[np.ndarray]:
-    return [np.array([c], dtype=F.np_dtype) for c in conic.coeffs()]
-
-
-def _to_pair(F: Field, K: AnyField, x) -> Pair:
-    c0, c1 = x if isinstance(K, ExtField) else (x, 0)
-    return np.array([c0], dtype=F.np_dtype), np.array([c1], dtype=F.np_dtype)
-
-
 def _from_pair(K: AnyField, p: Pair):
+    """A one-class GF(q^2) value as an element of K: an int, or a tuple of
+    two ints."""
     if isinstance(K, ExtField):
-        return int(p[0][0]), int(p[1][0])
-    return int(p[0][0])
+        return int(p[0]), int(p[1])
+    return int(p[0])
 
 
 def solve_vbar(F: Field, conic: Conic) -> tuple[object, AnyField]:
@@ -411,8 +406,8 @@ def solve_vbar(F: Field, conic: Conic) -> tuple[object, AnyField]:
     and the field holding it, GF(q) when possible, otherwise GF(q^2)."""
     if conic.a12 == 0 and conic.a22 == 0:
         raise ValueError("vbar needs a12 != 0 or a22 != 0")
-    vbar = vbar_columns(F, _one_class(F, conic))
-    K = _quadratic_extension(F)[0] if vbar[1][0] else F
+    vbar = vbar_columns(F, conic.coeffs())
+    K = _quadratic_extension(F)[0] if vbar[1] else F
     return _from_pair(K, vbar), K
 
 
@@ -422,8 +417,8 @@ def _cubic_h(K: AnyField, conic: Conic, vbar, ordering: int) -> Poly2:
     one-class view of cubic_h_columns; ordering 1 groups by powers of V and
     is kept as the independent check of it."""
     if ordering == 0:
-        F = K.base if isinstance(K, ExtField) else K
-        h = cubic_h_columns(F, _one_class(F, conic), _to_pair(F, K, vbar))
+        F, pair = (K.base, vbar) if isinstance(K, ExtField) else (K, (vbar, 0))
+        h = cubic_h_columns(F, conic.coeffs(), pair)
         return Poly2(K, {e: _from_pair(K, c) for e, c in h.items()}, ("X", "V"))
     if isinstance(K, ExtField):
         a11, a12, a22, a13, a23, a33 = (K.embed(c) for c in conic.coeffs())
@@ -459,7 +454,7 @@ def build_family(F: Field, conic: Conic) -> CurveFamily:
     vbar = vfield = h = None
     if conic.a12 or conic.a22:
         vbar, K = solve_vbar(F, conic)
-        a11, a12, a22 = _embed_all(K, F, conic.coeffs()[:3])
+        a11, a12, a22 = _embed_all(K, conic.coeffs()[:3])
         if K.add(K.mul(K.add(K.mul(a22, vbar), a12), vbar), a11) != K.zero:
             raise AssertionError(f"vbar = {vbar} is not a root of a22 v^2 + a12 v + a11 "
                                  f"for {conic.coeffs()}")
@@ -467,7 +462,7 @@ def build_family(F: Field, conic: Conic) -> CurveFamily:
         if h != _cubic_h(K, conic, vbar, ordering=1):
             raise AssertionError(f"the two groupings of H differ for {conic.coeffs()}")
         vfield = K
-    return CurveFamily(conic=conic, s=s, F=quartic, F_s=f_s, G=g, G_s=g_s,
+    return CurveFamily(s=s, F=quartic, F_s=f_s, G=g, G_s=g_s,
                        vbar=vbar, vfield=vfield, H=h)
 
 
@@ -576,7 +571,7 @@ def verify_lemma_delta(
 # Reducibility of the cubic H versus degeneracy of the conic
 # ----------------------------------------------------------------------
 
-def _embed_all(K: AnyField, F: Field, values):
+def _embed_all(K: AnyField, values):
     if isinstance(K, ExtField):
         return [K.embed(v) for v in values]
     return list(values)
@@ -596,10 +591,9 @@ def reducibility_details(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
     fam = fam or build_family(F, conic)
     if fam.H is None:
         raise ValueError("H requires a12 != 0 or a22 != 0")
-    K = fam.vfield
-    cols = _one_class(F, conic)
-    vbar = _to_pair(F, K, fam.vbar)
-    red = reducibility_columns(F, cols, vbar, cubic_h_columns(F, cols, vbar))
+    K, coeffs = fam.vfield, conic.coeffs()
+    vbar = fam.vbar if isinstance(K, ExtField) else (fam.vbar, 0)
+    red = reducibility_columns(F, coeffs, vbar, cubic_h_columns(F, coeffs, vbar))
     if conic.a12 and conic.a22:
         criterion = "u12"
     elif conic.a22:  # a12 = 0
@@ -607,7 +601,7 @@ def reducibility_details(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
     else:  # a22 = 0, a12 != 0
         criterion = "s12"
     out = {"criterion": criterion}
-    out.update((key, bool(red[key][0])) for key in ("reducible", "identity_q12", "identity_q13"))
+    out.update((key, bool(red[key])) for key in ("reducible", "identity_q12", "identity_q13"))
     out.update((key, _from_pair(K, red[key])) for key in ("u12", "r12", "r13", "q12", "q13", "s12"))
     return out
 
@@ -640,7 +634,7 @@ def has_linear_component(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
         raise ValueError("H requires a12 != 0 or a22 != 0")
     K = fam.vfield
     h = fam.H
-    a11, a12, a22, a13, a23, a33 = _embed_all(K, F, conic.coeffs())
+    a11, a12, a22, a13, a23, a33 = _embed_all(K, conic.coeffs())
     vb = fam.vbar
     lines = []
     s = K.add(K.mul(vb, a23), a13)  # vbar*a23 + a13, the recurring combination

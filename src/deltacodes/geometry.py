@@ -149,22 +149,18 @@ def degenerate_by_singular_point(F: Field, conic: Conic, ext2: Optional[ExtField
 @dataclass
 class DeltaSet:
     """Ordered evaluation set: {(x, a*x^2) : x != 0, trace(a) = 0}, plus the
-    origin when include_origin is set.
+    origin for DeltaBar (build_delta with include_origin set).
 
     Points are ordered by (encoding of x, encoding of a), origin first, so
     generator matrices and weight tables reproduce across runs.
     """
 
     field: Field
-    include_origin: bool
     points: list[tuple[int, int]]
     _monomials: Optional[list[tuple[int, ...]]] = dataclass_field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
     def conic_monomials(self) -> list[tuple[int, ...]]:
         """Per point: (x^2, xy, y^2, x, y, 1) for conic evaluation sweeps."""
@@ -185,7 +181,7 @@ def build_delta(F: Field, include_origin: bool = False) -> DeltaSet:
     expected = F.q * (F.q - 1) // 2 + (1 if include_origin else 0)
     if len(points) != expected:
         raise AssertionError(f"the set has {len(points)} points, expected {expected}")
-    return DeltaSet(field=F, include_origin=include_origin, points=points)
+    return DeltaSet(field=F, points=points)
 
 
 def pi_map(F: Field, x1: int, x2: int) -> tuple[int, int]:

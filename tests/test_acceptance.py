@@ -443,7 +443,7 @@ def test_criterion_15_property_suites():
                 evaluate_system(ConicSystem(F, scaled), delta)) == base
         pts = list(delta.points)
         random.Random(q).shuffle(pts)
-        shuffled = DeltaSet(field=F, include_origin=False, points=pts)
+        shuffled = DeltaSet(field=F, points=pts)
         ok &= weight_distribution_enumerate(
             evaluate_system(ConicSystem(F, [POLY_Y, POLY_X, POLY_1]), shuffled)) == base
     criterion(15, ok, "field axioms, trace, solvability dichotomy, normalization, and "

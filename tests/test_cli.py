@@ -8,6 +8,7 @@ import pytest
 
 from deltacodes import cli
 from deltacodes.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from deltacodes.verify import SUITES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -66,6 +67,25 @@ def test_net_fixture_regression(capsys):
 def test_extension_field_reports_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv.split())
     assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of stdout and the exit code of the named code reports and of the
+# suites at q = 4, recorded before the stated-parameter check was written
+# once and the unread record fields were deleted
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    ("params --system lines --q 8", EXIT_OK,
+     "9a92f513674797fa5536271c8a08544d6043aa34288475922c7dee401f3a5ff6"),
+    ("params --system parabolas --q 8", EXIT_OK,
+     "7c42c5f02db27a09884f7d39445f228aabff38afb2c999b0495462d2886f682f"),
+    ("params --system conics --q 8", EXIT_MISMATCH,
+     "20ee763b2ab89a4fbc993b6386e162c85fc6bc1d1c7493e51382489759e99670"),
+    ("verify --suite all --q 4", EXIT_MISMATCH,
+     "36531cf08c8515b289e1c7349a5dbf5118c20481a6f65699935e70beec4e396d"),
+])
+def test_code_and_suite_reports_are_pinned(capsys, argv, exit_code, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -185,6 +205,22 @@ def test_scan_count_over_the_class_budget_is_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert "exceed the sweep budget" in captured.err
+
+
+def test_unknown_suite_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus", "--q", "4"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and captured.out == ""
+    assert "--suite" in captured.err and "bogus" in captured.err
+    choices = captured.err[captured.err.index("choose from"):]
+    assert all(name in choices for name in (*SUITES, "all"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"suite": "bogus"}')
+    code = main(["verify", "--config", str(cfg), "--q", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ") and "bogus" in captured.err
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_scalar_and_permutation_invariance(F8):
     rng = random.Random(9)
     pts = list(delta.points)
     rng.shuffle(pts)
-    shuffled = DeltaSet(field=F8, include_origin=False, points=pts)
+    shuffled = DeltaSet(field=F8, points=pts)
     assert weight_distribution_enumerate(evaluate_system(ConicSystem(F8, LINES), shuffled)) == base
 
 

@@ -364,3 +364,19 @@ def test_scalar_predicates_return_python_values(F8):
     assert type(classify_exceptional(F8, c)) is str
     assert type(build_family(F8, c).s) is int
     assert type(lemma_case(F8, c)) is int
+    ints = {int}
+    for coeffs, rational in (((1, 0, 1, 0, 1, 1), True), ((1, 1, 1, 0, 1, 0), False)):
+        c = Conic(*coeffs)
+        vbar, _ = solve_vbar(F8, c)
+        if rational:
+            assert type(vbar) is int
+        else:
+            assert type(vbar) is tuple and {type(v) for v in vbar} == ints
+        for value in build_family(F8, c).H.coeffs.values():
+            parts = value if isinstance(value, tuple) else (value,)
+            assert {type(v) for v in parts} == ints
+        for value in reducibility_details(F8, c).values():
+            if isinstance(value, tuple):
+                assert {type(v) for v in value} == ints
+            else:
+                assert type(value) in (bool, str, int)

@@ -18,6 +18,8 @@ REQUIRED_LAYERS = {
         {"verify.class_columns"}, {"geometry.parabola_count_closed_form"}),
     ("verify", "--suite", "lemma", "--q", "4"): ({"geometry.count_on_delta"}, set()),
     ("net", "--q", "4", "--seed", "1"): ({"constructions.net"}, set()),
+    ("params", "--system", "conics", "--q", "4"): (
+        {"constructions.report", "codes.enumerate", "codes.evaluate_system"}, {"codes.gf_rank"}),
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from deltacodes.field import Field
 from deltacodes.verify import (
+    SUITES,
     BudgetError,
     class_rank,
     class_unrank,
@@ -19,7 +20,6 @@ from deltacodes.verify import (
     line_spectrum,
     parabola_spectrum,
     projective_class_columns,
-    run_suite,
     verify_field,
     verify_geometry,
     verify_hasse,
@@ -90,12 +90,25 @@ def test_hasse_suite_defects_pinned_q8(F8):
     assert failing_names(rep) == KNOWN_DEFECTS["hasse"]
 
 
+def test_lemma_and_relations_count_every_failing_class(F4, monkeypatch):
+    """A formula that fails on many classes is reported with the number of
+    classes it fails on, not the number of examples the note keeps."""
+    from deltacodes import curves
+    f_minus_g, rhs = curves.f_minus_g_columns, curves.lemma_rhs
+    monkeypatch.setattr(curves, "f_minus_g_columns", lambda *args: f_minus_g(*args) + 1)
+    check = verify_relations(F4).checks[0]
+    assert check.name == "tabulated count differences hold on every class"
+    assert (check.ok, check.actual) == (False, 1275)  # every class of the hypothesis
+    monkeypatch.setattr(curves, "lemma_rhs", lambda n, case: rhs(n, case) + (case == 4))
+    check = verify_lemma(F4).checks[0]
+    assert check.name == "intersection count equals its curve-count expression on every class"
+    assert (check.ok, check.actual) == (False, 16)  # the case-4 classes
+
+
 def test_run_suite_all(F4):
-    reports = run_suite("all", F4)
+    reports = [fn(F4) for fn in SUITES.values()]
     assert [r.suite for r in reports] == [
         "field", "geometry", "lemma", "relations", "reducibility", "hasse"]
-    with pytest.raises(ValueError):
-        run_suite("bogus", F4)
 
 
 def test_projective_class_columns_cover_everything():
@@ -697,7 +710,7 @@ def _suite_peak(F, suite):
     import tracemalloc
     from deltacodes import curves
     from deltacodes.geometry import build_delta
-    from deltacodes.verify import SUITES, _line_masks, _root_masks, _row_table
+    from deltacodes.verify import _line_masks, _root_masks, _row_table
     _root_masks(F), _root_masks(F, 3), _root_masks(F, 4)  # each call form is cached apart
     full = (1 << F.q) - 1
     dbar = {int(m) for m in _line_masks(F, build_delta(F, include_origin=True).points) if m}
