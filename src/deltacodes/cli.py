@@ -310,17 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     """A JSON config file supplies defaults for any long flag, e.g.
     {"modulus": "0x13", "format": "csv"}; explicit flags still win.  Values
     must have their flag's type (bool for a switch) and be one of its choices."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise UsageError("--config needs a file path") from None
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -341,7 +334,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             raise UsageError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
     for sub_parser in parser._deltacodes_subparsers:
         sub_parser.set_defaults(**config)
-    return argv[:i] + argv[i + 2:]
 
 
 def _check_out(path: str) -> None:
@@ -357,10 +349,11 @@ def _check_out(path: str) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:  # parse again, over the file's defaults
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         for needed in args._needs:
             if getattr(args, needed, None) is None:
                 raise UsageError(f"--{needed} is required (directly or via --config)")

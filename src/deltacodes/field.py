@@ -12,7 +12,9 @@ Products go through log/antilog tables where those are small: in GF(2^h)
 up to order 2^16, built with each field; in GF(q^r) up to order 2^14,
 built on first use by doubling over columns and shared by every instance
 of one (base field, degree).  Above those orders a schoolbook product
-serves, and it stays the oracle the tables are tested against.
+serves, and it stays the oracle the tables are tested against; in GF(2^h)
+it is gf2_mulmod, the one GF(2)[x] product.  Every other table of a field
+is a cached property, built on first use.
 
 Zero and one are always represented by 0 and 1 (by (0,..) and (1,0,..) in
 extensions).  Addition is XOR.
@@ -21,7 +23,6 @@ extensions).  Addition is XOR.
 from __future__ import annotations
 
 import functools
-from functools import reduce
 from operator import xor
 from typing import Iterator, Optional, Sequence
 
@@ -41,13 +42,17 @@ def gf2_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def gf2_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials."""
+def gf2_mulmod(a: int, b: int, m: int) -> int:
+    """a*b modulo m, for a of lower degree than m: the carry-less product,
+    reduced as each shift of a reaches the degree of m."""
     r = 0
+    hi = 1 << gf2_degree(m)
     while b:
         if b & 1:
             r ^= a
         a <<= 1
+        if a & hi:
+            a ^= m
         b >>= 1
     return r
 
@@ -69,7 +74,7 @@ def gf2_powmod_x(e: int, m: int) -> int:
     """x^(2^e) reduced modulo m, by repeated squaring of the class of x."""
     r = gf2_mod(0b10, m)
     for _ in range(e):
-        r = gf2_mod(gf2_mul(r, r), m)
+        r = gf2_mulmod(r, r, m)
     return r
 
 
@@ -168,14 +173,6 @@ class Field:
         if self.q <= _TABLE_LIMIT:
             self._build_log_tables()
 
-        # lazily built numpy tables
-        self._mul_table: Optional[np.ndarray] = None
-        self._inv_table: Optional[np.ndarray] = None
-        self._trace_table: Optional[np.ndarray] = None
-        self._sqrt_table: Optional[np.ndarray] = None
-        self._as_table: Optional[np.ndarray] = None
-        self._theta_weights: Optional[list[int]] = None
-
     def __repr__(self) -> str:
         return f"Field(2^{self.h}, modulus={modulus_hex(self.modulus)})"
 
@@ -191,16 +188,7 @@ class Field:
         return a ^ b
 
     def _mul_raw(self, a: int, b: int) -> int:
-        r = 0
-        hi = 1 << self.h
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            if a & hi:
-                a ^= self.modulus
-            b >>= 1
-        return r
+        return gf2_mulmod(a, b, self.modulus)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -246,15 +234,6 @@ class Field:
         """
         if self.trace(v) != 0:
             return None
-        if self._theta_weights is None:
-            theta = next(c for c in range(self.q) if self.trace(c) == 1)
-            powers = [theta]
-            for _ in range(self.h - 1):
-                powers.append(self.mul(powers[-1], powers[-1]))
-            # theta_i = sum_{j>i} theta^(2^j)
-            self._theta_weights = [
-                reduce(lambda x, y: x ^ y, powers[i + 1:], 0) for i in range(self.h - 1)
-            ]
         t = 0
         vp = v
         for w in self._theta_weights:
@@ -264,6 +243,15 @@ class Field:
             raise AssertionError(f"closed-form Artin-Schreier root {t} misses v = {v}")
         t = min(t, t ^ 1)
         return t, t ^ 1
+
+    @functools.cached_property
+    def _theta_weights(self) -> list[int]:
+        """theta_i = sum_{j>i} theta^(2^j), theta the least trace-one element."""
+        theta = next(c for c in range(self.q) if self.trace(c) == 1)
+        powers = [theta]
+        for _ in range(self.h - 1):
+            powers.append(self.mul(powers[-1], powers[-1]))
+        return [functools.reduce(xor, powers[i + 1:], 0) for i in range(self.h - 1)]
 
     def elements(self) -> range:
         return range(self.q)
@@ -286,7 +274,7 @@ class Field:
             exp[i] = val
             exp[i + self.q - 1] = val
             log[val] = i
-            val = self._mul_raw(val, g)
+            val = gf2_mulmod(val, g, self.modulus)
         self._exp, self._log = exp, log
 
     def _find_primitive(self) -> int:
@@ -297,55 +285,44 @@ class Field:
                 return g
         raise RuntimeError("no primitive element found")  # unreachable
 
-    @property
+    @functools.cached_property
     def mul_table(self) -> np.ndarray:
         """The q*q products as one flat array: entry (a << h) | b is a*b.
-        Built on first use, from the log tables; q <= 256, so elements
-        are uint8 and indices fit uint16."""
-        if self._mul_table is None:
-            if self.q > _COLUMN_LIMIT:
-                raise ValueError(f"column arithmetic needs q <= {_COLUMN_LIMIT}, got q={self.q}")
-            log = np.array(self._log)
-            table = np.array(self._exp, dtype=np.uint8)[log[:, None] + log[None, :]]
-            table[0, :] = table[:, 0] = 0
-            self._mul_table = table.ravel()
-        return self._mul_table
+        Built from the log tables; q <= 256, so elements are uint8 and
+        indices fit uint16."""
+        if self.q > _COLUMN_LIMIT:
+            raise ValueError(f"column arithmetic needs q <= {_COLUMN_LIMIT}, got q={self.q}")
+        log = np.array(self._log)
+        table = np.array(self._exp, dtype=np.uint8)[log[:, None] + log[None, :]]
+        table[0, :] = table[:, 0] = 0
+        return table.ravel()
 
-    @property
+    @functools.cached_property
     def inv_table(self) -> np.ndarray:
         """1/b per b: the position of the 1 in row b of the product table;
         row 0 has none, so entry 0 is 0."""
-        if self._inv_table is None:
-            self._inv_table = np.argmax(self.mul_table.reshape(self.q, self.q) == 1, axis=1
-                                        ).astype(self.np_dtype)
-        return self._inv_table
+        return np.argmax(self.mul_table.reshape(self.q, self.q) == 1, axis=1).astype(self.np_dtype)
 
-    @property
+    @functools.cached_property
     def trace_table(self) -> np.ndarray:
-        if self._trace_table is None:
-            self._trace_table = np.array([self.trace(a) for a in range(self.q)], dtype=np.uint8)
-        return self._trace_table
+        return np.array([self.trace(a) for a in range(self.q)], dtype=np.uint8)
 
-    @property
+    @functools.cached_property
     def sqrt_table(self) -> np.ndarray:
-        if self._sqrt_table is None:
-            self._sqrt_table = np.array([self.sqrt(a) for a in range(self.q)], dtype=self.np_dtype)
-        return self._sqrt_table
+        return np.array([self.sqrt(a) for a in range(self.q)], dtype=self.np_dtype)
 
-    @property
+    @functools.cached_property
     def artin_schreier_table(self) -> np.ndarray:
         """Minimal root of X^2 + X = v per v, or -1 when there is none.
 
         Built by brute enumeration of t -> t^2 + t, independently of the
         closed-form solver, so the two can be checked against each other.
         """
-        if self._as_table is None:
-            t = np.full(self.q, -1, dtype=np.int64)
-            for x in range(self.q):
-                v = self.mul(x, x) ^ x
-                t[v] = min(x, x ^ 1)
-            self._as_table = t
-        return self._as_table
+        t = np.full(self.q, -1, dtype=np.int64)
+        for x in range(self.q):
+            v = self.mul(x, x) ^ x
+            t[v] = min(x, x ^ 1)
+        return t
 
     def mul_col(self, arr: np.ndarray, scalar: int) -> np.ndarray:
         """Elementwise product of an element array with one fixed scalar:
@@ -395,7 +372,6 @@ class ExtField:
         self.one: ExtElement = (1,) + (0,) * (degree - 1)
         # generator: the class of the adjoined variable
         self.gen: ExtElement = (0, 1) + (0,) * (degree - 2)
-        self._as_roots: Optional[dict[ExtElement, ExtElement]] = None
 
     def __repr__(self) -> str:
         return f"ExtField({self.base!r}, degree={self.degree})"
@@ -534,18 +510,21 @@ class ExtField:
 
     def solve_artin_schreier(self, v: ExtElement) -> Optional[tuple[ExtElement, ExtElement]]:
         """Both roots of X^2 + X + v in GF(q^r), or None."""
-        if self._as_roots is None:
-            roots: dict[ExtElement, ExtElement] = {}
-            for t in self.elements():
-                key = self.add(self.mul(t, t), t)
-                prev = roots.get(key)
-                if prev is None or self.encode(t) < self.encode(prev):
-                    roots[key] = t
-            self._as_roots = roots
         t = self._as_roots.get(v)
         if t is None:
             return None
         return t, self.add(t, self.one)
+
+    @functools.cached_property
+    def _as_roots(self) -> dict[ExtElement, ExtElement]:
+        """The least root of X^2 + X + v per v that has one, by enumeration."""
+        roots: dict[ExtElement, ExtElement] = {}
+        for t in self.elements():
+            key = self.add(self.mul(t, t), t)
+            prev = roots.get(key)
+            if prev is None or self.encode(t) < self.encode(prev):
+                roots[key] = t
+        return roots
 
 
 @functools.lru_cache(maxsize=None)

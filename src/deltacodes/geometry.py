@@ -21,7 +21,7 @@ likewise written once over one (a, b, c) or over columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -157,19 +157,14 @@ class DeltaSet:
 
     field: Field
     points: list[tuple[int, int]]
-    _monomials: Optional[list[tuple[int, ...]]] = dataclass_field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def conic_monomials(self) -> list[tuple[int, ...]]:
         """Per point: (x^2, xy, y^2, x, y, 1) for conic evaluation sweeps."""
-        if self._monomials is None:
-            F = self.field
-            self._monomials = [
-                (F.mul(x, x), F.mul(x, y), F.mul(y, y), x, y, 1) for x, y in self.points
-            ]
-        return self._monomials
+        F = self.field
+        return [(F.mul(x, x), F.mul(x, y), F.mul(y, y), x, y, 1) for x, y in self.points]
 
 
 def build_delta(F: Field, include_origin: bool = False) -> DeltaSet:

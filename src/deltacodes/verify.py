@@ -761,7 +761,7 @@ def verify_lemma(F: Field) -> SuiteReport:
     dbar = build_delta(F, include_origin=True)
     dbar_masks = _line_masks(F, dbar.points)
     n_hyp, n_bad, parity_ok, draw = 0, 0, True, _Draw(q, SAMPLE_CHECKS, q * 7 + 1)
-    bad = {s: [] for s in range(3)}  # the first failing classes per split exponent
+    bad = []  # the first failing classes, in layout order
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         ok = np.broadcast_to(curves.triples_ok_columns(bc), _chunk_shape(bc))
         s = curves.split_exponent_columns(bc)
@@ -771,15 +771,14 @@ def verify_lemma(F: Field) -> SuiteReport:
         parity_ok &= not odd.any()
         wrong = odd | (ok & (count != curves.lemma_rhs(nf, curves.lemma_case_columns(F, bc))))
         n_bad += int(np.count_nonzero(wrong))
-        for k in range(3) if wrong.any() else ():
-            _first_in_chunk(bad[k], 5, blk, wrong & (s == k), count)
+        if wrong.any():
+            _first_in_chunk(bad, 3, blk, wrong, count)
         n_hyp += int(np.count_nonzero(ok))
         draw.add(blk, ok, count)
-    bad_examples = [(class_unrank(q, 6, i), c) for k in range(3) for i, c in bad[k]]
+    bad = [(class_unrank(q, 6, i), c) for i, c in bad]
     rep.add("intersection count equals its curve-count expression on every class",
             not n_bad, 0, n_bad,
-            note=f"checked {n_hyp} classes"
-                 + (f"; first: {bad_examples[:3]}" if bad_examples else ""))
+            note=f"checked {n_hyp} classes" + (f"; first: {bad}" if bad else ""))
     rep.add("curve point counts are even where halved", parity_ok)
 
     # scalar cross-check of the vectorized pipeline
@@ -800,7 +799,7 @@ def verify_relations(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
     n_hyp, n_bad, axis_ok, draw = 0, 0, True, _Draw(q, SAMPLE_CHECKS, q * 7 + 2)
-    bad = {s: [] for s in range(3)}  # the first failing classes per split exponent
+    bad = []  # the first failing classes, in layout order
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
         ok = np.broadcast_to(curves.triples_ok_columns(bc), _chunk_shape(bc))
         s = curves.split_exponent_columns(bc)
@@ -813,15 +812,14 @@ def verify_relations(F: Field) -> SuiteReport:
         diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
         wrong = ok & (diff != predicted)
         n_bad += int(np.count_nonzero(wrong))
-        for k in range(3) if wrong.any() else ():
-            _first_in_chunk(bad[k], 5, blk, wrong & (s == k), diff, predicted)
+        if wrong.any():
+            _first_in_chunk(bad, 3, blk, wrong, diff, predicted)
         axis_ok &= not (ok & (f_axis.astype(np.int16) - g_axis != diff)).any()
         n_hyp += int(np.count_nonzero(ok))
         draw.add(blk, ok, nf, ng)
-    bad = [(class_unrank(q, 6, i), d, p) for k in range(3) for i, d, p in bad[k]]
+    bad = [(class_unrank(q, 6, i), d, p) for i, d, p in bad]
     rep.add("tabulated count differences hold on every class", not n_bad, 0, n_bad,
-            note=f"checked {n_hyp} classes"
-                 + (f"; first: {bad[:3]}" if bad else ""))
+            note=f"checked {n_hyp} classes" + (f"; first: {bad}" if bad else ""))
     rep.add("count differences are explained by points on the axis X = 0", axis_ok)
 
     sample_ok = True
@@ -879,7 +877,7 @@ def _honest_linear_sweep(F: Field, cols: list[np.ndarray],
 def verify_reducibility(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
-    identities, tally = {"identity_q12": True, "identity_q13": True}, Counter()
+    tally = Counter()
     first = {key: [] for key in ("disagree", "mismatch", "gap")}  # in layout order
     # 40 applicable classes, and 8 more from the gap where there is one
     draws = [_Draw(q, SAMPLE_CHECKS, q * 7 + 3), _Draw(q, 8, q * 7 + 5), _Draw(q, 8, q * 7 + 5)]
@@ -892,16 +890,16 @@ def verify_reducibility(F: Field) -> SuiteReport:
         red = curves.reducibility_columns(F, bc, vbar, h)
         degenerate, stated = degeneracy_columns(F, bc) == 0, red["reducible"]
         honest = _honest_linear_sweep(F, bc, h, red)
+        both = app & (a12 != 0) & (a22 != 0)
         masks = {"checked": app, "disagree": app & (stated != degenerate),
-                 "mismatch": app & (honest != degenerate), "gap": app & honest & ~stated}
+                 "mismatch": app & (honest != degenerate), "gap": app & honest & ~stated,
+                 "identity_q12": both & ~red["identity_q12"],
+                 "identity_q13": both & ~red["identity_q13"]}
         for key, mask in masks.items():
             tally[key] += int(np.count_nonzero(mask))
         _first_in_chunk(first["disagree"], 5, blk, masks["disagree"], stated, degenerate)
         _first_in_chunk(first["mismatch"], 5, blk, masks["mismatch"], honest, degenerate)
         _first_in_chunk(first["gap"], 5, blk, masks["gap"])
-        both = app & (a12 != 0) & (a22 != 0)
-        for key in identities:
-            identities[key] &= not (both & ~red[key]).any()
         for draw, mask in zip(draws, (app, masks["gap"], app)):
             draw.add(blk, mask, honest)
 
@@ -910,11 +908,8 @@ def verify_reducibility(F: Field) -> SuiteReport:
             not bad, 0, tally["disagree"],
             note=f"checked {tally['checked']} classes" + (f"; first: {bad}" if bad else ""))
 
-    for name, key in (
-        ("resultant identity Q12 = a22 * R12", "identity_q12"),
-        ("resultant identity Q13 = a22^2 * R13 + a12^2 * R12", "identity_q13"),
-    ):
-        rep.add(name, identities[key])
+    rep.add("resultant identity Q12 = a22 * R12", not tally["identity_q12"])
+    rep.add("resultant identity Q13 = a22^2 * R13 + a12^2 * R12", not tally["identity_q13"])
 
     bad_h = [(class_unrank(q, 6, i), h, d) for i, h, d in first["mismatch"]]
     rep.add("H has a linear component iff the conic is degenerate",

@@ -89,6 +89,28 @@ def test_code_and_suite_reports_are_pinned(capsys, argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The same for the three spectra and the lemma, relations and reducibility
+# suites at q = 8, recorded before the field tables became cached properties
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    ("spectrum --family lines --q 8", EXIT_MISMATCH,
+     "c5b79e806f053077cf83ab7ba4f71f55b54296e84c7cf04723aec7afc5c7aa22"),
+    ("spectrum --family parabolas --q 8", EXIT_OK,
+     "9489c2466ef3c19795debe4aec29832114d6df3c417f4253b1ca863dfe316cf5"),
+    ("spectrum --family all-conics --q 8", EXIT_MISMATCH,
+     "c8168afe1da6d2cba1b4211ebd1a7adfb8dcc4fe18de02a2d01482e6e7ba2771"),
+    ("verify --suite lemma --q 8", EXIT_OK,
+     "cfb6b425a665b859434c2d46d191121d3456089811581bd06cb5f1c9f2c99171"),
+    ("verify --suite relations --q 8", EXIT_OK,
+     "82a5e061cbcf736ccf869e7771f8f53d34593e3600e55190ac1bf31c7fbe171a"),
+    ("verify --suite reducibility --q 8", EXIT_MISMATCH,
+     "2a2cc022901119521a0109eac84987c17b857c944b780d06cbff9e3cdfcd415f"),
+])
+def test_spectrum_and_suite_reports_at_q8_are_pinned(capsys, argv, exit_code, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, "params", "--q", "7", "--system", "lines")
     assert code == EXIT_USAGE
@@ -159,6 +181,22 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["report"]["modulus"] == "0xB"
     code, _ = run(capsys, "params", "--system", "lines")
     assert code == EXIT_USAGE  # no q anywhere
+
+
+def test_config_in_every_spelling_argparse_accepts(tmp_path, capsys):
+    """--config=PATH and the abbreviation --conf read the file as --config
+    PATH does; a missing file is a usage error in each spelling."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"format": "csv", "q": 4, "system": "lines"}')
+    expected = run(capsys, "params", "--config", str(cfg))
+    assert expected[0] == EXIT_OK and expected[1].startswith("q,system,n,k,d,weight,count")
+    assert run(capsys, "params", f"--config={cfg}") == expected
+    assert run(capsys, "params", "--conf", str(cfg)) == expected
+    for argv in (["--config=/missing.json"], ["--conf", "/missing.json"]):
+        code = main(["params", "--system", "lines", "--q", "4", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error: --config /missing.json: ")
 
 
 def test_net_scan_count(capsys):
@@ -326,11 +364,22 @@ def test_conic_code_beyond_class_budget_is_usage_error(capsys):
     assert peak < 1 << 20
 
 
-def _cli_process(argv, **kwargs):
+def _cli_process(argv, python_flags=(), **kwargs):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.Popen([sys.executable, "-m", "deltacodes.cli", *argv], env=env,
-                            stderr=subprocess.PIPE, **kwargs)
+    return subprocess.Popen([sys.executable, *python_flags, "-m", "deltacodes.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_reports_survive_optimize():
+    """Under python -O, which strips assert statements, every suite at
+    q = 4 still gives the pinned report and exit code."""
+    proc = _cli_process(["verify", "--suite", "all", "--q", "4"], python_flags=("-O",),
+                        stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == EXIT_MISMATCH and "Traceback" not in err.decode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "36531cf08c8515b289e1c7349a5dbf5118c20481a6f65699935e70beec4e396d"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")

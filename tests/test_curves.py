@@ -167,7 +167,7 @@ def test_count_rejects_other_fields_and_large_q(F8, F16):
     F512 = Field(9)
     with pytest.raises(ValueError):
         count_affine_points(Poly2(F512, {(1, 0): 1, (0, 1): 3}), F512)
-    assert F512._mul_table is None
+    assert "mul_table" not in vars(F512)
 
 
 def test_lemma_exhaustive_q4(F4):

@@ -228,7 +228,7 @@ def test_column_arithmetic_stops_at_256():
         F.vmul(np.array([1, 2]), np.array([3, 4]))
     with pytest.raises(ValueError):
         F.mul_col(np.array([1, 2]), 3)
-    assert F._mul_table is None
+    assert "mul_table" not in vars(F)
     assert F.mul(3, F.inv(3)) == 1  # scalar arithmetic is unaffected
 
 
@@ -333,6 +333,21 @@ def test_ext_tables_are_built_once_and_only_on_use():
     assert field._ext_log_tables.cache_info().misses == tables.misses + 1
     assert field._ext_frobenius_table.cache_info().misses == frob.misses + 1
     assert E1._tables is E2._tables
+
+
+def test_field_tables_are_built_once_and_only_on_use():
+    names = ("mul_table", "inv_table", "trace_table", "sqrt_table", "artin_schreier_table",
+             "_theta_weights")
+    F = Field(4)
+    assert not set(names) & set(vars(F))
+    F.vdiv(1, 1)
+    assert set(names) & set(vars(F)) == {"mul_table", "inv_table"}
+    assert F.mul_table is F.mul_table and F.inv_table is F.inv_table
+    F = Field(9)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="q <= 256"):
+            F.mul_table
+    assert not set(names) & set(vars(F))
 
 
 def test_ext_table_builder_raises_on_a_non_primitive_generator(monkeypatch):

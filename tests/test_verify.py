@@ -99,10 +99,14 @@ def test_lemma_and_relations_count_every_failing_class(F4, monkeypatch):
     check = verify_relations(F4).checks[0]
     assert check.name == "tabulated count differences hold on every class"
     assert (check.ok, check.actual) == (False, 1275)  # every class of the hypothesis
+    assert check.note.endswith("; first: [((1, 0, 0, 0, 1, 0), 1, 2), "
+                               "((1, 0, 0, 0, 1, 1), -1, 0), ((1, 0, 0, 0, 1, 2), -1, 0)]")
     monkeypatch.setattr(curves, "lemma_rhs", lambda n, case: rhs(n, case) + (case == 4))
     check = verify_lemma(F4).checks[0]
     assert check.name == "intersection count equals its curve-count expression on every class"
     assert (check.ok, check.actual) == (False, 16)  # the case-4 classes
+    assert check.note.endswith("; first: [((1, 0, 0, 0, 1, 0), 4), "
+                               "((1, 0, 1, 0, 1, 0), 1), ((1, 0, 2, 0, 1, 0), 1)]")
 
 
 def test_run_suite_all(F4):
