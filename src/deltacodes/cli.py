@@ -125,6 +125,9 @@ def write_csv(payload: dict, fh) -> None:
             for c in suite["checks"]:
                 writer.writerow([payload["q"], suite["suite"], c["name"], c["ok"],
                                  c["expected"], c["actual"], c["note"]])
+    elif kind == "net" and "orbit_size" in payload:  # --scan-count
+        keys = ["q", "orbit_size", "orbit_size_expected", "orbit_size_ok"]
+        writer.writerows([keys, [payload[key] for key in keys]])
     elif kind == "net":
         writer.writerow(["q", "member", "a11", "a12", "a22", "a13", "a23", "a33"])
         for i, member in enumerate(payload["members"]):
@@ -244,7 +247,7 @@ def cmd_net(args) -> int:
         }
         emit(payload, args)
         return EXIT_OK if accepted == expected else EXIT_MISMATCH
-    point = find_lambda_point(E, "scan" if args.scan else "seeded", args.seed)
+    point = find_lambda_point(E, "scan" if args.scan else "seeded", args.seed or 0)
     ctx = make_net_context(E, point)
     members = build_net(F, ctx)  # distinct, non-degenerate, one axis-tangent, or it raises
     hexes = [format(c, "#x") for c in range(F.q)]
@@ -301,10 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net", help="build the triangle net and dump its members")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scan", action="store_true", help="take the first base point in scan order")
-    p.add_argument("--scan-count", action="store_true",
-                   help="exhaustively count the admissible base points instead")
+    base = p.add_mutually_exclusive_group()
+    base.add_argument("--seed", type=int)  # no default, so "--seed 0 --scan" is refused too
+    base.add_argument("--scan", action="store_true", help="take the first base point in scan order")
+    base.add_argument("--scan-count", action="store_true",
+                      help="exhaustively count the admissible base points instead")
     p.set_defaults(fn=cmd_net, _needs=())
     parser._deltacodes_subparsers = subparsers  # for config defaults
     return parser

@@ -24,12 +24,12 @@ coefficient-triple hypothesis, the split exponent s, vbar, the coefficients
 of H, the tabulated N(F^(s)) - N(G^(s)) and the resultant-style quantities
 of the reducibility criteria are functions over class columns
 (triples_ok_columns, split_exponent_columns, vbar_columns, term_columns,
-cubic_h_columns, f_minus_g_columns, reducibility_columns).  The scalar API
-(coefficient_triples_ok, solve_vbar, build_family, predicted_f_minus_g,
-reducibility_details) is their one-class view: it calls the same formulas
-on the conic's six coefficients, and a rational vbar enters them as the
-pair (vbar, 0).  has_linear_component decides reducibility of H on one
-class and returns the lines it finds.
+cubic_h_columns, f_minus_g_columns, lemma_case_columns, reducibility_columns),
+which one class calls with its six coefficients.  The scalar API keeps the
+views that add meaning: solve_vbar, build_family (the curves as Poly2) and
+reducibility_details (a rational vbar enters as the pair (vbar, 0)).
+has_linear_component decides reducibility of H on one class and returns
+the lines it finds.
 """
 
 from __future__ import annotations
@@ -308,11 +308,6 @@ def triples_ok_columns(coeffs):
             & (a12 | a13 | a23) & (a22 | a23 | a33))
 
 
-def coefficient_triples_ok(conic: Conic) -> bool:
-    """The one-class view of triples_ok_columns."""
-    return bool(triples_ok_columns(conic))
-
-
 def split_exponent_columns(coeffs):
     """The multiplicity s of the line X = 0 in the pullback quartic, F =
     X^s * F^(s), for the six coefficients of one conic or for class
@@ -439,17 +434,13 @@ def _cubic_h(K: AnyField, conic: Conic, vbar, ordering: int) -> Poly2:
 def build_family(F: Field, conic: Conic) -> CurveFamily:
     """Construct F, F^(s), G, G^(s) (always) and vbar, H (when a12 or a22
     is nonzero) for a conic satisfying the coefficient-triple hypothesis."""
-    if not coefficient_triples_ok(conic):
+    if not triples_ok_columns(conic):
         raise ValueError(f"conic {conic.coeffs()} violates the coefficient-triple hypothesis")
     s = int(split_exponent_columns(conic))
     quartic = _pullback_quartic(F, conic)
     f_s = quartic if s == 0 else quartic.shift_down_x(s)
     g = _sheared_curve(F, conic, drop=0)
     g_s = _sheared_curve(F, conic, drop=s)
-    # the split-off factor is exact: X^s * F^(s) = F
-    xs = Poly2(F, {(s, 0): 1}, ("X", "T"))
-    if xs.mul(f_s).coeffs != quartic.coeffs:
-        raise AssertionError(f"X^{s} does not split off the quartic of {conic.coeffs()}")
 
     vbar = vfield = h = None
     if conic.a12 or conic.a22:
@@ -506,18 +497,13 @@ def f_minus_g_columns(F: Field, cols: Sequence[np.ndarray], s: int) -> np.ndarra
                                              np.where(tz, 0, -two)))
 
 
-def predicted_f_minus_g(F: Field, conic: Conic, s: int) -> int:
-    """The one-class view of f_minus_g_columns."""
-    return int(f_minus_g_columns(F, conic, s))
-
-
 def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> dict:
     """Brute-force both sides of the applicable N(F^(s)) vs N(G^(s))
     relation and report whether the tabulated difference holds."""
     fam = fam or build_family(F, conic)
     f_zeros, g_zeros = _grid_zeros(fam.F_s, F), _grid_zeros(fam.G_s, F)
     n_f, n_g = int(np.count_nonzero(f_zeros)), int(np.count_nonzero(g_zeros))
-    predicted = predicted_f_minus_g(F, conic, fam.s)
+    predicted = int(f_minus_g_columns(F, conic, fam.s))
     # independent axis cross-check: the difference comes from points on X = 0
     f_axis, g_axis = int(np.count_nonzero(f_zeros[0])), int(np.count_nonzero(g_zeros[0]))
     return {
@@ -541,11 +527,6 @@ def lemma_case_columns(F: Field, cols: Sequence[np.ndarray]) -> np.ndarray:
     return np.where(s < 2, s + 1, np.where(open_case, np.uint8(4), 3))
 
 
-def lemma_case(F: Field, conic: Conic) -> int:
-    """The one-class view of lemma_case_columns."""
-    return int(lemma_case_columns(F, conic))
-
-
 def lemma_rhs(n_f_s, case):
     """The lemma's value of |DeltaBar ∩ C| from N(F^(s)): n/2, plus one in
     cases 2 and 3; for one class or a column of classes."""
@@ -560,7 +541,7 @@ def verify_lemma_delta(
     fam = fam or build_family(F, conic)
     delta_bar = delta_bar or build_delta(F, include_origin=True)
     lhs = count_on_delta(F, conic, delta_bar)
-    case = lemma_case(F, conic)
+    case = int(lemma_case_columns(F, conic))
     n = count_affine_points(fam.F_s, F)
     rhs = int(lemma_rhs(n, case))
     halves_ok = n % 2 == 0

@@ -13,9 +13,9 @@ never trusted without the brute-force oracle.
 The degeneracy criterion, the exceptional families and the closed form of
 the parabola family a12 = a22 = 0 are written once, over the six
 coefficients of one conic or over class columns (degeneracy_columns,
-exceptional_columns, parabola_count_closed_form); degeneracy_criterion,
-is_degenerate, classify_exceptional and line_counts are their one-class
-view.  The stated line case list, line_delta_count_closed_form, is
+exceptional_columns, parabola_count_closed_form); is_degenerate,
+classify_exceptional and line_counts are the one-class views that add
+meaning.  The stated line case list, line_delta_count_closed_form, is
 likewise written once over one (a, b, c) or over columns.
 """
 
@@ -87,11 +87,6 @@ def degeneracy_columns(F: Field, coeffs):
             ^ mul(a22, mul(a13, a13)) ^ mul(a33, mul(a12, a12)))
 
 
-def degeneracy_criterion(F: Field, conic: Conic) -> int:
-    """The one-class view of degeneracy_columns."""
-    return int(degeneracy_columns(F, conic))
-
-
 def is_degenerate(F: Field, conic: Conic) -> bool:
     """True when the conic splits into lines (possibly coincident or over
     GF(q^2)) or degenerates to a point.
@@ -101,7 +96,7 @@ def is_degenerate(F: Field, conic: Conic) -> bool:
     so no special-casing is needed; the singular-point search over
     PG(2, GF(q^2)) is kept as an independent oracle.
     """
-    return degeneracy_criterion(F, conic) == 0
+    return not degeneracy_columns(F, conic)
 
 
 def projective_points(E: ExtField) -> Iterator[tuple]:

@@ -12,11 +12,11 @@ G and H and the reducibility quantities from those in `curves`.  Every
 per-class point count (the conic on Delta and DeltaBar, F, G and H) comes
 from one root-mask walk over the lines of the plane (`_root_mask_counts`);
 where a33 lies alone on a chunk's last axis, the walk reads the q classes
-along it as one row of a cached table (`_row_table`).
-Each chunk is reduced before the next, to tallies and to the positions
-of the classes a report names or a cross-check draws (`_first_in_chunk`,
-`_Draw`; named by `class_unrank`), so the conic sweeps hold no per-class
-arrays.
+along it as one row of a cached table (`_row_table`); a count on one line
+reads the curve there from its term table (`_on_line`).  Each chunk is
+reduced before the next, to tallies, to the classes a report names or a
+cross-check draws (`_first_in_chunk`, `_Draw`) and to hasse's window
+violators, so the conic sweeps hold no per-class arrays.
 `zero_counts` remains the tests' independent count and the kernel of
 `codes.weight_distribution_classes`.
 On a deterministic draw of classes each sweep is cross-checked against
@@ -309,6 +309,24 @@ def _root_counts(F: Field, *polys) -> np.ndarray:
                                                  for k, c in enumerate(reversed(p))))
         common = masks[index] if common is None else common & masks[index]
     return np.bitwise_count(common)
+
+
+def _on_line(F: Field, curve: dict[tuple[int, int], tuple], v) -> tuple:
+    """A term-table curve (curves.term_columns) where its line variable is v,
+    a GF(q) value or column, as _root_counts reads it: U^i has the XOR over j
+    of c_ij * v^j, in three slots unless U^4 occurs (q^3 root masks, not q^4)."""
+    powers, coeffs = {1: v}, dict.fromkeys(SLOT_EXPONENTS, 0)
+
+    def power(j):  # v^j, each power built once
+        if j not in powers:
+            powers[j] = F.vmul(power(j // 2), power(j - j // 2))
+        return powers[j]
+
+    for (i, j), (c,) in curve.items():
+        if not j or np.any(v):  # at v = 0 only the terms free of v remain
+            coeffs[i] = coeffs[i] ^ (F.vmul(c, power(j)) if j else c)
+    slots = 4 if any(i == 4 for i, _ in curve) else 3
+    return tuple(coeffs[i] for i in reversed(SLOT_EXPONENTS[:slots]))
 
 
 def _line_masks(F: Field, points) -> np.ndarray:
@@ -609,19 +627,13 @@ def verify_field(F: Field) -> SuiteReport:
             for a in pick() for b in pick()
         )
         rep.add(f"degree-{r} embedding respects operations", emb_ok)
-        if q ** r <= 4096:
-            frob_fix = all(
-                (E.frobenius(x) == x) == E.in_base(x) for x in E.elements()
-            )
-            rep.add(f"degree-{r} Frobenius fixes exactly the base field", frob_fix)
-            ident = all(_frob_iter(E, x, r) == x for x in E.elements())
-            rep.add(f"degree-{r} Frobenius has order dividing {r}", ident)
-        else:
-            xs = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(64)]
-            rep.add(f"degree-{r} Frobenius fixes exactly the base field (sampled)",
-                    all((E.frobenius(x) == x) == E.in_base(x) for x in xs))
-            rep.add(f"degree-{r} Frobenius has order dividing {r} (sampled)",
-                    all(_frob_iter(E, x, r) == x for x in xs))
+        sampled = "" if q ** r <= 4096 else " (sampled)"
+        xs = (list(E.elements()) if not sampled
+              else [tuple(rng.randrange(q) for _ in range(r)) for _ in range(64)])
+        rep.add(f"degree-{r} Frobenius fixes exactly the base field{sampled}",
+                all((E.frobenius(x) == x) == E.in_base(x) for x in xs))
+        rep.add(f"degree-{r} Frobenius has order dividing {r}{sampled}",
+                all(_frob_iter(E, x, r) == x for x in xs))
     return rep
 
 
@@ -806,7 +818,7 @@ def verify_relations(F: Field) -> SuiteReport:
         nf, f_axis = _quartic_counts(F, bc, s)
         # N(G^(s)) = N(G): the coefficients G^(s) drops vanish at split exponent s
         ng = _root_mask_counts(F, curves.term_columns(bc, curves.SHEARED_TERMS, 0))
-        g_axis = _root_counts(F, (bc[2], bc[4], 0, bc[5]))  # G(0, V) = a22 V^4 + a23 V^2 + a33
+        g_axis = _root_counts(F, _on_line(F, curves.term_columns(bc, curves.SHEARED_TERMS, 1), 0))
         fmg = [curves.f_minus_g_columns(F, bc, k) for k in range(3)]
         predicted = np.where(s == 0, fmg[0], np.where(s == 1, fmg[1], fmg[2]))
         diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
@@ -942,15 +954,14 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     # per chunk on factored axes: applicability, vbar, G, H, both counts by the
     # root-mask walk, the windows and the corrected transfer, reduced to tallies,
-    # the first violators and the positions of the rational-vbar window violators
+    # the first violators and the coefficients of the rational-vbar window violators
     in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
                        for x in range(q * q + 1)])  # N(H) <= q^2
-    tally, unequal, outside, viol = Counter(), [], [], []
+    tally, unequal, outside, viol = Counter(), [], [], [[] for _ in range(6)]
     draw = _Draw(q, SAMPLE_CHECKS, q * 7 + 4)
     for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
-        a11, a12, a22, a13, a23, a33 = bc
         app = np.broadcast_to(curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
-                              & ((a12 != 0) | (a22 != 0)), _chunk_shape(bc))
+                              & ((bc[1] != 0) | (bc[2] != 0)), _chunk_shape(bc))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
         g = curves.term_columns(bc, curves.SHEARED_TERMS, 0)
@@ -965,7 +976,9 @@ def verify_hasse(F: Field) -> SuiteReport:
             tally[key] += int(np.count_nonzero(mask))
         _first_in_chunk(unequal, 3, blk, masks["unequal"], ng, nh)
         _first_in_chunk(outside, 5, blk, masks["outside"], nh)
-        viol += (blk.start + np.flatnonzero(masks["outside"] & rat)).tolist()
+        violators = masks["outside"] & rat
+        for col, c in zip(viol, bc):
+            col.append(np.broadcast_to(c, violators.shape)[violators])
         draw.add(blk, app, ng, nh)
         if not rat.any():
             continue
@@ -974,15 +987,8 @@ def verify_hasse(F: Field) -> SuiteReport:
         # picks up the other points of that line; bookkeeping those recovers
         # N(H) = N(G) - k + (points of H on V = 0) exactly.  On rational-vbar
         # classes every value lies in the first component.
-        r, h_x, h_const = vbar[0], h[(1, 0)][0], h[(0, 0)][0]
-        r2 = F.vmul(r, r)
-        g_on_vbar = (
-            a11 ^ F.vmul(a12, r) ^ F.vmul(a22, r2),
-            F.vmul(a12, r2) ^ F.vmul(a23, r) ^ a13,
-            F.vmul(a22, F.vmul(r2, r2)) ^ F.vmul(a23, r2) ^ a33,
-        )
-        corrected = (ng.astype(np.int32) - _root_counts(F, g_on_vbar)
-                     + _root_counts(F, (a12, h_x, h_const)))
+        corrected = (ng.astype(np.int32) - _root_counts(F, _on_line(F, g, vbar[0]))
+                     + _root_counts(F, _on_line(F, {key: p[:1] for key, p in h.items()}, 0)))
         tally["transfer"] += int(np.count_nonzero(rat & (corrected == nh)))
     n_app, n_rational = tally["applicable"], tally["rational"]
 
@@ -1017,8 +1023,7 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
-    viol = [class_unrank(q, 6, i) for i in viol]
-    viol_cols = list(np.array(viol, dtype=F.np_dtype).reshape(-1, 6).T)
+    viol_cols = [np.concatenate(col) for col in viol]
     viol_vbar = curves.vbar_columns(F, viol_cols)
     viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
     has_line = _honest_linear_sweep(

@@ -36,10 +36,10 @@ from deltacodes.codes import (
 from deltacodes.curves import (
     Poly2,
     build_family,
-    coefficient_triples_ok,
     has_linear_component,
     hasse_window_check,
     reducibility_details,
+    triples_ok_columns,
 )
 from deltacodes.constructions import (
     POLY_1,
@@ -271,7 +271,7 @@ RATIONAL_WINDOW_VIOLATORS = {4: 0, 8: 196, 16: 1800}
 def scalar_applicable_classes(F: Field) -> int:
     """Non-degenerate classes under the running hypothesis that have an H."""
     return sum(1 for c in conic_classes(F.q)
-               if (c.a12 or c.a22) and coefficient_triples_ok(c) and not is_degenerate(F, c))
+               if (c.a12 or c.a22) and triples_ok_columns(c) and not is_degenerate(F, c))
 
 
 def test_criterion_09_hasse_window():
@@ -312,7 +312,7 @@ def test_criterion_09_hasse_window():
     fam = build_family(F, example)
     res = hasse_window_check(F, example, fam)
     found, lines = has_linear_component(F, example, fam)
-    if not (coefficient_triples_ok(example) and not is_degenerate(F, example)
+    if not (triples_ok_columns(example) and not is_degenerate(F, example)
             and fam.vbar_rational and not reducibility_details(F, example, fam)["reducible"]
             and found and any(kind == "w" for kind, _ in lines)
             and res["n_h"] == 29 and not res["in_window"]):

@@ -111,6 +111,28 @@ def test_spectrum_and_suite_reports_at_q8_are_pinned(capsys, argv, exit_code, di
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The same for the reports whose curve restrictions and field checks were
+# rewritten, recorded before the restrictions were read from the term tables
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    ("verify --suite hasse --q 8", EXIT_MISMATCH,
+     "75f2da5c1d995f31f247fe0f4f4e8f1f8a67a7cf82657857a07fa06984458f32"),
+    ("verify --suite hasse --q 16", EXIT_MISMATCH,
+     "59a8b68f1a2828269ef4fbe301b0e7a53f692c4568194869452f6de24c5b703b"),
+    ("verify --suite relations --q 16", EXIT_OK,
+     "044396d5a9aa9628a91714cefb29dd65afac3d545dd2adfc07ad43db19cc8765"),
+    ("verify --suite lemma --q 16", EXIT_OK,
+     "a9e017e3729e2a565c6689fab3d440ef64cc81b745fd7ca2f69cb9834c31c5c4"),
+    ("verify --suite field --q 32", EXIT_OK,
+     "302fca8f70a230fda53448a7e29c1fde2c700ac1b7257dba4f87edaa40d8c597"),
+    ("verify --suite field --q 64", EXIT_OK,
+     "135e06def44d67cc1298d4c1773db19b1c3c6113d630983096709e2ac66acd61"),
+])
+def test_restriction_and_field_reports_are_pinned(capsys, argv, exit_code, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, "params", "--q", "7", "--system", "lines")
     assert code == EXIT_USAGE
@@ -204,6 +226,22 @@ def test_net_scan_count(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["orbit_size"] == 2880 and payload["orbit_size_ok"]
+
+
+def test_net_scan_count_csv_carries_the_count(capsys):
+    code, out = run(capsys, "net", "--q", "4", "--scan-count", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["q,orbit_size,orbit_size_expected,orbit_size_ok",
+                                "4,2880,2880,True"]
+
+
+@pytest.mark.parametrize("argv", ["--scan --scan-count", "--seed 1 --scan", "--seed 0 --scan"])
+def test_net_base_point_flags_are_exclusive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["net", "--q", "4", *argv.split()])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_net_members(capsys):

@@ -360,6 +360,29 @@ def test_ext_table_builder_raises_on_a_non_primitive_generator(monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
+def _base(h):
+    return Field(h)
+
+
+@st.composite
+def _base_triples(draw):
+    F = _base(draw(st.integers(2, 20)))
+    elem = st.integers(0, F.q - 1)
+    return F, draw(elem), draw(elem), draw(elem)
+
+
+@given(_base_triples())
+def test_field_axioms_property(case):
+    """GF(2^h), h = 2 .. 20: log tables up to order 2^16, reduction above."""
+    F, a, b, c = case
+    assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
+    assert F.mul(a, b ^ c) == F.mul(a, b) ^ F.mul(a, c)
+    assert F.mul(a, b) == F.mul(b, a) == F._mul_raw(a, b)
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
+
+
+@functools.lru_cache(maxsize=None)
 def _ext(h, r):
     return ExtField(Field(h), r)
 

@@ -295,8 +295,8 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
     Delta and DeltaBar on the line and parabola sub-layouts."""
     from deltacodes import curves, verify
     from deltacodes.geometry import build_delta
-    from deltacodes.verify import (_delta_counts, _line_masks, _quartic_counts, _root_counts,
-                                   _root_mask_counts, factored_class_chunks)
+    from deltacodes.verify import (_delta_counts, _line_masks, _on_line, _quartic_counts,
+                                   _root_counts, _root_mask_counts, factored_class_chunks)
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = Field(h)
@@ -323,7 +323,8 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
             "n_f": n_f,
             "f_axis": f_axis,
             "n_g": _root_mask_counts(F, curves.term_columns(bc, curves.SHEARED_TERMS, 0)),
-            "g_axis": _root_counts(F, (bc[2], bc[4], 0, bc[5])),
+            "g_axis": _root_counts(
+                F, _on_line(F, curves.term_columns(bc, curves.SHEARED_TERMS, 1), 0)),
         }
         assert got["n_g"].dtype == np.uint16
         assert got["n_g"].shape == shape, blk
@@ -447,6 +448,33 @@ def test_h_counted_in_v_equals_h_counted_in_x(h):
         cubic = curves.cubic_h_columns(F, bc, curves.vbar_columns(F, bc))
         in_v = _root_mask_counts(F, {(j, i): c for (i, j), c in cubic.items()})
         assert np.array_equal(in_v, _root_mask_counts(F, cubic)), blk
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_curve_on_each_line_sums_to_its_grid_count(h):
+    """_on_line restricts a term-table curve to the line where its line
+    variable is v: the root counts summed over every v give the conic's,
+    F's and G's points on the grid (zero_counts of their monomials) on
+    every class, counted in either variable (F only in T, as X^3 occurs).
+    It returns three slots for a curve of degree 2 in the counted variable
+    and four when its fourth power occurs."""
+    from deltacodes import curves
+    from deltacodes.verify import _on_line, _root_counts
+    F, cols, _ = _layout(h)
+    grid = [(x, y) for x in F.elements() for y in F.elements()]
+    conic = [(F.mul(x, x), F.mul(x, y), F.mul(y, y), x, y, 1) for x, y in grid]
+    for terms, monos, counted, slots in (
+            (curves.CONIC_TERMS, conic, 0, 3), (curves.CONIC_TERMS, conic, 1, 3),
+            (curves.QUARTIC_TERMS, curves.quartic_monomials(F, grid, 0), 1, 4),
+            (curves.SHEARED_TERMS, curves.sheared_monomials(F, grid, 0), 0, 3),
+            (curves.SHEARED_TERMS, curves.sheared_monomials(F, grid, 0), 1, 4)):
+        curve = curves.term_columns(cols, terms, counted)
+        got = 0
+        for v in F.elements():
+            restricted = _on_line(F, curve, np.full_like(cols[0], v))
+            assert len(restricted) == slots, (terms, counted)
+            got = got + _root_counts(F, restricted).astype(int)
+        assert np.array_equal(got, zero_counts(F, 6, monos)), (terms, counted)
 
 
 def test_counts_are_narrow(F16):
@@ -621,7 +649,7 @@ def test_column_formulas_exhaustive_q4(F4):
     checked = 0
     for i in range(len(cols[0])):
         c = Conic(*(int(col[i]) for col in cols))
-        if not (c.a12 or c.a22) or not curves.coefficient_triples_ok(c):
+        if not (c.a12 or c.a22) or not curves.triples_ok_columns(c):
             continue
         fam = curves.build_family(F4, c)
         grouped = curves._cubic_h(fam.vfield, c, fam.vbar, ordering=1)
