@@ -13,10 +13,10 @@ per-class point count (the conic on Delta and DeltaBar, F, G and H) comes
 from one root-mask walk over the lines of the plane (`_root_mask_counts`);
 where a33 lies alone on a chunk's last axis, the walk reads the q classes
 along it as one row of a cached table (`_row_table`); a count on one line
-reads the curve there from its term table (`_on_line`).  Each chunk is
-reduced before the next, to tallies, to the classes a report names or a
-cross-check draws (`_first_in_chunk`, `_Draw`) and to hasse's window
-violators, so the conic sweeps hold no per-class arrays.
+reads the curve there from its term table (`_on_line`).  One reducer
+(`_Sweep`) takes each chunk before the next to tallies and to the classes
+a report names, a cross-check draws or hasse re-examines, each named by its
+six coefficients, so the conic sweeps hold no per-class arrays.
 `zero_counts` remains the tests' independent count and the kernel of
 `codes.weight_distribution_classes`.
 On a deterministic draw of classes each sweep is cross-checked against
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence
 
@@ -146,7 +146,7 @@ def projective_class_columns(q: int, width: int, dtype=np.uint8) -> list[np.ndar
     check_class_budget(q, width)
     cols = [np.empty(_layout_size(q, width), dtype=dtype) for _ in range(width)]
     for blk, chunk in factored_class_chunks(q, width, dtype):
-        shape = _chunk_shape(chunk)
+        shape = np.broadcast_shapes(*(c.shape for c in chunk))
         for col, c in zip(cols, chunk):
             col[blk].reshape(shape)[...] = c
     return cols
@@ -190,12 +190,6 @@ def factored_class_chunks(q: int, width: int, dtype=np.uint8):
         lo += q ** t
 
 
-def _chunk_shape(cols: Sequence[np.ndarray]) -> tuple[int, ...]:
-    """The broadcast shape of a chunk's factored columns: its classes, in
-    layout order when flattened."""
-    return np.broadcast_shapes(*(c.shape for c in cols))
-
-
 def class_rank(q: int, width: int, cols: Sequence[np.ndarray]) -> np.ndarray:
     """Per class, its position in the layout of projective_class_columns(q,
     width): the inverse of that layout.  The classes must be normalized
@@ -215,20 +209,6 @@ def class_rank(q: int, width: int, cols: Sequence[np.ndarray]) -> np.ndarray:
     if not ((value > 0) & (value < 2 * lead_power)).all():
         raise ValueError("class_rank needs normalized classes (leading coordinate 1)")
     return (q ** width - q * lead_power) // (q - 1) + value - lead_power
-
-
-def class_unrank(q: int, width: int, rank: int) -> tuple[int, ...]:
-    """The class at position `rank` of the layout of
-    projective_class_columns(q, width): the inverse of class_rank, for one
-    class.  Raises ValueError for a rank outside the layout."""
-    rank = int(rank)
-    if not 0 <= rank < _layout_size(q, width):
-        raise ValueError(f"rank {rank} is outside the {_layout_size(q, width)} classes "
-                         f"of the layout (q = {q}, width {width})")
-    lead, t = 0, width - 1  # the block of leading 1 at `lead` holds q^t classes
-    while rank >= q ** t:
-        rank, lead, t = rank - q ** t, lead + 1, t - 1
-    return (0,) * lead + (1,) + tuple(rank // q ** (t - 1 - j) % q for j in range(t))
 
 
 def zero_counts(F: Field, width: int, point_monomials: Sequence[Sequence[int]]) -> np.ndarray:
@@ -295,20 +275,14 @@ def _root_masks(F: Field, slots: int = 3) -> np.ndarray:
     return masks.ravel()
 
 
-def _root_counts(F: Field, *polys) -> np.ndarray:
-    """Per class, the number of t in GF(q) at which every polynomial
-    vanishes, each given by its coefficient columns (c2, c1, c0) or
-    (c4, c2, c1, c0), 0 for a zero column: the popcount of the AND of their
-    root masks, as uint8 (q <= 64)."""
-    slots = max(len(p) for p in polys)
-    masks = _root_masks(F, slots)
-    index_dtype = np.min_scalar_type(F.q ** slots - 1)
-    common = None
-    for p in polys:
-        index = functools.reduce(np.bitwise_or, (np.asarray(c).astype(index_dtype) << k * F.h
-                                                 for k, c in enumerate(reversed(p))))
-        common = masks[index] if common is None else common & masks[index]
-    return np.bitwise_count(common)
+def _root_counts(F: Field, poly: tuple) -> np.ndarray:
+    """Per class, the number of t in GF(q) at which a polynomial vanishes,
+    given by its coefficient columns (c2, c1, c0) or (c4, c2, c1, c0), 0 for
+    a zero column: the popcount of its root mask, as uint8 (q <= 64)."""
+    index_dtype = np.min_scalar_type(F.q ** len(poly) - 1)
+    index = functools.reduce(np.bitwise_or, (np.asarray(c).astype(index_dtype) << k * F.h
+                                             for k, c in enumerate(reversed(poly))))
+    return np.bitwise_count(_root_masks(F, len(poly))[index])
 
 
 def _on_line(F: Field, curve: dict[tuple[int, int], tuple], v) -> tuple:
@@ -538,43 +512,64 @@ def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
     return found
 
 
-def _first_in_chunk(found: list, k: int, blk: slice, mask: np.ndarray, *values) -> None:
-    """Extend `found` with (layout position, value, ...) for the first
-    classes set in a chunk's mask, until it holds k; the mask has the
-    chunk's broadcast shape, and each value broadcasts against it."""
-    if len(found) == k:
-        return
-    idx = np.flatnonzero(mask)[:k - len(found)]
-    at = np.unravel_index(idx, mask.shape)
-    found += zip((blk.start + idx).tolist(),
-                 *(np.broadcast_to(v, mask.shape)[at].tolist() for v in values))
+class _Sweep:
+    """One pass over the conic classes in factored chunks, in layout order
+    (`factored_class_chunks`), each reduced before the next: iterating
+    yields a chunk's columns, and the suite tallies masks into one Counter
+    (`count`) and keeps the classes a report names (`keep`) or a scalar
+    cross-check takes (`draw`) as their six coefficients, read off the
+    chunk's columns, followed by their values.  Masks and values broadcast
+    against the chunk.  `draws` maps each draw to (k, seed): k seeded
+    uniform layout positions, each taking the first class of that draw's
+    masks at or after it (with replacement), so the draw does not depend on
+    the chunking, and a chunk that no pending position reaches costs nothing."""
 
+    def __init__(self, F: Field, **draws: tuple[int, int]):
+        self.F = F
+        self.tally: Counter = Counter()
+        self.kept: dict[str, list[tuple]] = defaultdict(list)  # (coefficients, value, ...)
+        self.drawn: dict[str, list[tuple]] = {key: [] for key in draws}
+        size = _layout_size(F.q, 6)
+        self._targets = {key: sorted(map(random.Random(seed).randrange, [size] * k))
+                         for key, (k, seed) in draws.items()}
 
-class _Draw:
-    """The classes of a scalar cross-check: k seeded uniform positions in
-    the layout of the conic classes, each drawing the first class set in
-    the masks at or after it (with replacement).  Chunks come in layout
-    order; the draw does not depend on how the layout is chunked, and a
-    chunk that no pending position reaches costs nothing."""
+    def __iter__(self):
+        for self._blk, self._cols in factored_class_chunks(self.F.q, 6, self.F.np_dtype):
+            self._shape = np.broadcast_shapes(*(c.shape for c in self._cols))
+            yield self._cols
 
-    def __init__(self, q: int, k: int, seed: int):
-        rng = random.Random(seed)
-        self.targets = sorted(rng.randrange(_layout_size(q, 6)) for _ in range(k))
-        self.drawn: list[tuple] = []  # (layout position, value, ...)
+    def count(self, **masks) -> None:
+        """Add each mask's set classes to the tally of its key."""
+        for key, mask in masks.items():
+            self.tally[key] += int(np.count_nonzero(np.broadcast_to(mask, self._shape)))
 
-    def add(self, blk: slice, mask: np.ndarray, *values) -> None:
-        """Draw for the positions before the chunk's end.  As in
-        `_first_in_chunk`, each value broadcasts against the mask."""
-        while self.targets and self.targets[0] < blk.stop:
-            flat = mask.ravel()
-            i = max(self.targets[0] - blk.start, 0)
+    def keep(self, key: str, k: Optional[int], mask, *values) -> None:
+        """Keep the classes set in the mask until `key` holds k of them, in
+        layout order; all of them when k is None."""
+        kept = self.kept[key]
+        if k is None or len(kept) < k:
+            idx = np.flatnonzero(np.broadcast_to(mask, self._shape))
+            if len(idx):  # naming costs tens of microseconds even when empty
+                kept += self._named(idx if k is None else idx[:k - len(kept)], values)
+
+    def draw(self, key: str, mask, *values) -> None:
+        """Draw for the pending positions of `key` before the chunk's end."""
+        targets, blk = self._targets[key], self._blk
+        while targets and targets[0] < blk.stop:
+            flat = np.broadcast_to(mask, self._shape).ravel()
+            i = max(targets[0] - blk.start, 0)
             i += int(np.argmax(flat[i:]))  # the first set class from i on, if any
             if not flat[i]:
                 return  # the pending positions wait for the next chunk
-            at = np.unravel_index(i, mask.shape)
-            self.drawn.append((blk.start + i, *(np.broadcast_to(v, mask.shape)[at].item()
-                                                for v in values)))
-            self.targets.pop(0)
+            self.drawn[key] += self._named([i], values)
+            targets.pop(0)
+
+    def _named(self, idx, values) -> list[tuple]:
+        """(coefficients, value, ...) of the chunk's classes at the flat
+        positions idx."""
+        at = np.unravel_index(idx, self._shape)
+        picked = [np.broadcast_to(v, self._shape)[at].tolist() for v in (*self._cols, *values)]
+        return list(zip(zip(*picked[:6]), *picked[6:]))
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +679,7 @@ def verify_geometry(F: Field) -> SuiteReport:
     origin = ~unexplained & ~square & (a13 != 0) & (a23 != 0) & (a33 == 0)
     generic = ~(unexplained | square | origin)
     n_unexplained = int(np.count_nonzero(unexplained))
-    first = [(class_unrank(q, 3, i), int(td[i]), int(tb[i]), int(nd[i]), int(nb[i]))
+    first = [(tuple(int(c[i]) for c in cols[3:]), int(td[i]), int(tb[i]), int(nd[i]), int(nb[i]))
              for i in np.flatnonzero(unexplained)[:3]]
     rep.add("verified line closed form matches brute force on every line",
             not n_unexplained, 0, n_unexplained,
@@ -733,7 +728,7 @@ def verify_geometry(F: Field) -> SuiteReport:
         found = degeneracy_oracle_sweep(F, cols)
         stated = degeneracy_columns(F, cols) == 0
         agree = found == stated
-        bad = [class_unrank(q, 6, i) for i in np.flatnonzero(~agree)[:3]]
+        bad = [tuple(int(c[i]) for c in cols) for i in np.flatnonzero(~agree)[:3]]
         rep.add("degeneracy criterion agrees with the singular-point oracle",
                 bool(agree.all()), 0, int((~agree).sum()),
                 note=f"first: {bad}" if bad else "")
@@ -742,7 +737,7 @@ def verify_geometry(F: Field) -> SuiteReport:
         rng_o = random.Random(q + 13)
         idx = [rng_o.randrange(len(cols[0])) for _ in range(12)]
         spot = all(
-            degenerate_by_singular_point(F, Conic(*class_unrank(q, 6, i)), E2)
+            degenerate_by_singular_point(F, Conic(*(int(c[i]) for c in cols)), E2)
             == bool(found[i])
             for i in idx
         )
@@ -772,31 +767,27 @@ def verify_lemma(F: Field) -> SuiteReport:
     rep = SuiteReport("lemma", q, F.modulus)
     dbar = build_delta(F, include_origin=True)
     dbar_masks = _line_masks(F, dbar.points)
-    n_hyp, n_bad, parity_ok, draw = 0, 0, True, _Draw(q, SAMPLE_CHECKS, q * 7 + 1)
-    bad = []  # the first failing classes, in layout order
-    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
-        ok = np.broadcast_to(curves.triples_ok_columns(bc), _chunk_shape(bc))
+    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 1))
+    for bc in sweep:
+        ok = curves.triples_ok_columns(bc)
         s = curves.split_exponent_columns(bc)
         count = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), dbar_masks)
         nf, _ = _quartic_counts(F, bc, s)
         odd = ok & (nf % 2 == 1)
-        parity_ok &= not odd.any()
         wrong = odd | (ok & (count != curves.lemma_rhs(nf, curves.lemma_case_columns(F, bc))))
-        n_bad += int(np.count_nonzero(wrong))
-        if wrong.any():
-            _first_in_chunk(bad, 3, blk, wrong, count)
-        n_hyp += int(np.count_nonzero(ok))
-        draw.add(blk, ok, count)
-    bad = [(class_unrank(q, 6, i), c) for i, c in bad]
+        sweep.count(checked=ok, odd=odd, wrong=wrong)
+        sweep.keep("wrong", 3, wrong, count)
+        sweep.draw("checked", ok, count)
+    n_bad, bad = sweep.tally["wrong"], sweep.kept["wrong"]
     rep.add("intersection count equals its curve-count expression on every class",
             not n_bad, 0, n_bad,
-            note=f"checked {n_hyp} classes" + (f"; first: {bad}" if bad else ""))
-    rep.add("curve point counts are even where halved", parity_ok)
+            note=f"checked {sweep.tally['checked']} classes" + (f"; first: {bad}" if bad else ""))
+    rep.add("curve point counts are even where halved", not sweep.tally["odd"])
 
     # scalar cross-check of the vectorized pipeline
     sample_ok = True
-    for i, lhs in draw.drawn:
-        r = curves.verify_lemma_delta(F, Conic(*class_unrank(q, 6, i)), delta_bar=dbar)
+    for coeffs, lhs in sweep.drawn["checked"]:
+        r = curves.verify_lemma_delta(F, Conic(*coeffs), delta_bar=dbar)
         sample_ok &= r["ok"] and r["lhs"] == lhs
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
@@ -810,10 +801,9 @@ def verify_lemma(F: Field) -> SuiteReport:
 def verify_relations(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
-    n_hyp, n_bad, axis_ok, draw = 0, 0, True, _Draw(q, SAMPLE_CHECKS, q * 7 + 2)
-    bad = []  # the first failing classes, in layout order
-    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
-        ok = np.broadcast_to(curves.triples_ok_columns(bc), _chunk_shape(bc))
+    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 2))
+    for bc in sweep:
+        ok = curves.triples_ok_columns(bc)
         s = curves.split_exponent_columns(bc)
         nf, f_axis = _quartic_counts(F, bc, s)
         # N(G^(s)) = N(G): the coefficients G^(s) drops vanish at split exponent s
@@ -823,20 +813,19 @@ def verify_relations(F: Field) -> SuiteReport:
         predicted = np.where(s == 0, fmg[0], np.where(s == 1, fmg[1], fmg[2]))
         diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
         wrong = ok & (diff != predicted)
-        n_bad += int(np.count_nonzero(wrong))
-        if wrong.any():
-            _first_in_chunk(bad, 3, blk, wrong, diff, predicted)
-        axis_ok &= not (ok & (f_axis.astype(np.int16) - g_axis != diff)).any()
-        n_hyp += int(np.count_nonzero(ok))
-        draw.add(blk, ok, nf, ng)
-    bad = [(class_unrank(q, 6, i), d, p) for i, d, p in bad]
+        sweep.count(checked=ok, wrong=wrong,
+                    off_axis=ok & (f_axis.astype(np.int16) - g_axis != diff))
+        sweep.keep("wrong", 3, wrong, diff, predicted)
+        sweep.draw("checked", ok, nf, ng)
+    n_bad, bad = sweep.tally["wrong"], sweep.kept["wrong"]
     rep.add("tabulated count differences hold on every class", not n_bad, 0, n_bad,
-            note=f"checked {n_hyp} classes" + (f"; first: {bad}" if bad else ""))
-    rep.add("count differences are explained by points on the axis X = 0", axis_ok)
+            note=f"checked {sweep.tally['checked']} classes" + (f"; first: {bad}" if bad else ""))
+    rep.add("count differences are explained by points on the axis X = 0",
+            not sweep.tally["off_axis"])
 
     sample_ok = True
-    for i, nf, ng in draw.drawn:
-        r = curves.verify_count_relations(F, Conic(*class_unrank(q, 6, i)))
+    for coeffs, nf, ng in sweep.drawn["checked"]:
+        r = curves.verify_count_relations(F, Conic(*coeffs))
         sample_ok &= (r["ok"] and r["axis_ok"] and r["g_axis_closed_form_ok"]
                       and (r["n_f"], r["n_g"]) == (nf, ng))
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
@@ -889,14 +878,12 @@ def _honest_linear_sweep(F: Field, cols: list[np.ndarray],
 def verify_reducibility(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
-    tally = Counter()
-    first = {key: [] for key in ("disagree", "mismatch", "gap")}  # in layout order
     # 40 applicable classes, and 8 more from the gap where there is one
-    draws = [_Draw(q, SAMPLE_CHECKS, q * 7 + 3), _Draw(q, 8, q * 7 + 5), _Draw(q, 8, q * 7 + 5)]
-    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
+    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 3), gap=(8, q * 7 + 5),
+                   more=(8, q * 7 + 5))
+    for bc in sweep:
         a11, a12, a22, a13, a23, a33 = bc
-        app = np.broadcast_to(curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0)),
-                              _chunk_shape(bc))
+        app = curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
         red = curves.reducibility_columns(F, bc, vbar, h)
@@ -907,15 +894,14 @@ def verify_reducibility(F: Field) -> SuiteReport:
                  "mismatch": app & (honest != degenerate), "gap": app & honest & ~stated,
                  "identity_q12": both & ~red["identity_q12"],
                  "identity_q13": both & ~red["identity_q13"]}
-        for key, mask in masks.items():
-            tally[key] += int(np.count_nonzero(mask))
-        _first_in_chunk(first["disagree"], 5, blk, masks["disagree"], stated, degenerate)
-        _first_in_chunk(first["mismatch"], 5, blk, masks["mismatch"], honest, degenerate)
-        _first_in_chunk(first["gap"], 5, blk, masks["gap"])
-        for draw, mask in zip(draws, (app, masks["gap"], app)):
-            draw.add(blk, mask, honest)
+        sweep.count(**masks)
+        sweep.keep("disagree", 5, masks["disagree"], stated, degenerate)
+        sweep.keep("mismatch", 5, masks["mismatch"], honest, degenerate)
+        sweep.keep("gap", 5, masks["gap"])
+        for key, mask in (("checked", app), ("gap", masks["gap"]), ("more", app)):
+            sweep.draw(key, mask, honest)
 
-    bad = [(class_unrank(q, 6, i), s, d) for i, s, d in first["disagree"]]
+    tally, bad = sweep.tally, sweep.kept["disagree"]
     rep.add("stated component criteria hold iff the conic is degenerate",
             not bad, 0, tally["disagree"],
             note=f"checked {tally['checked']} classes" + (f"; first: {bad}" if bad else ""))
@@ -923,7 +909,7 @@ def verify_reducibility(F: Field) -> SuiteReport:
     rep.add("resultant identity Q12 = a22 * R12", not tally["identity_q12"])
     rep.add("resultant identity Q13 = a22^2 * R13 + a12^2 * R12", not tally["identity_q13"])
 
-    bad_h = [(class_unrank(q, 6, i), h, d) for i, h, d in first["mismatch"]]
+    bad_h = sweep.kept["mismatch"]
     rep.add("H has a linear component iff the conic is degenerate",
             not bad_h, 0, tally["mismatch"],
             note=("stated equivalence fails: the criteria miss lines through "
@@ -932,13 +918,12 @@ def verify_reducibility(F: Field) -> SuiteReport:
             not tally["gap"], 0, tally["gap"],
             note=("classes with a line through (a22:a12:0) missed by the "
                   "stated criteria; first: "
-                  + str([class_unrank(q, 6, i) for i, in first["gap"]]))
+                  + str([coeffs for coeffs, in sweep.kept["gap"]]))
             if tally["gap"] else "")
 
-    checked, gap, more = (draw.drawn for draw in draws)
-    picks = checked + (gap or more)
-    sample_ok = all(curves.has_linear_component(F, Conic(*class_unrank(q, 6, i)))[0] == line
-                    for i, line in picks)
+    picks = sweep.drawn["checked"] + (sweep.drawn["gap"] or sweep.drawn["more"])
+    sample_ok = all(curves.has_linear_component(F, Conic(*coeffs))[0] == line
+                    for coeffs, line in picks)
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
     return rep
@@ -957,11 +942,10 @@ def verify_hasse(F: Field) -> SuiteReport:
     # the first violators and the coefficients of the rational-vbar window violators
     in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
                        for x in range(q * q + 1)])  # N(H) <= q^2
-    tally, unequal, outside, viol = Counter(), [], [], [[] for _ in range(6)]
-    draw = _Draw(q, SAMPLE_CHECKS, q * 7 + 4)
-    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
-        app = np.broadcast_to(curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
-                              & ((bc[1] != 0) | (bc[2] != 0)), _chunk_shape(bc))
+    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 4))
+    for bc in sweep:
+        app = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
+               & ((bc[1] != 0) | (bc[2] != 0)))
         vbar = curves.vbar_columns(F, bc)
         h = curves.cubic_h_columns(F, bc, vbar)
         g = curves.term_columns(bc, curves.SHEARED_TERMS, 0)
@@ -972,14 +956,11 @@ def verify_hasse(F: Field) -> SuiteReport:
         masks = {"applicable": app, "rational": rat, "unequal": app & (ng != nh),
                  "outside": app & ~win, "rational_in_window": rat & win,
                  "quadratic": app & ~rat, "quadratic_in_window": app & ~rat & win}
-        for key, mask in masks.items():
-            tally[key] += int(np.count_nonzero(mask))
-        _first_in_chunk(unequal, 3, blk, masks["unequal"], ng, nh)
-        _first_in_chunk(outside, 5, blk, masks["outside"], nh)
-        violators = masks["outside"] & rat
-        for col, c in zip(viol, bc):
-            col.append(np.broadcast_to(c, violators.shape)[violators])
-        draw.add(blk, app, ng, nh)
+        sweep.count(**masks)
+        sweep.keep("unequal", 3, masks["unequal"], ng, nh)
+        sweep.keep("outside", 5, masks["outside"], nh)
+        sweep.keep("violators", None, masks["outside"] & rat)
+        sweep.draw("checked", app, ng, nh)
         if not rat.any():
             continue
         # corrected transfer: the quadratic map sends the (up to) k points of
@@ -989,15 +970,15 @@ def verify_hasse(F: Field) -> SuiteReport:
         # classes every value lies in the first component.
         corrected = (ng.astype(np.int32) - _root_counts(F, _on_line(F, g, vbar[0]))
                      + _root_counts(F, _on_line(F, {key: p[:1] for key, p in h.items()}, 0)))
-        tally["transfer"] += int(np.count_nonzero(rat & (corrected == nh)))
+        sweep.count(transfer=rat & (corrected == nh))
+    tally = sweep.tally
     n_app, n_rational = tally["applicable"], tally["rational"]
 
     # claim 1: N(G) = N(H)
     n_eq = n_app - tally["unequal"]
     rep.add("stated transfer N(G) = N(H) holds on every applicable class",
             n_eq == n_app, n_app, n_eq,
-            note=(f"violations {n_app - n_eq}; first: "
-                  + str([(class_unrank(q, 6, i), g, h) for i, g, h in unequal])
+            note=(f"violations {n_app - n_eq}; first: " + str(sweep.kept["unequal"])
                   if n_eq != n_app else ""))
 
     if n_rational:
@@ -1007,7 +988,7 @@ def verify_hasse(F: Field) -> SuiteReport:
     # claim 2: N(H) in the union of the elliptic and rational affine windows
     rep.add("N(H) lies in the union of the affine windows on every applicable class",
             not tally["outside"], n_app, n_app - tally["outside"],
-            note=("violations: " + str([(class_unrank(q, 6, i), h) for i, h in outside])
+            note=("violations: " + str(sweep.kept["outside"])
                   if tally["outside"] else ""))
     if n_rational:
         n_win = tally["rational_in_window"]
@@ -1023,7 +1004,8 @@ def verify_hasse(F: Field) -> SuiteReport:
 
     # the window can only fail where H is secretly reducible: an irreducible
     # cubic obeys the stated bounds, so every violator must carry a line
-    viol_cols = [np.concatenate(col) for col in viol]
+    viol_cols = list(np.array([c for c, in sweep.kept["violators"]], dtype=F.np_dtype)
+                     .reshape(-1, 6).T)
     viol_vbar = curves.vbar_columns(F, viol_cols)
     viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
     has_line = _honest_linear_sweep(
@@ -1034,8 +1016,8 @@ def verify_hasse(F: Field) -> SuiteReport:
                  "criteria do not see these lines")
 
     sample_ok = True
-    for i, ng, nh in draw.drawn:
-        res = curves.hasse_window_check(F, Conic(*class_unrank(q, 6, i)))
+    for coeffs, ng, nh in sweep.drawn["checked"]:
+        res = curves.hasse_window_check(F, Conic(*coeffs))
         sample_ok &= res["n_g"] == ng and res["n_h"] == nh
     rep.add("vectorized counts agree with the per-conic implementation (sampled)",
             sample_ok)
@@ -1054,24 +1036,24 @@ def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
     masks = _line_masks(F, delta.points)
     in_win = np.array([in_sqrt_window(2 * c, q) for c in range(len(delta) + 1)])
     hist, viol_hist = (np.zeros(len(delta) + 1, dtype=np.int64) for _ in range(2))
-    n_parabola, examples = 0, []
-    for blk, bc in factored_class_chunks(q, 6, F.np_dtype):
+    sweep = _Sweep(F)
+    for bc in sweep:
         counts = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), masks)
         nondeg = np.broadcast_to(degeneracy_columns(F, bc) != 0, counts.shape)
         family_parabola, family_vertical = exceptional_columns(F, bc)
         violations = nondeg & ~(in_win[counts] | family_parabola | family_vertical)
         hist += np.bincount(counts[nondeg], minlength=len(hist))
         viol_hist += np.bincount(counts[violations], minlength=len(hist))
-        n_parabola += int(np.count_nonzero(nondeg & family_parabola))
-        _first_in_chunk(examples, 8, blk, violations, counts)
+        sweep.count(parabola=nondeg & family_parabola)
+        sweep.keep("violations", 8, violations, counts)
     return {
         "q": q,
         "nondegenerate_classes": int(hist.sum()),
         "histogram": {c: int(n) for c, n in enumerate(hist) if n},
         "window_violations": int(viol_hist.sum()),
         "violation_counts": {c: int(n) for c, n in enumerate(viol_hist) if n},
-        "violation_examples": [(class_unrank(q, 6, i), c) for i, c in examples],
-        "exceptional_parabola_classes": n_parabola,
+        "violation_examples": sweep.kept["violations"],
+        "exceptional_parabola_classes": sweep.tally["parabola"],
     }
 
 
@@ -1098,7 +1080,7 @@ def line_spectrum(F: Field) -> dict:
         "q": F.q,
         "lines": len(nd),
         "histogram_delta": {int(c): int(n) for c, n in enumerate(np.bincount(nd)) if n},
-        "stated_mismatches": [(class_unrank(F.q, 3, i), int(stated[i]), int(nd[i]),
+        "stated_mismatches": [(tuple(int(c[i]) for c in cols[3:]), int(stated[i]), int(nd[i]),
                                int(nb[i])) for i in flagged],
     }
 

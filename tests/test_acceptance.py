@@ -52,9 +52,9 @@ from deltacodes.constructions import (
     line_code,
 )
 from deltacodes.verify import (
-    class_unrank,
     conic_spectrum,
     parabola_spectrum,
+    projective_class_columns,
     verify_field,
     verify_geometry,
     verify_lemma,
@@ -122,8 +122,9 @@ def test_criterion_03_line_spectra():
         delta = build_delta(F)
         dbar = build_delta(F, include_origin=True)
         through_origin[q] = square_intercept[q] = 0
+        lines = list(zip(*(c.tolist() for c in projective_class_columns(q, 3))))
         for k in range(q * q + q):
-            line = class_unrank(q, 3, k)  # the line a*X + b*Y + c = 0 as (a, b, c)
+            line = lines[k]  # the line a*X + b*Y + c = 0 as (a, b, c)
             stated = line_delta_count_closed_form(F, line)
             nb = count_on_delta(F, Conic(0, 0, 0, *line), dbar)
             if stated == nb:

@@ -112,8 +112,22 @@ def test_spectrum_and_suite_reports_at_q8_are_pinned(capsys, argv, exit_code, di
 
 
 # The same for the reports whose curve restrictions and field checks were
-# rewritten, recorded before the restrictions were read from the term tables
+# rewritten, recorded before the restrictions were read from the term tables,
+# and for the reports that name their classes by coefficients, recorded
+# before one chunk reducer replaced the per-sweep bookkeeping
 @pytest.mark.parametrize("argv, exit_code, digest", [
+    ("verify --suite reducibility --q 16", EXIT_MISMATCH,
+     "8fbc9648e771c0b0d18274d83f1a3e0e8778734895644cb190e34a1ba12dae03"),
+    ("spectrum --family all-conics --q 16", EXIT_MISMATCH,
+     "4b966018235aa22ec4b55a4c16835ee0258c142c47148ca3e3288656655e6f40"),
+    ("verify --suite geometry --q 8", EXIT_MISMATCH,
+     "9ecc2927312cd402cf8a6a8653f160ef9a4de08f81b365b36c61fa2522a1e7fd"),
+    ("verify --suite geometry --q 16", EXIT_MISMATCH,
+     "d599360a7fd9afcf226dd6167ce1c41cd18553c4ef587feedc1dd0171eff8980"),
+    ("spectrum --family lines --q 16", EXIT_MISMATCH,
+     "9fb9ecfa4a65d5032a8b9d0fd6a9660db5ff3f38b5b881a522f9306e0fc2cc6d"),
+    ("verify --suite hasse --q 4", EXIT_MISMATCH,
+     "edad2d1c3e8543baaa7d6494f12aaad753048a03853ecdac8a756a2edc96de35"),
     ("verify --suite hasse --q 8", EXIT_MISMATCH,
      "75f2da5c1d995f31f247fe0f4f4e8f1f8a67a7cf82657857a07fa06984458f32"),
     ("verify --suite hasse --q 16", EXIT_MISMATCH,
@@ -152,6 +166,34 @@ def test_custom_modulus(capsys):
     for bad in ("0x9", "0xZZ"):  # reducible, not hex
         code, out = run(capsys, "params", "--q", "8", "--system", "lines", "--modulus", bad)
         assert code == EXIT_USAGE and out == ""
+
+
+# the fields that name field elements by their encoding, which the modulus fixes
+ENCODED_FIELDS = {"modulus", "note", "violation_examples", "stated_mismatches",
+                  "closed_form_mismatches"}
+
+
+def _without_encoded_fields(report):
+    if isinstance(report, dict):
+        return {k: _without_encoded_fields(v) for k, v in report.items()
+                if k not in ENCODED_FIELDS}
+    if isinstance(report, list):
+        return [_without_encoded_fields(v) for v in report]
+    return report
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --suite all", "spectrum --family lines", "spectrum --family parabolas",
+    "spectrum --family all-conics", "params --system lines", "params --system parabolas",
+    "params --system conics"])
+def test_reports_do_not_depend_on_the_modulus(capsys, argv):
+    """GF(8) is the same field under both irreducible moduli, so every
+    count, check and exit code agrees; only the encoded examples differ."""
+    reports = []
+    for modulus in ("0xB", "0xD"):
+        code, out = run(capsys, *argv.split(), "--q", "8", "--modulus", modulus)
+        reports.append((code, _without_encoded_fields(json.loads(out))))
+    assert reports[0] == reports[1]
 
 
 def test_spectrum_csv(capsys):

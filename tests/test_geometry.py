@@ -21,7 +21,7 @@ from deltacodes.geometry import (
     parabola_count_closed_form,
     pi_map,
 )
-from deltacodes.verify import _line_sweep, class_unrank
+from deltacodes.verify import _line_sweep, projective_class_columns
 
 
 def make_line(F, a, b, c):
@@ -93,8 +93,9 @@ def test_line_counts_match_brute_force(h):
     dbar = build_delta(F, include_origin=True)
     cols, stated, sweep_nd, sweep_nb = _line_sweep(F, delta, dbar)
     assert len(sweep_nd) == F.q * F.q + F.q
+    lines = list(zip(*(c.tolist() for c in projective_class_columns(F.q, 3))))
     for k in range(F.q * F.q + F.q):
-        line = class_unrank(F.q, 3, k)
+        line = lines[k]
         nd = count_on_delta(F, Conic(0, 0, 0, *line), delta)
         nb = count_on_delta(F, Conic(0, 0, 0, *line), dbar)
         assert line_counts(F, line) == (nd, nb), line

@@ -14,7 +14,6 @@ from deltacodes.verify import (
     SUITES,
     BudgetError,
     class_rank,
-    class_unrank,
     conic_class_columns,
     conic_spectrum,
     line_spectrum,
@@ -159,20 +158,12 @@ def test_blocked_zero_counts_match_scalar_evaluation(F4, width):
 
 @pytest.mark.parametrize("h", [2, 3, 4])
 def test_class_rank_inverts_the_layout(h):
-    """class_rank maps the layout to arange; class_unrank returns the
-    layout's row for every rank at q <= 8 and for a stride of ranks, with
-    the last, at q = 16, and rejects a rank outside the layout."""
+    """class_rank maps the layout to arange."""
     q = 1 << h
     for width in range(1, 7):
         layout = projective_class_columns(q, width)
         n = (q ** width - 1) // (q - 1)
         assert np.array_equal(class_rank(q, width, layout), np.arange(n)), width
-        rows = np.stack(layout, axis=1)
-        for rank in list(range(0, n, 1 if q <= 8 else 97)) + [n - 1]:
-            assert class_unrank(q, width, rank) == tuple(rows[rank].tolist()), (width, rank)
-        for rank in (-1, n):
-            with pytest.raises(ValueError):
-                class_unrank(q, width, rank)
 
 
 def test_class_rank_rejects_unnormalized_classes():
@@ -494,17 +485,18 @@ def test_counts_are_narrow(F16):
 
 
 @pytest.mark.parametrize("k", [5, 40])
-def test_draw_is_the_same_at_any_block(k, monkeypatch):
-    """_Draw takes, for each of k seeded uniform layout positions, the
-    first set class at or after it, with the value there: every draw is a
-    set class, the draw repeats, it is the same at the default block and
-    at small ones, and a mask with fewer set classes than k, or none, is
-    handled."""
+def test_draw_is_the_same_at_any_block(k, monkeypatch, F8):
+    """_Sweep.draw takes, for each of k seeded uniform layout positions, the
+    first set class at or after it, named by its coefficients, with the
+    value there: every draw is the layout's row at that class, the draw
+    repeats, it is the same at the default block and at small ones, and a
+    mask with fewer set classes than k, or none, is handled."""
     import random
     from deltacodes import verify
-    from deltacodes.verify import _Draw, factored_class_chunks
+    from deltacodes.verify import _Sweep
     q, seed = 8, 17
     n = (q ** 6 - 1) // (q - 1)
+    rows = list(zip(*(c.tolist() for c in projective_class_columns(q, 6))))
     rng = np.random.default_rng(11)
     values = rng.integers(0, 1000, n)
     few = np.zeros(n, dtype=bool)
@@ -514,11 +506,13 @@ def test_draw_is_the_same_at_any_block(k, monkeypatch):
 
     def draw(block, mask, seed=seed):
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
-        sample = _Draw(q, k, seed)
-        for blk, bc in factored_class_chunks(q, 6):
+        sweep, lo = _Sweep(F8, checked=(k, seed)), 0
+        for bc in sweep:  # chunks come in layout order
             shape = np.broadcast_shapes(*(c.shape for c in bc))
-            sample.add(blk, mask[blk].reshape(shape), values[blk].reshape(shape))
-        return sample.drawn
+            blk = slice(lo, lo + int(np.prod(shape)))
+            sweep.draw("checked", mask[blk].reshape(shape), values[blk].reshape(shape))
+            lo = blk.stop
+        return sweep.drawn["checked"]
 
     for name, mask in masks.items():
         got = draw(1 << 16, mask)
@@ -528,8 +522,8 @@ def test_draw_is_the_same_at_any_block(k, monkeypatch):
         uniform = random.Random(seed)
         starts = sorted(uniform.randrange(n) for _ in range(k))
         after = np.searchsorted(set_classes, starts)
-        assert [i for i, _ in got] == [set_classes[j] for j in after if j < len(set_classes)], name
-        assert all(mask[i] and v == values[i] for i, v in got), name
+        expected = [set_classes[j] for j in after if j < len(set_classes)]
+        assert got == [(rows[i], int(values[i])) for i in expected], name
     assert len(draw(1 << 16, masks["few"])) == k  # with replacement
     assert draw(1 << 16, masks["dense"], seed + 1) != draw(1 << 16, masks["dense"])
 
@@ -570,10 +564,13 @@ def _pair_roots(F, pairs):
 
 
 def _pair_lookup(F, pairs):
-    from deltacodes.verify import _root_counts
-    col = lambda k, t: np.array([p[k][t] for p in pairs], dtype=F.np_dtype)
-    return _root_counts(
-        F, *[(col(0, t), col(1, t), col(2, t)) for t in (0, 1)]).tolist()
+    """Per pair, the popcount of the AND of its two components' root masks:
+    their common roots in GF(q), the roots of the pair."""
+    from deltacodes.verify import _root_masks
+    masks = _root_masks(F)
+    index = [np.array([(p[0][t] * F.q + p[1][t]) * F.q + p[2][t] for p in pairs])
+             for t in (0, 1)]
+    return np.bitwise_count(masks[index[0]] & masks[index[1]]).tolist()
 
 
 def test_pair_root_lookup_every_pair_q4(F4):
