@@ -111,13 +111,13 @@ def projective_points(E: ExtField) -> Iterator[tuple]:
     yield (zero, zero, one)
 
 
-def degenerate_by_singular_point(F: Field, conic: Conic, ext2: Optional[ExtField] = None) -> bool:
+def degenerate_by_singular_point(F: Field, conic: Conic) -> bool:
     """Independent degeneracy oracle: search PG(2, GF(q^2)) for a point of the
     projective conic where all three partial derivatives vanish.
 
     Exhaustive (O(q^4) points), intended for q <= 8 cross-checks only.
     """
-    E = ext2 if ext2 is not None else ExtField(F, 2)
+    E = ExtField(F, 2)
     a11, a12, a22, a13, a23, a33 = (E.embed(c) for c in conic.coeffs())
     for X, Y, Z in projective_points(E):
         value = E.add(

@@ -2,11 +2,13 @@
 
 Every suite checks stated closed forms and identities against brute-force
 ground truth.  The sweeps are vectorized over projective coefficient
-classes; each conic suite is one loop over factored chunks
-(`factored_class_chunks`) whose coefficients each sit on their own
-broadcast axis, so a value that depends on a few coefficients, such as
-vbar on (a11, a12, a22), is computed once per value of those.  Degeneracy
-and the exceptional families come from the column formulas in `geometry`;
+classes; each conic suite, and the geometry suite's degeneracy check at
+q <= 8, is one loop over factored chunks (`factored_class_chunks`) whose
+coefficients each sit on their own broadcast axis, so a value that
+depends on a few coefficients, such as vbar on (a11, a12, a22), is
+computed once per value of those.  Degeneracy and the exceptional
+families come from the column formulas in `geometry`, degeneracy checked
+at q <= 8 against singular points over GF(q^2) (`degeneracy_oracle_sweep`);
 the coefficient-triple hypothesis, the split exponent, vbar, the curves F,
 G and H and the reducibility quantities from those in `curves`.  Every
 per-class point count (the conic on Delta and DeltaBar, F, G and H) comes
@@ -150,10 +152,6 @@ def projective_class_columns(q: int, width: int, dtype=np.uint8) -> list[np.ndar
         for col, c in zip(cols, chunk):
             col[blk].reshape(shape)[...] = c
     return cols
-
-
-def conic_class_columns(F: Field) -> list[np.ndarray]:
-    return projective_class_columns(F.q, 6, F.np_dtype)
 
 
 def factored_class_chunks(q: int, width: int, dtype=np.uint8):
@@ -468,47 +466,40 @@ def _quartic_counts(F: Field, cols: Sequence[np.ndarray], s) -> tuple[np.ndarray
     return off_axis + axis, axis
 
 
-def degeneracy_oracle_sweep(F: Field, cols: list[np.ndarray]) -> np.ndarray:
-    """Independent degeneracy test, vectorized over classes: scan every
-    point of PG(2, GF(q^2)) and record the classes for which the conic
-    vanishes there together with all three partial derivatives.
+@functools.lru_cache(maxsize=None)
+def _singular_point_tables(F: Field) -> np.ndarray:
+    """Entry [k, p, c] is c times monomial k at point p of PG(2, GF(q^2)),
+    c in GF(q), its two components in one uint16 (component 1 shifted by
+    h); k runs over the conic's X^2, XY, Y^2, XZ, YZ, Z^2, then X, Y, Z.
+    They depend only on the field, so are built once."""
+    E2 = ExtField(F, 2)
+    monomials = np.array([(E2.mul(X, X), E2.mul(X, Y), E2.mul(Y, Y), E2.mul(X, Z),
+                           E2.mul(Y, Z), E2.mul(Z, Z), X, Y, Z)
+                          for X, Y, Z in projective_points(E2)], dtype=np.uint16)
+    products = F.vmul(monomials.T[..., None], np.arange(F.q, dtype=F.np_dtype)).astype(np.uint16)
+    return products[0] | products[1] << F.h
+
+
+def degeneracy_oracle_sweep(F: Field, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Independent degeneracy test of one factored chunk, as a mask on its
+    shape: scan every point of PG(2, GF(q^2)) and mark the classes whose
+    conic vanishes there with all three partial derivatives.
 
     The conic value and the partials are GF(q)-linear in the coefficients,
-    so each scanned point costs a few table gathers per coefficient
-    component over the whole class list, and the partials only over the
-    classes whose conic passes through the point.
-    """
-    E2 = ExtField(F, 2)
+    so at a point each term is a gather of one coefficient's axis from its
+    products with the point's monomial (_singular_point_tables), and a value
+    vanishes when both its packed components do.  Points go in steps on a
+    leading axis, about 16 chunks' worth of class-point pairs per step."""
     a11, a12, a22, a13, a23, a33 = cols
-    found = np.zeros(len(a11), dtype=bool)
-
-    def gather(pairs) -> np.ndarray:
-        """zero-mask of sum of coeff*scalar with scalars in GF(q^2):
-        both components must vanish."""
-        n = len(pairs[0][0])
-        out = np.ones(n, dtype=bool)
-        for t in range(2):
-            acc = np.zeros(n, dtype=F.np_dtype)
-            for arr, scalar in pairs:
-                if scalar[t]:
-                    acc ^= F.mul_col(arr, int(scalar[t]))
-            out &= acc == 0
-        return out
-
-    for X, Y, Z in projective_points(E2):
-        X2, Y2, Z2 = E2.mul(X, X), E2.mul(Y, Y), E2.mul(Z, Z)
-        XY, XZ, YZ = E2.mul(X, Y), E2.mul(X, Z), E2.mul(Y, Z)
-        on = np.flatnonzero(
-            gather([(a11, X2), (a12, XY), (a22, Y2), (a13, XZ), (a23, YZ), (a33, Z2)]))
-        if not len(on):
-            continue
-        b12, b13, b23 = a12[on], a13[on], a23[on]
-        sing = (
-            gather([(b12, Y), (b13, Z)])
-            & gather([(b12, X), (b23, Z)])
-            & gather([(b13, X), (b23, Y)])
-        )
-        found[on[sing]] = True
+    tables = _singular_point_tables(F)
+    found = np.zeros(np.broadcast_shapes(*(c.shape for c in cols)), dtype=bool)
+    step = max(1, (CLASS_BLOCK << 4) // found.size)
+    for p in range(0, tables.shape[1], step):
+        x2, xy, y2, xz, yz, z2, x, y, z = tables[:, p:p + step]
+        # the partials in characteristic 2: a12 Y + a13 Z, a12 X + a23 Z, a13 X + a23 Y
+        singular = (y[:, a12] == z[:, a13]) & (x[:, a12] == z[:, a23]) & (x[:, a13] == y[:, a23])
+        value = x2[:, a11] ^ xy[:, a12] ^ y2[:, a22] ^ xz[:, a13] ^ yz[:, a23] ^ z2[:, a33]
+        found |= (singular & (value == 0)).any(axis=0)
     return found
 
 
@@ -656,9 +647,7 @@ def verify_geometry(F: Field) -> SuiteReport:
             all(F.trace(F.div(y, F.mul(x, x))) == 0 for x, y in delta.points))
 
     if q <= 16:
-        image: dict[tuple[int, int], int] = {}
-        for x1, x2 in distinguished_points(F):
-            image[pi_map(F, x1, x2)] = image.get(pi_map(F, x1, x2), 0) + 1
+        image = Counter(pi_map(F, x1, x2) for x1, x2 in distinguished_points(F))
         rep.add("symmetric map image of distinguished points equals the set",
                 set(image) == set(delta.points))
         rep.add("symmetric map is exactly 2-to-1 on distinguished points",
@@ -724,23 +713,19 @@ def verify_geometry(F: Field) -> SuiteReport:
 
     # degeneracy criterion against the singular-point oracle
     if q <= 8:
-        cols = conic_class_columns(F)
-        found = degeneracy_oracle_sweep(F, cols)
-        stated = degeneracy_columns(F, cols) == 0
-        agree = found == stated
-        bad = [tuple(int(c[i]) for c in cols) for i in np.flatnonzero(~agree)[:3]]
+        sweep = _Sweep(F, spot=(12, q + 13))
+        for bc in sweep:
+            found = degeneracy_oracle_sweep(F, bc)
+            disagree = found != (degeneracy_columns(F, bc) == 0)
+            sweep.count(disagree=disagree)
+            sweep.keep("disagree", 3, disagree)
+            sweep.draw("spot", True, found)
+        n_bad, bad = sweep.tally["disagree"], [coeffs for coeffs, in sweep.kept["disagree"]]
         rep.add("degeneracy criterion agrees with the singular-point oracle",
-                bool(agree.all()), 0, int((~agree).sum()),
-                note=f"first: {bad}" if bad else "")
+                not n_bad, 0, n_bad, note=f"first: {bad}" if bad else "")
         # scalar spot-check of the vectorized oracle
-        E2 = ExtField(F, 2)
-        rng_o = random.Random(q + 13)
-        idx = [rng_o.randrange(len(cols[0])) for _ in range(12)]
-        spot = all(
-            degenerate_by_singular_point(F, Conic(*(int(c[i]) for c in cols)), E2)
-            == bool(found[i])
-            for i in idx
-        )
+        spot = all(degenerate_by_singular_point(F, Conic(*coeffs)) == found
+                   for coeffs, found in sweep.drawn["spot"])
         rep.add("vectorized oracle agrees with the per-conic oracle (sampled)", spot)
 
     # normalization properties

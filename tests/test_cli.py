@@ -187,13 +187,15 @@ def _without_encoded_fields(report):
     "spectrum --family all-conics", "params --system lines", "params --system parabolas",
     "params --system conics"])
 def test_reports_do_not_depend_on_the_modulus(capsys, argv):
-    """GF(8) is the same field under both irreducible moduli, so every
-    count, check and exit code agrees; only the encoded examples differ."""
-    reports = []
-    for modulus in ("0xB", "0xD"):
-        code, out = run(capsys, *argv.split(), "--q", "8", "--modulus", modulus)
-        reports.append((code, _without_encoded_fields(json.loads(out))))
-    assert reports[0] == reports[1]
+    """GF(8) and GF(16) are each the same field under every irreducible
+    modulus, so every count, check and exit code agrees; only the encoded
+    examples differ."""
+    for q, moduli in (("8", ("0xB", "0xD")), ("16", ("0x13", "0x19", "0x1F"))):
+        reports = []
+        for modulus in moduli:
+            code, out = run(capsys, *argv.split(), "--q", q, "--modulus", modulus)
+            reports.append((code, _without_encoded_fields(json.loads(out))))
+        assert all(r == reports[0] for r in reports[1:]), (q, moduli)
 
 
 def test_spectrum_csv(capsys):

@@ -23,8 +23,8 @@ from deltacodes.curves import (
 
 
 def all_classes(F, require_triples=True):
-    from deltacodes.verify import conic_class_columns
-    cols = conic_class_columns(F)
+    from deltacodes.verify import projective_class_columns
+    cols = projective_class_columns(F.q, 6, F.np_dtype)
     for i in range(len(cols[0])):
         c = Conic(*(int(col[i]) for col in cols))
         if require_triples and not triples_ok_columns(c):

@@ -320,7 +320,10 @@ def test_frobenius_is_h_schoolbook_squarings_sampled(h, r):
 
 
 def test_ext_tables_are_built_once_and_only_on_use():
-    F = Field(4, modulus=0x19)  # x^4 + x^3 + 1: a cache key no other test uses
+    # other tests build GF(16^3) under every modulus, so start from empty caches
+    field._ext_log_tables.cache_clear()
+    field._ext_frobenius_table.cache_clear()
+    F = Field(4, modulus=0x19)  # x^4 + x^3 + 1
     tables, frob = field._ext_log_tables.cache_info(), field._ext_frobenius_table.cache_info()
     E1, E2 = ExtField(F, 3), ExtField(Field(4, modulus=0x19), 3)
     assert field._ext_log_tables.cache_info() == tables

@@ -14,7 +14,6 @@ from deltacodes.verify import (
     SUITES,
     BudgetError,
     class_rank,
-    conic_class_columns,
     conic_spectrum,
     line_spectrum,
     parabola_spectrum,
@@ -58,6 +57,35 @@ def test_field_suite_clean(h):
 def test_geometry_suite_defects_pinned(h):
     rep = verify_geometry(Field(h))
     assert failing_names(rep) == KNOWN_DEFECTS["geometry"]
+
+
+def test_degeneracy_oracle_chunks_q4(F4, monkeypatch):
+    """The oracle's mask on each chunk of the sweep is the per-conic
+    singular-point search on every one of the 1365 classes at q = 4, and
+    the geometry report, with the classes it keeps and draws, is the same
+    at a 48-class block as at the default one; a stated criterion made
+    wrong on purpose gives it disagreeing classes to name."""
+    from deltacodes import verify
+    from deltacodes.geometry import Conic, degenerate_by_singular_point
+    from deltacodes.verify import _Sweep, degeneracy_oracle_sweep
+    found = []
+    for bc in _Sweep(F4):
+        mask = degeneracy_oracle_sweep(F4, bc)
+        assert mask.shape == np.broadcast_shapes(*(c.shape for c in bc))
+        found += mask.ravel().tolist()
+    cols = projective_class_columns(F4.q, 6, F4.np_dtype)
+    assert found == [degenerate_by_singular_point(F4, Conic(*(int(c[i]) for c in cols)))
+                     for i in range(1365)]
+    for criterion in (None, lambda F, bc: bc[5] ^ 1):  # the wrong one: degenerate iff a33 = 1
+        if criterion:
+            monkeypatch.setattr(verify, "degeneracy_columns", criterion)
+        monkeypatch.setattr(verify, "CLASS_BLOCK", 1 << 16)
+        default = verify_geometry(F4).to_dict()
+        monkeypatch.setattr(verify, "CLASS_BLOCK", SMALL_BLOCK)
+        assert verify_geometry(F4).to_dict() == default
+    check = next(c for c in default["checks"] if c["name"].startswith("degeneracy criterion"))
+    assert (check["actual"], check["note"]) == (
+        527, "first: [(1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, 3)]")
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -124,7 +152,7 @@ def test_projective_class_columns_cover_everything():
 def test_zero_counts_matches_scalar(F8):
     from deltacodes.geometry import Conic, build_delta, count_on_delta
     delta = build_delta(F8)
-    cols = conic_class_columns(F8)
+    cols = projective_class_columns(F8.q, 6, F8.np_dtype)
     counts = zero_counts(F8, 6, delta.conic_monomials())
     import random
     rng = random.Random(1)
@@ -243,14 +271,14 @@ def _class_formulas(F, cols):
 @pytest.mark.parametrize("h, block", [(2, None), (3, None), (4, None), (2, SMALL_BLOCK)])
 def test_factored_formulas_equal_flat_blocks(h, block, monkeypatch):
     """On every class, the formulas evaluated on a chunk's broadcast axes
-    equal the same formulas on the flat conic_class_columns block; the
+    equal the same formulas on the flat projective_class_columns block; the
     identity flags are compared where the suite reads them."""
     from deltacodes import verify
     from deltacodes.verify import factored_class_chunks
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = Field(h)
-    cols = conic_class_columns(F)
+    cols = projective_class_columns(F.q, 6, F.np_dtype)
     for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
         shape = np.broadcast_shapes(*(c.shape for c in bc))
         factored = _class_formulas(F, bc)
@@ -291,7 +319,7 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = Field(h)
-    cols = conic_class_columns(F)
+    cols = projective_class_columns(F.q, 6, F.np_dtype)
     grid = [(x, y) for x in F.elements() for y in F.elements()]
     axis = [(0, t) for t in F.elements()]
     sets = [build_delta(F, include_origin=io) for io in (False, True)]
@@ -337,7 +365,8 @@ def _layout(h):
     """GF(2^h), its conic class columns and their factored chunks."""
     from deltacodes.verify import factored_class_chunks
     F = Field(h)
-    return F, conic_class_columns(F), list(factored_class_chunks(F.q, 6, F.np_dtype))
+    return (F, projective_class_columns(F.q, 6, F.np_dtype),
+            list(factored_class_chunks(F.q, 6, F.np_dtype)))
 
 
 @given(h=st.sampled_from([2, 3, 4]), data=st.data())
@@ -473,7 +502,7 @@ def test_counts_are_narrow(F16):
     of points, and the root-mask popcounts are uint8."""
     from deltacodes.geometry import build_delta
     from deltacodes.verify import _root_counts
-    cols = conic_class_columns(F16)
+    cols = projective_class_columns(F16.q, 6, F16.np_dtype)
     assert zero_counts(F16, 6, build_delta(F16).conic_monomials()).dtype == np.uint8
     for n in (255, 256):
         # the last class, (0, ..., 0, 1), is zero at every point
@@ -637,7 +666,7 @@ def test_column_formulas_exhaustive_q4(F4):
     from deltacodes import curves
     from deltacodes.geometry import Conic
     from deltacodes.verify import _root_mask_counts, _honest_linear_sweep
-    cols = conic_class_columns(F4)
+    cols = projective_class_columns(F4.q, 6, F4.np_dtype)
     vbar = curves.vbar_columns(F4, cols)
     h = curves.cubic_h_columns(F4, cols, vbar)
     red = curves.reducibility_columns(F4, cols, vbar, h)
@@ -654,6 +683,37 @@ def test_column_formulas_exhaustive_q4(F4):
         assert bool(has_line[i]) == curves.has_linear_component(F4, c, fam)[0], c
         checked += 1
     assert checked == 1218
+
+
+@pytest.mark.parametrize("h, classes", [(2, 288), (3, 12544)])
+def test_either_rational_root_of_vbar_gives_the_same_h(h, classes):
+    """On the non-degenerate classes with a12 * a22 != 0 and vbar in GF(q),
+    the other root vbar + a12/a22 of a22 v^2 + a12 v + a11 gives H the same
+    point count and the same linear-component verdict, so hasse's findings
+    do not depend on the root vbar_columns picks."""
+    from deltacodes import curves
+    from deltacodes.geometry import degeneracy_columns
+    from deltacodes.verify import _honest_linear_sweep, _root_mask_counts
+    F = Field(h)
+    cols = projective_class_columns(F.q, 6, F.np_dtype)
+    vbar = curves.vbar_columns(F, cols)
+    picked = np.flatnonzero((degeneracy_columns(F, cols) != 0) & (cols[1] != 0)
+                            & (cols[2] != 0) & (vbar[1] == 0))
+    assert len(picked) == classes
+    cols = [c[picked] for c in cols]
+    a11, a12, a22 = cols[:3]
+    first = vbar[0][picked]
+    other = first ^ F.vdiv(a12, a22)
+    found = []
+    for v in (first, other):
+        assert not (F.vmul(a22, F.vmul(v, v)) ^ F.vmul(a12, v) ^ a11).any()
+        h_cols = curves.cubic_h_columns(F, cols, (v, np.zeros_like(v)))
+        red = curves.reducibility_columns(F, cols, (v, np.zeros_like(v)), h_cols)
+        found.append((_root_mask_counts(F, {(j, i): c for (i, j), c in h_cols.items()}),
+                      _honest_linear_sweep(F, cols, h_cols, red)))
+    assert (first != other).all()
+    assert np.array_equal(found[0][0], found[1][0])
+    assert np.array_equal(found[0][1], found[1][1])
 
 
 def _h_grid_counts(F, h):
@@ -676,7 +736,7 @@ def _h_grid_counts(F, h):
 def test_cubic_h_walk_matches_grid_evaluation_q8(F8):
     from deltacodes import curves
     from deltacodes.verify import _root_mask_counts
-    cols = conic_class_columns(F8)
+    cols = projective_class_columns(F8.q, 6, F8.np_dtype)
     h = curves.cubic_h_columns(F8, cols, curves.vbar_columns(F8, cols))
     n_h = _root_mask_counts(F8, h)
     assert n_h.dtype == np.uint16
@@ -707,7 +767,7 @@ def test_cubic_h_walk_matches_product_grouping_q16(F16):
     from deltacodes import curves
     from deltacodes.geometry import Conic
     from deltacodes.verify import _root_mask_counts
-    cols = conic_class_columns(F16)
+    cols = projective_class_columns(F16.q, 6, F16.np_dtype)
     n_h = _root_mask_counts(F16, curves.cubic_h_columns(F16, cols, curves.vbar_columns(F16, cols)))
     with_h = np.flatnonzero((cols[1] != 0) | (cols[2] != 0))
     picks = np.sort(np.random.default_rng(1604).choice(with_h, 48, replace=False))
