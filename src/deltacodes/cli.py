@@ -3,11 +3,12 @@ verification suites, as machine-readable JSON or CSV.
 
 Exit status: 0 when every asserted closed form holds, 1 when a stated claim
 fails its brute-force check (the report carries the counterexamples), 2 on
-usage or budget errors (one class budget admits every exhaustive path) or a
-failed write, 3 on an internal fault, with its traceback on stderr; a reader
-that closes stdout early changes none of them.  Identical (q, modulus, seed,
-flags) produce byte-identical reports; only --timing adds the wall time the
-CLI measured, as "elapsed" in each suite or params report.
+usage or budget errors (one class budget admits every exhaustive path but
+the net code's dual-distance search, which has its own) or a failed write, 3
+on an internal fault, with its traceback on stderr; a reader that closes
+stdout early changes none of them.  Identical (q, modulus, seed, flags)
+produce byte-identical reports; only --timing adds the wall time the CLI
+measured, as "elapsed" in each suite or params report.
 """
 
 from __future__ import annotations
@@ -314,10 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+def _apply_config(parser: argparse.ArgumentParser, path: str, args) -> None:
     """A JSON config file supplies defaults for any long flag, e.g.
-    {"modulus": "0x13", "format": "csv"}; explicit flags still win.  Values
-    must have their flag's type (bool for a switch) and be one of its choices."""
+    {"modulus": "0x13", "format": "csv"}; explicit flags (in args) still win.
+    Values must have their flag's type (bool for a switch) and be one of its
+    choices.  A net base-point flag (--seed, --scan, --scan-count) drops the
+    file's other two; the file alone may set only one of them."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -336,6 +339,13 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         if type(value) is not kind or (action.choices and value not in action.choices):
             wanted = f"one of {', '.join(action.choices)}" if action.choices else kind.__name__
             raise UsageError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
+    if args.command == "net":
+        base = ("seed", "scan", "scan_count")
+        if args.seed is not None or args.scan or args.scan_count:
+            config = {key: value for key, value in config.items() if key not in base}
+        chosen = [key for key in base if config.get(key, False) is not False]
+        if len(chosen) > 1:
+            raise UsageError(f"config keys {chosen[0]!r} and {chosen[1]!r} both set the base point")
     for sub_parser in parser._deltacodes_subparsers:
         sub_parser.set_defaults(**config)
 
@@ -356,7 +366,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:  # parse again, over the file's defaults
-            _apply_config(parser, args.config)
+            _apply_config(parser, args.config, args)
             args = parser.parse_args(argv)
         for needed in args._needs:
             if getattr(args, needed, None) is None:

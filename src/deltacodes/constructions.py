@@ -23,7 +23,6 @@ from .field import ExtElement, ExtField, Field
 from .geometry import (
     Coeffs6,
     Conic,
-    DeltaSet,
     build_delta,
     degeneracy_columns,
     in_sqrt_window,
@@ -247,12 +246,12 @@ def net_basis(F: Field, ctx: NetContext) -> ConicSystem:
 # Code reports
 # ----------------------------------------------------------------------
 
-def _report(F: Field, name: str, system: ConicSystem, delta: DeltaSet,
+def _report(F: Field, name: str, system: ConicSystem,
             expected: Optional[dict] = None) -> tuple[dict, GeneratorMatrix]:
-    """The code's parameters and weight distribution, with its generator
-    matrix.  Stated parameters, when given, are reported under `expected`
-    and compared key by key into `matches_expected`."""
-    g = evaluate_system(system, delta)
+    """The code's parameters and weight distribution on Delta, with its
+    generator matrix.  Stated parameters, when given, are reported under
+    `expected` and compared key by key into `matches_expected`."""
+    g = evaluate_system(system, build_delta(F))
     dist = weight_distribution_enumerate(g)
     d = min_distance(dist)
     report = {
@@ -287,7 +286,7 @@ def line_code(F: Field) -> dict:
         }),
     }
     system = ConicSystem(F, [POLY_Y, POLY_X, POLY_1])
-    return _report(F, "lines", system, build_delta(F), expected)[0]
+    return _report(F, "lines", system, expected)[0]
 
 
 def construction2_code(F: Field) -> dict:
@@ -306,7 +305,7 @@ def construction2_code(F: Field) -> dict:
         }),
     }
     system = ConicSystem(F, [POLY_X2, POLY_X, POLY_Y, POLY_1])
-    return _report(F, "parabolas", system, build_delta(F), expected)[0]
+    return _report(F, "parabolas", system, expected)[0]
 
 
 def full_conic_code(F: Field) -> dict:
@@ -314,20 +313,14 @@ def full_conic_code(F: Field) -> dict:
     q = F.q
     expected = {"n": q * (q - 1) // 2, "k": 6, "d": q * (q - 3) // 2}
     system = ConicSystem(F, [POLY_X2, POLY_XY, POLY_Y2, POLY_X, POLY_Y, POLY_1])
-    return _report(F, "conics", system, build_delta(F), expected)[0]
+    return _report(F, "conics", system, expected)[0]
 
 
-def construction1_code(F: Field, point: Optional[ProjPoint3] = None,
-                       seed: int = 0, ext: Optional[ExtField] = None,
-                       delta: Optional[DeltaSet] = None) -> dict:
+def construction1_code(F: Field, point: ProjPoint3) -> dict:
     """Evaluation code of one triangle net, with the distance bound and
     weight-window statements probed and reported rather than assumed."""
-    delta = delta or build_delta(F)
-    E = ext or ExtField(F, 3)
-    p = point if point is not None else find_lambda_point(E, "seeded", seed)
-    ctx = make_net_context(E, p)
-    system = net_basis(F, ctx)
-    report, g = _report(F, "net", system, delta)
+    ctx = make_net_context(ExtField(F, 3), point)
+    report, g = _report(F, "net", net_basis(F, ctx))
     report["point"] = [list(c) for c in ctx.P]
     report["dual_distance"] = dual_distance_upto(g)
     q, n, d = F.q, report["n"], report["d"]
@@ -353,7 +346,6 @@ def construction1_samples(F: Field, samples: int, seed: int = 0) -> list[dict]:
         raise ValueError(f"{samples} distinct base points requested; the orbit has "
                          f"{lambda_orbit_size(F.q)} at q = {F.q}")
     E = ExtField(F, 3)
-    delta = build_delta(F)
     rng = random.Random(seed)
     seen: set = set()
     out = []
@@ -363,5 +355,5 @@ def construction1_samples(F: Field, samples: int, seed: int = 0) -> list[dict]:
         if p in seen:
             continue
         seen.add(p)
-        out.append(construction1_code(F, point=p, ext=E, delta=delta))
+        out.append(construction1_code(F, p))
     return out

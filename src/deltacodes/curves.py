@@ -42,7 +42,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .field import ExtField, Field
-from .geometry import Conic, DeltaSet, build_delta, count_on_delta, in_sqrt_window, is_degenerate
+from .geometry import Conic, build_delta, count_on_delta, in_sqrt_window, is_degenerate
 
 AnyField = Union[Field, ExtField]
 
@@ -497,10 +497,10 @@ def f_minus_g_columns(F: Field, cols: Sequence[np.ndarray], s: int) -> np.ndarra
                                              np.where(tz, 0, -two)))
 
 
-def verify_count_relations(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> dict:
+def verify_count_relations(F: Field, conic: Conic) -> dict:
     """Brute-force both sides of the applicable N(F^(s)) vs N(G^(s))
     relation and report whether the tabulated difference holds."""
-    fam = fam or build_family(F, conic)
+    fam = build_family(F, conic)
     f_zeros, g_zeros = _grid_zeros(fam.F_s, F), _grid_zeros(fam.G_s, F)
     n_f, n_g = int(np.count_nonzero(f_zeros)), int(np.count_nonzero(g_zeros))
     predicted = int(f_minus_g_columns(F, conic, fam.s))
@@ -533,16 +533,11 @@ def lemma_rhs(n_f_s, case):
     return n_f_s // 2 + ((case == 2) | (case == 3))
 
 
-def verify_lemma_delta(
-    F: Field, conic: Conic, fam: Optional[CurveFamily] = None,
-    delta_bar: Optional[DeltaSet] = None,
-) -> dict:
+def verify_lemma_delta(F: Field, conic: Conic) -> dict:
     """Check |DeltaBar ∩ C| against its expression through N(F^(s))."""
-    fam = fam or build_family(F, conic)
-    delta_bar = delta_bar or build_delta(F, include_origin=True)
-    lhs = count_on_delta(F, conic, delta_bar)
+    lhs = count_on_delta(F, conic, build_delta(F, include_origin=True))
     case = int(lemma_case_columns(F, conic))
-    n = count_affine_points(fam.F_s, F)
+    n = count_affine_points(build_family(F, conic).F_s, F)
     rhs = int(lemma_rhs(n, case))
     halves_ok = n % 2 == 0
     return {"case": case, "lhs": lhs, "rhs": rhs, "n_f_s": n, "ok": lhs == rhs and halves_ok}
@@ -558,7 +553,7 @@ def _embed_all(K: AnyField, values):
     return list(values)
 
 
-def reducibility_details(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> dict:
+def reducibility_details(F: Field, conic: Conic) -> dict:
     """The one-class view of reducibility_columns, with the actual vbar.
 
     Returns the resultant-style quantities for the three line directions
@@ -569,7 +564,7 @@ def reducibility_details(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
     (a22 : a12 : 0), so they do not decide actual reducibility of H.  See
     has_linear_component for the complete three-pencil test.
     """
-    fam = fam or build_family(F, conic)
+    fam = build_family(F, conic)
     if fam.H is None:
         raise ValueError("H requires a12 != 0 or a22 != 0")
     K, coeffs = fam.vfield, conic.coeffs()
@@ -602,7 +597,7 @@ def _line_divides(h: Poly2, K: AnyField, a, b, c) -> bool:
     return all(h.eval(x, v) == K.zero for x, v in pts)
 
 
-def has_linear_component(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> tuple[bool, list]:
+def has_linear_component(F: Field, conic: Conic) -> tuple[bool, list]:
     """Complete test for linear components of H over the field of vbar.
 
     Any line component passes through one of the three infinite points of
@@ -610,7 +605,7 @@ def has_linear_component(F: Field, conic: Conic, fam: Optional[CurveFamily] = No
     leading coefficient condition is linear), so three divisibility tests
     decide reducibility of H over the algebraic closure.
     """
-    fam = fam or build_family(F, conic)
+    fam = build_family(F, conic)
     if fam.H is None:
         raise ValueError("H requires a12 != 0 or a22 != 0")
     K = fam.vfield
@@ -651,14 +646,14 @@ def in_rational_affine_window(n: int, q: int) -> bool:
     return q - 3 <= n <= q
 
 
-def hasse_window_check(F: Field, conic: Conic, fam: Optional[CurveFamily] = None) -> dict:
+def hasse_window_check(F: Field, conic: Conic) -> dict:
     """Count N(G) and N(H) and test the claims that they agree and that
     N(H) falls in the union of the elliptic and rational affine windows.
 
     Violations are reported with the offending coefficient tuple, never
     silently absorbed.
     """
-    fam = fam or build_family(F, conic)
+    fam = build_family(F, conic)
     if fam.H is None:
         raise ValueError("H requires a12 != 0 or a22 != 0")
     if is_degenerate(F, conic):

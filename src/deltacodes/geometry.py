@@ -311,24 +311,3 @@ def classify_exceptional(F: Field, conic: Conic) -> Optional[str]:
         return EXC_PARABOLA
     return EXC_VERTICAL_PAIR if vertical else None
 
-
-def check_corollary_bounds(
-    F: Field, conic: Conic, delta: Optional[DeltaSet] = None
-) -> tuple[str, Optional[str], int]:
-    """Classify a non-degenerate conic against the intersection-size window.
-
-    Returns (classification, family, count) where classification is
-    'in-window' or 'exceptional'.  Exceptional families are recognized by
-    coefficient pattern and their count is still reported.
-    """
-    if is_degenerate(F, conic):
-        raise ValueError("corollary bounds apply to non-degenerate conics")
-    if delta is None:
-        delta = build_delta(F, include_origin=False)
-    count = count_on_delta(F, conic, delta)
-    family = classify_exceptional(F, conic)
-    if family is not None:
-        return "exceptional", family, count
-    if not in_sqrt_window(2 * count, F.q):
-        return "out-of-window", None, count
-    return "in-window", None, count

@@ -574,13 +574,14 @@ def verify_field(F: Field) -> SuiteReport:
     elems = list(F.elements())
     rng = random.Random(q)
     pick = (lambda: elems) if exhaustive else (lambda: rng.sample(elems, 16))
+    picked = "" if exhaustive else " (sampled)"  # names the checks run on pick()
 
     ok = all(F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
              for a in pick() for b in pick() for c in pick())
-    rep.add("multiplication associative" + ("" if exhaustive else " (sampled)"), ok)
+    rep.add("multiplication associative" + picked, ok)
     ok = all(F.mul(a, b ^ c) == F.mul(a, b) ^ F.mul(a, c)
              for a in pick() for b in pick() for c in pick())
-    rep.add("multiplication distributes over addition", ok)
+    rep.add("multiplication distributes over addition" + picked, ok)
     ok = all(F.mul(a, b) == F.mul(b, a) for a in elems for b in elems)
     rep.add("multiplication commutative", ok)
     rep.add("x * inv(x) = 1", all(F.mul(a, F.inv(a)) == 1 for a in range(1, q)))
@@ -612,7 +613,7 @@ def verify_field(F: Field) -> SuiteReport:
             and E.add(E.embed(a), E.embed(b)) == E.embed(a ^ b)
             for a in pick() for b in pick()
         )
-        rep.add(f"degree-{r} embedding respects operations", emb_ok)
+        rep.add(f"degree-{r} embedding respects operations{picked}", emb_ok)
         sampled = "" if q ** r <= 4096 else " (sampled)"
         xs = (list(E.elements()) if not sampled
               else [tuple(rng.randrange(q) for _ in range(r)) for _ in range(64)])
@@ -772,7 +773,7 @@ def verify_lemma(F: Field) -> SuiteReport:
     # scalar cross-check of the vectorized pipeline
     sample_ok = True
     for coeffs, lhs in sweep.drawn["checked"]:
-        r = curves.verify_lemma_delta(F, Conic(*coeffs), delta_bar=dbar)
+        r = curves.verify_lemma_delta(F, Conic(*coeffs))
         sample_ok &= r["ok"] and r["lhs"] == lhs
     rep.add("vectorized sweep agrees with the per-conic implementation (sampled)",
             sample_ok)
@@ -1013,11 +1014,11 @@ def verify_hasse(F: Field) -> SuiteReport:
 # Intersection spectrum sweeps (also backing the corollary check)
 # ----------------------------------------------------------------------
 
-def conic_spectrum(F: Field, delta: Optional[DeltaSet] = None) -> dict:
+def conic_spectrum(F: Field) -> dict:
     """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
     window and exceptional-family accounting, reduced chunk by chunk."""
     q = F.q
-    delta = delta or build_delta(F, include_origin=False)
+    delta = build_delta(F, include_origin=False)
     masks = _line_masks(F, delta.points)
     in_win = np.array([in_sqrt_window(2 * c, q) for c in range(len(delta) + 1)])
     hist, viol_hist = (np.zeros(len(delta) + 1, dtype=np.int64) for _ in range(2))

@@ -14,14 +14,16 @@ each fails the test.
 
 import time
 from itertools import product
+from typing import Optional
 
 from deltacodes.field import ExtField, Field
 from deltacodes.geometry import (
     Conic,
     build_delta,
-    check_corollary_bounds,
+    classify_exceptional,
     count_on_delta,
     distinguished_points,
+    in_sqrt_window,
     is_degenerate,
     line_counts,
     line_delta_count_closed_form,
@@ -35,7 +37,6 @@ from deltacodes.codes import (
 )
 from deltacodes.curves import (
     Poly2,
-    build_family,
     has_linear_component,
     hasse_window_check,
     reducibility_details,
@@ -186,15 +187,24 @@ WINDOW_ESCAPE_COUNTS = {4: {4}, 8: {0, 7}, 16: {0, 2, 12, 13, 15}}
 WINDOW_ESCAPE_TOTALS = {4: 6, 8: 784}
 
 
+def scalar_window_escape(F: Field, conic: Conic, delta) -> Optional[int]:
+    """|Delta ∩ C| of a non-degenerate conic outside the stated window and
+    both enumerated families, else None, through the per-conic calls."""
+    count = count_on_delta(F, conic, delta)
+    if classify_exceptional(F, conic) is None and not in_sqrt_window(2 * count, F.q):
+        return count
+    return None
+
+
 def scalar_window_escapes(F: Field, delta) -> dict[int, int]:
     """Histogram of the out-of-window counts over every non-degenerate
-    class, through the per-conic corollary check."""
+    class, through the per-conic calls."""
     hist: dict[int, int] = {}
     for conic in conic_classes(F.q):
         if is_degenerate(F, conic):
             continue
-        kind, _, count = check_corollary_bounds(F, conic, delta)
-        if kind == "out-of-window":
+        count = scalar_window_escape(F, conic, delta)
+        if count is not None:
             hist[count] = hist.get(count, 0) + 1
     return hist
 
@@ -206,7 +216,7 @@ def test_criterion_06_corollary_window():
     for q in (4, 8, 16):
         F = field(q)
         delta = build_delta(F)
-        spec = conic_spectrum(F, delta)
+        spec = conic_spectrum(F)
         hist = spec["violation_counts"]
         found[q] = hist
         if set(hist) != WINDOW_ESCAPE_COUNTS[q]:
@@ -217,8 +227,8 @@ def test_criterion_06_corollary_window():
             problems[q] = f"scalar recount {scalar}"
         else:
             for coeffs, count in spec["violation_examples"]:
-                if check_corollary_bounds(F, Conic(*coeffs), delta) != (
-                        "out-of-window", None, count):
+                conic = Conic(*coeffs)
+                if is_degenerate(F, conic) or scalar_window_escape(F, conic, delta) != count:
                     problems[q] = f"example {coeffs} does not recount as {count}"
     criterion(
         6, not problems,
@@ -310,11 +320,10 @@ def test_criterion_09_hasse_window():
     # through (a22 : a12 : 0) and has 29 affine points, outside the window
     F = field(16)
     example = Conic(1, 1, 1, 0, 1, 0)
-    fam = build_family(F, example)
-    res = hasse_window_check(F, example, fam)
-    found, lines = has_linear_component(F, example, fam)
+    res = hasse_window_check(F, example)
+    found, lines = has_linear_component(F, example)
     if not (triples_ok_columns(example) and not is_degenerate(F, example)
-            and fam.vbar_rational and not reducibility_details(F, example, fam)["reducible"]
+            and res["vbar_rational"] and not reducibility_details(F, example)["reducible"]
             and found and any(kind == "w" for kind, _ in lines)
             and res["n_h"] == 29 and not res["in_window"]):
         problems["example"] = (res, lines)

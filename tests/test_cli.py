@@ -114,7 +114,9 @@ def test_spectrum_and_suite_reports_at_q8_are_pinned(capsys, argv, exit_code, di
 # The same for the reports whose curve restrictions and field checks were
 # rewritten, recorded before the restrictions were read from the term tables,
 # and for the reports that name their classes by coefficients, recorded
-# before one chunk reducer replaced the per-sweep bookkeeping
+# before one chunk reducer replaced the per-sweep bookkeeping; the field
+# reports at q = 32 and 64 were recorded again when every check run on
+# sampled elements came to say "(sampled)"
 @pytest.mark.parametrize("argv, exit_code, digest", [
     ("verify --suite reducibility --q 16", EXIT_MISMATCH,
      "8fbc9648e771c0b0d18274d83f1a3e0e8778734895644cb190e34a1ba12dae03"),
@@ -137,9 +139,9 @@ def test_spectrum_and_suite_reports_at_q8_are_pinned(capsys, argv, exit_code, di
     ("verify --suite lemma --q 16", EXIT_OK,
      "a9e017e3729e2a565c6689fab3d440ef64cc81b745fd7ca2f69cb9834c31c5c4"),
     ("verify --suite field --q 32", EXIT_OK,
-     "302fca8f70a230fda53448a7e29c1fde2c700ac1b7257dba4f87edaa40d8c597"),
+     "651ae134a3d42b9d3f6c8198b2f8531cdb63a6cd90d40a6928b82b8f0a475c26"),
     ("verify --suite field --q 64", EXIT_OK,
-     "135e06def44d67cc1298d4c1773db19b1c3c6113d630983096709e2ac66acd61"),
+     "d5fae5e9ab9c79906213b42de23b678dc5113c8afa75794ec6d3a488f681a582"),
 ])
 def test_restriction_and_field_reports_are_pinned(capsys, argv, exit_code, digest):
     code, out = run(capsys, *argv.split())
@@ -286,6 +288,38 @@ def test_net_base_point_flags_are_exclusive(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == EXIT_USAGE and captured.out == ""
     assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("config, flags", [
+    ('{"scan": true}', "--seed 3"), ('{"seed": 3}', "--scan"), ('{"scan": true}', "--seed 0")])
+def test_net_base_point_flags_beat_config(tmp_path, capsys, config, flags):
+    """A base-point flag drops the config's other base-point keys, as
+    explicit flags beat config values."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    expected = run(capsys, "net", "--q", "4", *flags.split())
+    assert run(capsys, "net", "--q", "4", "--config", str(cfg), *flags.split()) == expected
+
+
+@pytest.mark.parametrize("config", ['{"scan": true, "scan_count": true}',
+                                    '{"seed": 1, "scan": true}'])
+def test_net_config_sets_at_most_one_base_point_key(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code = main(["net", "--q", "4", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert all(repr(key) in captured.err for key in json.loads(config))
+
+
+def test_net_dual_distance_search_has_its_own_budget(capsys):
+    """The net code at q = 32 has 496 columns, and C(496, 3) three-column
+    subsets exceed dual_distance_upto's budget of 2 * 10^6, so the report
+    exits 2 before anything is written."""
+    code = main(["params", "--system", "net", "--q", "32", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: C(496, 3) column subsets exceed the search budget\n"
 
 
 def test_net_members(capsys):

@@ -137,7 +137,7 @@ def test_build_net_matches_per_lambda_members(F8):
 
 
 def test_construction1_q8(F8):
-    rep = construction1_code(F8, seed=1)
+    rep = construction1_code(F8, find_lambda_point(ExtField(F8, 3), "seeded", 1))
     assert (rep["n"], rep["k"]) == (28, 3)
     assert rep["d"] in (21, 22)
     assert rep["dual_distance"] in (3, 4)

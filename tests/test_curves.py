@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deltacodes.field import ExtField, Field
-from deltacodes.geometry import Conic, build_delta, in_sqrt_window, is_degenerate
+from deltacodes.geometry import Conic, in_sqrt_window, is_degenerate
 from deltacodes.curves import (
     Poly2,
     build_family,
@@ -193,17 +193,15 @@ def test_count_rejects_other_fields_and_large_q(F8, F16):
 
 
 def test_lemma_exhaustive_q4(F4):
-    dbar = build_delta(F4, include_origin=True)
     for c in all_classes(F4):
-        r = verify_lemma_delta(F4, c, delta_bar=dbar)
+        r = verify_lemma_delta(F4, c)
         assert r["ok"], (c, r)
 
 
 def test_lemma_cases(F8):
-    dbar = build_delta(F8, include_origin=True)
-    r = verify_lemma_delta(F8, Conic(1, 0, 0, 0, 1, 1), delta_bar=dbar)
+    r = verify_lemma_delta(F8, Conic(1, 0, 0, 0, 1, 1))
     assert r["case"] == 1 and r["lhs"] == r["n_f_s"] // 2
-    r = verify_lemma_delta(F8, Conic(1, 1, 0, 1, 1, 0), delta_bar=dbar)
+    r = verify_lemma_delta(F8, Conic(1, 1, 0, 1, 1, 0))
     assert r["case"] == 2 and r["lhs"] == 1 + r["n_f_s"] // 2
 
 

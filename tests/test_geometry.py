@@ -8,7 +8,6 @@ from deltacodes.geometry import (
     EXC_VERTICAL_PAIR,
     Conic,
     build_delta,
-    check_corollary_bounds,
     classify_exceptional,
     count_on_delta,
     degenerate_by_singular_point,
@@ -233,17 +232,3 @@ def test_classify_exceptional(F8):
     assert classify_exceptional(F8, Conic(3, 0, 0, 0, 1, 0)) == EXC_PARABOLA
     assert classify_exceptional(F8, Conic(1, 0, 0, 1, 0, 1)) == EXC_VERTICAL_PAIR
     assert classify_exceptional(F8, Conic(1, 1, 0, 0, 1, 0)) is None
-
-
-def test_check_corollary_bounds(F8):
-    delta = build_delta(F8)
-    tr0 = next(a for a in F8.nonzero_elements() if F8.trace(a) == 0)
-    kind, family, count = check_corollary_bounds(F8, Conic(tr0, 0, 0, 0, 1, 0), delta)
-    assert kind == "exceptional" and family == EXC_PARABOLA and count == 7
-    kind, family, count = check_corollary_bounds(F8, Conic(1, 0, 0, 0, 1, 1), delta)
-    assert kind == "in-window" and family is None
-    with pytest.raises(ValueError):
-        check_corollary_bounds(F8, Conic(1, 0, 0, 0, 0, 1), delta)
-    # the edge leakage: a non-degenerate conic avoiding the set entirely
-    kind, family, count = check_corollary_bounds(F8, Conic(1, 1, 0, 1, 1, 1), delta)
-    assert (kind, family, count) == ("out-of-window", None, 0)
