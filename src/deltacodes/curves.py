@@ -35,7 +35,6 @@ the lines it finds.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -355,29 +354,6 @@ def _pullback_quartic(F: Field, conic: Conic) -> Poly2:
 def _sheared_curve(F: Field, conic: Conic, drop: int) -> Poly2:
     return Poly2(F, {e: c for c, terms, keep in zip(conic.coeffs(), SHEARED_TERMS, _kept(drop))
                      if keep for e in terms}, ("X", "V"))
-
-
-def _term_values(F: Field, terms, pts, s: int, shift: int) -> list[tuple[int, ...]]:
-    """Per point, each kept coefficient's monomial sum divided by X^shift."""
-    kept = _kept(s)
-    return [
-        tuple(functools.reduce(operator.xor, (F.mul(F.pow(x, i - shift), F.pow(y, j))
-                                              for i, j in coeff_terms)) if keep else 0
-              for coeff_terms, keep in zip(terms, kept))
-        for x, y in pts
-    ]
-
-
-def quartic_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
-    """Per point (x, t), the monomial values of F^(s) = F / X^s, aligned
-    with (a11, a12, a22, a13, a23, a33); zero for coefficients F^(s) lacks."""
-    return _term_values(F, QUARTIC_TERMS, pts, s, s)
-
-
-def sheared_monomials(F: Field, pts, s: int) -> list[tuple[int, ...]]:
-    """Per point (x, v), the monomial values of G^(s), aligned with
-    (a11, a12, a22, a13, a23, a33); zero for coefficients G^(s) lacks."""
-    return _term_values(F, SHEARED_TERMS, pts, s, 0)
 
 
 def term_columns(cols: Sequence[np.ndarray], terms, counted: int) -> dict[tuple[int, int], tuple]:

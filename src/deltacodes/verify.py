@@ -16,9 +16,18 @@ from one root-mask walk over the lines of the plane (`_root_mask_counts`);
 where a33 lies alone on a chunk's last axis, the walk reads the q classes
 along it as one row of a cached table (`_row_table`); a count on one line
 reads the curve there from its term table (`_on_line`).  One reducer
-(`_Sweep`) takes each chunk before the next to tallies and to the classes
-a report names, a cross-check draws or hasse re-examines, each named by its
-six coefficients, so the conic sweeps hold no per-class arrays.
+(`_Sweep`) takes each chunk's per-class statistics, which a sweep gives as
+one function of the chunk's columns, before the next chunk's to tallies
+and to the classes a report names, a cross-check draws or hasse
+re-examines, each named by its six coefficients.  The root scaling
+x -> a*x fixes Delta, DeltaBar's origin and the axis X = 0, so a class has
+every statistic of its image: in the block with a11 = 1, the a12 = beta
+slice (beta != 0) is the a12 = 1 slice permuted along a22, a13 and a33
+(`_orbit_positions`).  From q = 16 on, the statistics are computed only on
+the a12 = 0 and a12 = 1 slices and on the blocks with a11 = 0, the later
+slices reading the a12 = 1 slice's tallies and, for the classes still
+needed, its arrays: 201 k of the 1.12 M classes at q = 16, 3.18 M of 34.6 M
+at q = 32.  No sweep holds a per-class array beyond one slice.
 `zero_counts` remains the tests' independent count and the kernel of
 `codes.weight_distribution_classes`.
 On a deterministic draw of classes each sweep is cross-checked against
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence
 
@@ -503,64 +512,207 @@ def degeneracy_oracle_sweep(F: Field, cols: Sequence[np.ndarray]) -> np.ndarray:
     return found
 
 
+@functools.lru_cache(maxsize=None)
+def _orbit_tables(F: Field, beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of _orbit_positions at beta: the high digits
+    (a22, a13) -> (a22 / beta^2, beta * a13) and the low digits
+    (a23, a33) -> (a23, beta^2 * a33), each a q^2-entry table over the
+    base-q pair."""
+    elems = np.arange(F.q, dtype=F.np_dtype)
+    b2 = F.mul(beta, beta)
+
+    def pair(first, second):
+        return (first.astype(np.int64)[:, None] << F.h | second[None, :]).ravel()
+    return (pair(F.mul_col(elems, F.inv(b2)), F.mul_col(elems, beta)),
+            pair(elems, F.mul_col(elems, b2)))
+
+
+def _orbit_positions(F: Field, beta: int, pos: np.ndarray) -> np.ndarray:
+    """Positions in the a12 = 1 slice of the a11 = 1 block of the classes
+    that the positions `pos` of the a12 = beta slice map to under the root
+    scaling x -> x / beta: (1, beta, a22, a13, a23, a33) goes to
+    (1, 1, a22 / beta^2, beta * a13, a23, beta^2 * a33), which has every
+    per-class statistic of the sweeps.  A slice position is the base-q
+    number a22 a13 a23 a33; at 1 / beta the map goes back."""
+    high, low = _orbit_tables(F, beta)
+    pos = np.asarray(pos, dtype=np.int64)
+    return high[pos >> 2 * F.h] << 2 * F.h | low[pos & (F.q * F.q - 1)]
+
+
 class _Sweep:
     """One pass over the conic classes in factored chunks, in layout order
-    (`factored_class_chunks`), each reduced before the next: iterating
-    yields a chunk's columns, and the suite tallies masks into one Counter
-    (`count`) and keeps the classes a report names (`keep`) or a scalar
-    cross-check takes (`draw`) as their six coefficients, read off the
-    chunk's columns, followed by their values.  Masks and values broadcast
-    against the chunk.  `draws` maps each draw to (k, seed): k seeded
-    uniform layout positions, each taking the first class of that draw's
-    masks at or after it (with replacement), so the draw does not depend on
-    the chunking, and a chunk that no pending position reaches costs nothing."""
+    (`factored_class_chunks`), each reduced before the next.  `stats` maps
+    a chunk's columns to its per-class statistics by name, each broadcast
+    against the chunk; the pass reduces them as the spec says:
 
-    def __init__(self, F: Field, **draws: tuple[int, int]):
-        self.F = F
+    - `count`: a mask's set classes are added to `tally[mask]`; a pair
+      (mask, by) counts them by their value of `by`, in
+      `tally[(mask, value)]` (`histogram`).
+    - `keep`: {mask: (k, *values)} keeps the set classes until `kept[mask]`
+      holds k of them, in layout order (all when k is None), each as its
+      six coefficients followed by its values.
+    - `draw`: {key: (k, seed, mask, *values)} takes k seeded uniform layout
+      positions, and for each the first set class at or after it (with
+      replacement) into `drawn[key]`, named like a kept class, so a draw
+      does not depend on the chunking.
+
+    The root scaling x -> a*x fixes Delta, DeltaBar's origin and the axis
+    X = 0, so every statistic of a class is that of its image
+    (_orbit_positions): the a12 = beta slice of the a11 = 1 block, for
+    beta != 0, is the a12 = 1 slice permuted along a22, a13 and a33.  Where
+    each chunk of that block lies in one slice (q >= 16 at the default
+    block), `stats` runs only on the a12 = 0 and a12 = 1 slices and on the
+    blocks with a11 = 0.  Each later slice adds the a12 = 1 slice's tally
+    once.  A key that still needs classes there maps the classes it kept
+    from the a12 = 1 slice, which were then all its set classes, and a
+    pending draw reads the a12 = 1 slice's mask and values, both through
+    the permutation; the coefficients come from the chunk's own columns.
+    Those arrays are the a12 = 1 chunk's own where the slice is one chunk
+    (q = 16), and q^4-entry copies above.  A chunk that no pending key or
+    draw reaches costs nothing."""
+
+    def __init__(self, F: Field, stats: Callable[[list], dict], count: Sequence = (),
+                 keep: Optional[dict] = None, draw: Optional[dict] = None):
+        self.F, self._stats, self._count = F, stats, count
+        self._keep, self._draw = keep or {}, draw or {}
         self.tally: Counter = Counter()
-        self.kept: dict[str, list[tuple]] = defaultdict(list)  # (coefficients, value, ...)
-        self.drawn: dict[str, list[tuple]] = {key: [] for key in draws}
+        self.kept: dict[str, list[tuple]] = {key: [] for key in self._keep}
+        self.drawn: dict[str, list[tuple]] = {key: [] for key in self._draw}
         size = _layout_size(F.q, 6)
         self._targets = {key: sorted(map(random.Random(seed).randrange, [size] * k))
-                         for key, (k, seed) in draws.items()}
+                         for key, (k, seed, *_) in self._draw.items()}
 
-    def __iter__(self):
-        for self._blk, self._cols in factored_class_chunks(self.F.q, 6, self.F.np_dtype):
-            self._shape = np.broadcast_shapes(*(c.shape for c in self._cols))
-            yield self._cols
+    def histogram(self, mask: str) -> dict[int, int]:
+        """The set classes of a (mask, by) count, by value, in value order."""
+        return dict(sorted((key[1], n) for key, n in self.tally.items() if key[:1] == (mask,)))
 
-    def count(self, **masks) -> None:
-        """Add each mask's set classes to the tally of its key."""
-        for key, mask in masks.items():
-            self.tally[key] += int(np.count_nonzero(np.broadcast_to(mask, self._shape)))
+    def run(self) -> "_Sweep":
+        F, span = self.F, self.F.q ** 4  # classes of one a12 slice of the a11 = 1 block
+        rep: dict[str, np.ndarray] = {}  # the a12 = 1 slice's arrays that pending draws read
+        rep_kept: dict[str, list] = {}  # its kept classes: slice positions and values
+        rep_tally, rep_filled = Counter(), 0
+        for blk, cols in factored_class_chunks(F.q, 6, F.np_dtype):
+            shape = np.broadcast_shapes(*(c.shape for c in cols))
+            size = blk.stop - blk.start
+            beta, start = divmod(blk.start, span)
+            in_slice = beta < F.q and size <= span - start
+            if in_slice and beta > 1 and rep_filled == span:
+                if not start:
+                    self.tally.update(rep_tally)
+                self._reduce(blk, cols, shape, self._image_reader(rep, rep_kept, beta, start, size))
+                continue
+            if beta > 1 and rep_filled:  # walked past the a12 = 1 slice: its arrays are done
+                rep.clear()
+                rep_kept.clear()
+            st = self._stats(cols)
+            tally = self._tallied(st, shape)
+            self.tally.update(tally)
+            kept = self._reduce(blk, cols, shape, self._chunk_reader(st, shape))
+            if in_slice and beta == 1:
+                for name in self._drawn_names(span) if not start else list(rep):
+                    flat = np.broadcast_to(st[name], shape).reshape(-1)
+                    if size == span:  # the slice is one chunk: its arrays are read in place
+                        rep[name] = flat
+                    else:
+                        rep.setdefault(name, np.empty(span, flat.dtype))[start:start + size] = flat
+                for key, (idx, vals) in kept.items():
+                    rep_kept.setdefault(key, []).append((start + idx, vals))
+                rep_tally.update(tally)
+                rep_filled += size
+            del st, kept  # before the next chunk's statistics are computed
+        return self
 
-    def keep(self, key: str, k: Optional[int], mask, *values) -> None:
-        """Keep the classes set in the mask until `key` holds k of them, in
-        layout order; all of them when k is None."""
-        kept = self.kept[key]
-        if k is None or len(kept) < k:
-            idx = np.flatnonzero(np.broadcast_to(mask, self._shape))
-            if len(idx):  # naming costs tens of microseconds even when empty
-                kept += self._named(idx if k is None else idx[:k - len(kept)], values)
+    def _tallied(self, st: dict, shape) -> Counter:
+        tally = Counter()
+        for name in self._count:
+            if isinstance(name, str):
+                tally[name] = int(np.count_nonzero(np.broadcast_to(st[name], shape)))
+                continue
+            mask, by = name
+            values = np.broadcast_to(st[by], shape)[np.broadcast_to(st[mask], shape)]
+            tally.update({(mask, c): int(n) for c, n in enumerate(np.bincount(values)) if n})
+        return tally
 
-    def draw(self, key: str, mask, *values) -> None:
-        """Draw for the pending positions of `key` before the chunk's end."""
-        targets, blk = self._targets[key], self._blk
-        while targets and targets[0] < blk.stop:
-            flat = np.broadcast_to(mask, self._shape).ravel()
-            i = max(targets[0] - blk.start, 0)
-            i += int(np.argmax(flat[i:]))  # the first set class from i on, if any
-            if not flat[i]:
-                return  # the pending positions wait for the next chunk
-            self.drawn[key] += self._named([i], values)
-            targets.pop(0)
+    def _drawn_names(self, span: int) -> list[str]:
+        """The statistics of the draws still pending before the end of the
+        a11 = 1 block."""
+        return list(dict.fromkeys(
+            name for key, (_, _, *names) in self._draw.items()
+            if any(t < self.F.q * span for t in self._targets[key]) for name in names))
 
-    def _named(self, idx, values) -> list[tuple]:
-        """(coefficients, value, ...) of the chunk's classes at the flat
-        positions idx."""
-        at = np.unravel_index(idx, self._shape)
-        picked = [np.broadcast_to(v, self._shape)[at].tolist() for v in (*self._cols, *values)]
-        return list(zip(zip(*picked[:6]), *picked[6:]))
+    @staticmethod
+    def _chunk_reader(st: dict, shape):
+        """(at, found) on a chunk's own statistics: `at(name, idx)` the
+        values at flat positions, `found(mask, values, limit)` the first
+        `limit` set positions of a mask (all for None) and the values there."""
+        def at(name, idx):
+            return np.broadcast_to(st[name], shape)[np.unravel_index(idx, shape)]
+
+        def found(mask, values, limit):
+            idx = np.flatnonzero(np.broadcast_to(st[mask], shape))[:limit]
+            return idx, [at(v, idx) for v in values]
+        return at, found
+
+    def _image_reader(self, rep: dict, rep_kept: dict, beta: int, start: int, size: int):
+        """(at, found) on the `size` classes of the a12 = beta slice from
+        slice position `start` on, read from the a12 = 1 slice: its arrays
+        for draws, and its kept classes for a key that still needs classes,
+        as the a12 = 1 slice then held fewer set classes than the key takes."""
+        F = self.F
+
+        def at(name, idx):
+            return rep[name][_orbit_positions(F, beta, start + np.asarray(idx))]
+
+        def found(mask, values, limit):
+            parts = rep_kept.get(mask, [])
+            if not parts:
+                return [], []
+            pos = _orbit_positions(F, F.inv(beta), np.concatenate([p for p, _ in parts])) - start
+            inside = np.flatnonzero((pos >= 0) & (pos < size))
+            order = inside[np.argsort(pos[inside])][:limit]
+            return pos[order], [np.concatenate(v)[order] for v in zip(*(v for _, v in parts))]
+        return at, found
+
+    def _reduce(self, blk: slice, cols, shape, reader) -> dict:
+        """Keep and draw from one chunk through its reader; returns, by key,
+        the flat positions and values of the classes kept from it."""
+        at, found = reader
+
+        def named(idx, vals) -> list[tuple]:
+            where = np.unravel_index(idx, shape)
+            coeffs = [np.broadcast_to(c, shape)[where].tolist() for c in cols]
+            return list(zip(zip(*coeffs), *(v.tolist() for v in vals)))
+
+        taken = {}
+        for key, (k, *values) in self._keep.items():
+            kept = self.kept[key]
+            if k is None or len(kept) < k:
+                idx, vals = found(key, values, None if k is None else k - len(kept))
+                if len(idx):  # naming costs tens of microseconds even when empty
+                    kept += named(idx, vals)
+                    taken[key] = idx, vals
+        for key, (_, _, mask, *values) in self._draw.items():
+            targets = self._targets[key]
+            while targets and targets[0] < blk.stop:
+                i = _first_set(at, mask, max(targets[0] - blk.start, 0), blk.stop - blk.start)
+                if i is None:
+                    break  # the pending positions wait for the next chunk
+                self.drawn[key] += named([i], [at(v, [i]) for v in values])
+                targets.pop(0)
+        return taken
+
+
+def _first_set(at, mask: str, i: int, size: int) -> Optional[int]:
+    """The first flat position from i on where `mask` is set, or None,
+    read in windows that double from 64 classes."""
+    width = 64
+    while i < size:
+        window = np.arange(i, min(i + width, size))
+        hit = np.flatnonzero(at(mask, window))
+        if len(hit):
+            return int(window[hit[0]])
+        i, width = int(window[-1]) + 1, width * 2
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -714,13 +866,13 @@ def verify_geometry(F: Field) -> SuiteReport:
 
     # degeneracy criterion against the singular-point oracle
     if q <= 8:
-        sweep = _Sweep(F, spot=(12, q + 13))
-        for bc in sweep:
+        def oracle(bc):
             found = degeneracy_oracle_sweep(F, bc)
-            disagree = found != (degeneracy_columns(F, bc) == 0)
-            sweep.count(disagree=disagree)
-            sweep.keep("disagree", 3, disagree)
-            sweep.draw("spot", True, found)
+            return {"found": found, "every": True,
+                    "disagree": found != (degeneracy_columns(F, bc) == 0)}
+
+        sweep = _Sweep(F, oracle, count=("disagree",), keep={"disagree": (3,)},
+                       draw={"spot": (12, q + 13, "every", "found")}).run()
         n_bad, bad = sweep.tally["disagree"], [coeffs for coeffs, in sweep.kept["disagree"]]
         rep.add("degeneracy criterion agrees with the singular-point oracle",
                 not n_bad, 0, n_bad, note=f"first: {bad}" if bad else "")
@@ -748,22 +900,27 @@ def verify_geometry(F: Field) -> SuiteReport:
 # Lemma suite: |DeltaBar ∩ C| from N(F^(s))
 # ----------------------------------------------------------------------
 
-def verify_lemma(F: Field) -> SuiteReport:
-    q = F.q
-    rep = SuiteReport("lemma", q, F.modulus)
-    dbar = build_delta(F, include_origin=True)
-    dbar_masks = _line_masks(F, dbar.points)
-    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 1))
-    for bc in sweep:
+def _lemma_stats(F: Field) -> Callable[[list], dict]:
+    """The lemma sweep's per-class statistics of a chunk."""
+    dbar_masks = _line_masks(F, build_delta(F, include_origin=True).points)
+
+    def stats(bc):
         ok = curves.triples_ok_columns(bc)
         s = curves.split_exponent_columns(bc)
         count = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), dbar_masks)
         nf, _ = _quartic_counts(F, bc, s)
         odd = ok & (nf % 2 == 1)
         wrong = odd | (ok & (count != curves.lemma_rhs(nf, curves.lemma_case_columns(F, bc))))
-        sweep.count(checked=ok, odd=odd, wrong=wrong)
-        sweep.keep("wrong", 3, wrong, count)
-        sweep.draw("checked", ok, count)
+        return {"checked": ok, "odd": odd, "wrong": wrong, "count": count}
+    return stats
+
+
+def verify_lemma(F: Field) -> SuiteReport:
+    q = F.q
+    rep = SuiteReport("lemma", q, F.modulus)
+    sweep = _Sweep(F, _lemma_stats(F), count=("checked", "odd", "wrong"),
+                   keep={"wrong": (3, "count")},
+                   draw={"checked": (SAMPLE_CHECKS, q * 7 + 1, "checked", "count")}).run()
     n_bad, bad = sweep.tally["wrong"], sweep.kept["wrong"]
     rep.add("intersection count equals its curve-count expression on every class",
             not n_bad, 0, n_bad,
@@ -784,11 +941,9 @@ def verify_lemma(F: Field) -> SuiteReport:
 # Relations suite: N(F^(s)) versus N(G^(s))
 # ----------------------------------------------------------------------
 
-def verify_relations(F: Field) -> SuiteReport:
-    q = F.q
-    rep = SuiteReport("relations", q, F.modulus)
-    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 2))
-    for bc in sweep:
+def _relations_stats(F: Field) -> Callable[[list], dict]:
+    """The relations sweep's per-class statistics of a chunk."""
+    def stats(bc):
         ok = curves.triples_ok_columns(bc)
         s = curves.split_exponent_columns(bc)
         nf, f_axis = _quartic_counts(F, bc, s)
@@ -798,11 +953,18 @@ def verify_relations(F: Field) -> SuiteReport:
         fmg = [curves.f_minus_g_columns(F, bc, k) for k in range(3)]
         predicted = np.where(s == 0, fmg[0], np.where(s == 1, fmg[1], fmg[2]))
         diff = nf.astype(np.int16) - ng.astype(np.int16)  # counts are at most q^2 <= 4096
-        wrong = ok & (diff != predicted)
-        sweep.count(checked=ok, wrong=wrong,
-                    off_axis=ok & (f_axis.astype(np.int16) - g_axis != diff))
-        sweep.keep("wrong", 3, wrong, diff, predicted)
-        sweep.draw("checked", ok, nf, ng)
+        return {"checked": ok, "wrong": ok & (diff != predicted),
+                "off_axis": ok & (f_axis.astype(np.int16) - g_axis != diff),
+                "diff": diff, "predicted": predicted, "nf": nf, "ng": ng}
+    return stats
+
+
+def verify_relations(F: Field) -> SuiteReport:
+    q = F.q
+    rep = SuiteReport("relations", q, F.modulus)
+    sweep = _Sweep(F, _relations_stats(F), count=("checked", "wrong", "off_axis"),
+                   keep={"wrong": (3, "diff", "predicted")},
+                   draw={"checked": (SAMPLE_CHECKS, q * 7 + 2, "checked", "nf", "ng")}).run()
     n_bad, bad = sweep.tally["wrong"], sweep.kept["wrong"]
     rep.add("tabulated count differences hold on every class", not n_bad, 0, n_bad,
             note=f"checked {sweep.tally['checked']} classes" + (f"; first: {bad}" if bad else ""))
@@ -861,13 +1023,9 @@ def _honest_linear_sweep(F: Field, cols: list[np.ndarray],
     return cond_v | cond_x | cond_q
 
 
-def verify_reducibility(F: Field) -> SuiteReport:
-    q = F.q
-    rep = SuiteReport("reducibility", q, F.modulus)
-    # 40 applicable classes, and 8 more from the gap where there is one
-    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 3), gap=(8, q * 7 + 5),
-                   more=(8, q * 7 + 5))
-    for bc in sweep:
+def _reducibility_stats(F: Field) -> Callable[[list], dict]:
+    """The reducibility sweep's per-class statistics of a chunk."""
+    def stats(bc):
         a11, a12, a22, a13, a23, a33 = bc
         app = curves.triples_ok_columns(bc) & ((a12 != 0) | (a22 != 0))
         vbar = curves.vbar_columns(F, bc)
@@ -876,17 +1034,26 @@ def verify_reducibility(F: Field) -> SuiteReport:
         degenerate, stated = degeneracy_columns(F, bc) == 0, red["reducible"]
         honest = _honest_linear_sweep(F, bc, h, red)
         both = app & (a12 != 0) & (a22 != 0)
-        masks = {"checked": app, "disagree": app & (stated != degenerate),
-                 "mismatch": app & (honest != degenerate), "gap": app & honest & ~stated,
-                 "identity_q12": both & ~red["identity_q12"],
-                 "identity_q13": both & ~red["identity_q13"]}
-        sweep.count(**masks)
-        sweep.keep("disagree", 5, masks["disagree"], stated, degenerate)
-        sweep.keep("mismatch", 5, masks["mismatch"], honest, degenerate)
-        sweep.keep("gap", 5, masks["gap"])
-        for key, mask in (("checked", app), ("gap", masks["gap"]), ("more", app)):
-            sweep.draw(key, mask, honest)
+        return {"checked": app, "disagree": app & (stated != degenerate),
+                "mismatch": app & (honest != degenerate), "gap": app & honest & ~stated,
+                "identity_q12": both & ~red["identity_q12"],
+                "identity_q13": both & ~red["identity_q13"],
+                "stated": stated, "degenerate": degenerate, "honest": honest}
+    return stats
 
+
+def verify_reducibility(F: Field) -> SuiteReport:
+    q = F.q
+    rep = SuiteReport("reducibility", q, F.modulus)
+    # 40 applicable classes, and 8 more from the gap where there is one
+    sweep = _Sweep(F, _reducibility_stats(F),
+                   count=("checked", "disagree", "mismatch", "gap", "identity_q12",
+                          "identity_q13"),
+                   keep={"disagree": (5, "stated", "degenerate"),
+                         "mismatch": (5, "honest", "degenerate"), "gap": (5,)},
+                   draw={"checked": (SAMPLE_CHECKS, q * 7 + 3, "checked", "honest"),
+                         "gap": (8, q * 7 + 5, "gap", "honest"),
+                         "more": (8, q * 7 + 5, "checked", "honest")}).run()
     tally, bad = sweep.tally, sweep.kept["disagree"]
     rep.add("stated component criteria hold iff the conic is degenerate",
             not bad, 0, tally["disagree"],
@@ -919,17 +1086,15 @@ def verify_reducibility(F: Field) -> SuiteReport:
 # Hasse suite: windows for the cubic, and the transfer between G and H
 # ----------------------------------------------------------------------
 
-def verify_hasse(F: Field) -> SuiteReport:
+def _hasse_stats(F: Field) -> Callable[[list], dict]:
+    """The hasse sweep's per-class statistics of a chunk: applicability,
+    vbar, G, H, both counts by the root-mask walk, the windows and the
+    corrected transfer."""
     q = F.q
-    rep = SuiteReport("hasse", q, F.modulus)
-
-    # per chunk on factored axes: applicability, vbar, G, H, both counts by the
-    # root-mask walk, the windows and the corrected transfer, reduced to tallies,
-    # the first violators and the coefficients of the rational-vbar window violators
     in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
                        for x in range(q * q + 1)])  # N(H) <= q^2
-    sweep = _Sweep(F, checked=(SAMPLE_CHECKS, q * 7 + 4))
-    for bc in sweep:
+
+    def stats(bc):
         app = (curves.triples_ok_columns(bc) & (degeneracy_columns(F, bc) != 0)
                & ((bc[1] != 0) | (bc[2] != 0)))
         vbar = curves.vbar_columns(F, bc)
@@ -939,24 +1104,33 @@ def verify_hasse(F: Field) -> SuiteReport:
         ng = _root_mask_counts(F, g)
         nh = _root_mask_counts(F, {(j, i): c for (i, j), c in h.items()})
         rat, win = app & (vbar[1] == 0), in_win[nh]
-        masks = {"applicable": app, "rational": rat, "unequal": app & (ng != nh),
-                 "outside": app & ~win, "rational_in_window": rat & win,
-                 "quadratic": app & ~rat, "quadratic_in_window": app & ~rat & win}
-        sweep.count(**masks)
-        sweep.keep("unequal", 3, masks["unequal"], ng, nh)
-        sweep.keep("outside", 5, masks["outside"], nh)
-        sweep.keep("violators", None, masks["outside"] & rat)
-        sweep.draw("checked", app, ng, nh)
-        if not rat.any():
-            continue
-        # corrected transfer: the quadratic map sends the (up to) k points of
-        # G on the line V = vbar to one point of H on the line V = 0, and H
-        # picks up the other points of that line; bookkeeping those recovers
-        # N(H) = N(G) - k + (points of H on V = 0) exactly.  On rational-vbar
-        # classes every value lies in the first component.
-        corrected = (ng.astype(np.int32) - _root_counts(F, _on_line(F, g, vbar[0]))
-                     + _root_counts(F, _on_line(F, {key: p[:1] for key, p in h.items()}, 0)))
-        sweep.count(transfer=rat & (corrected == nh))
+        transfer = rat
+        if rat.any():
+            # corrected transfer: the quadratic map sends the (up to) k points of
+            # G on the line V = vbar to one point of H on the line V = 0, and H
+            # picks up the other points of that line; bookkeeping those recovers
+            # N(H) = N(G) - k + (points of H on V = 0) exactly.  On rational-vbar
+            # classes every value lies in the first component.
+            corrected = (ng.astype(np.int32) - _root_counts(F, _on_line(F, g, vbar[0]))
+                         + _root_counts(F, _on_line(F, {key: p[:1] for key, p in h.items()}, 0)))
+            transfer = rat & (corrected == nh)
+        return {"applicable": app, "rational": rat, "unequal": app & (ng != nh),
+                "outside": app & ~win, "violators": rat & ~win, "rational_in_window": rat & win,
+                "quadratic": app & ~rat, "quadratic_in_window": app & ~rat & win,
+                "transfer": transfer, "ng": ng, "nh": nh}
+    return stats
+
+
+def verify_hasse(F: Field) -> SuiteReport:
+    q = F.q
+    rep = SuiteReport("hasse", q, F.modulus)
+    # reduced to tallies, the first violators and the coefficients of the
+    # rational-vbar window violators
+    sweep = _Sweep(F, _hasse_stats(F),
+                   count=("applicable", "rational", "unequal", "outside", "rational_in_window",
+                          "quadratic", "quadratic_in_window", "transfer"),
+                   keep={"unequal": (3, "ng", "nh"), "outside": (5, "nh"), "violators": (None,)},
+                   draw={"checked": (SAMPLE_CHECKS, q * 7 + 4, "applicable", "ng", "nh")}).run()
     tally = sweep.tally
     n_app, n_rational = tally["applicable"], tally["rational"]
 
@@ -1014,30 +1188,36 @@ def verify_hasse(F: Field) -> SuiteReport:
 # Intersection spectrum sweeps (also backing the corollary check)
 # ----------------------------------------------------------------------
 
+def _census_stats(F: Field) -> Callable[[list], dict]:
+    """The all-conics census's per-class statistics of a chunk: the count
+    on Delta, and the classes outside both the window and the exceptional
+    families."""
+    delta = build_delta(F, include_origin=False)
+    masks = _line_masks(F, delta.points)
+    in_win = np.array([in_sqrt_window(2 * c, F.q) for c in range(len(delta) + 1)])
+
+    def stats(bc):
+        counts = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), masks)
+        nondeg = degeneracy_columns(F, bc) != 0
+        family_parabola, family_vertical = exceptional_columns(F, bc)
+        return {"counts": counts, "nondeg": nondeg, "parabola": nondeg & family_parabola,
+                "violations": nondeg & ~(in_win[counts] | family_parabola | family_vertical)}
+    return stats
+
+
 def conic_spectrum(F: Field) -> dict:
     """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
     window and exceptional-family accounting, reduced chunk by chunk."""
-    q = F.q
-    delta = build_delta(F, include_origin=False)
-    masks = _line_masks(F, delta.points)
-    in_win = np.array([in_sqrt_window(2 * c, q) for c in range(len(delta) + 1)])
-    hist, viol_hist = (np.zeros(len(delta) + 1, dtype=np.int64) for _ in range(2))
-    sweep = _Sweep(F)
-    for bc in sweep:
-        counts = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), masks)
-        nondeg = np.broadcast_to(degeneracy_columns(F, bc) != 0, counts.shape)
-        family_parabola, family_vertical = exceptional_columns(F, bc)
-        violations = nondeg & ~(in_win[counts] | family_parabola | family_vertical)
-        hist += np.bincount(counts[nondeg], minlength=len(hist))
-        viol_hist += np.bincount(counts[violations], minlength=len(hist))
-        sweep.count(parabola=nondeg & family_parabola)
-        sweep.keep("violations", 8, violations, counts)
+    sweep = _Sweep(F, _census_stats(F),
+                   count=("parabola", ("nondeg", "counts"), ("violations", "counts")),
+                   keep={"violations": (8, "counts")}).run()
+    hist, viol_hist = sweep.histogram("nondeg"), sweep.histogram("violations")
     return {
-        "q": q,
-        "nondegenerate_classes": int(hist.sum()),
-        "histogram": {c: int(n) for c, n in enumerate(hist) if n},
-        "window_violations": int(viol_hist.sum()),
-        "violation_counts": {c: int(n) for c, n in enumerate(viol_hist) if n},
+        "q": F.q,
+        "nondegenerate_classes": sum(hist.values()),
+        "histogram": hist,
+        "window_violations": sum(viol_hist.values()),
+        "violation_counts": viol_hist,
         "violation_examples": sweep.kept["violations"],
         "exceptional_parabola_classes": sweep.tally["parabola"],
     }

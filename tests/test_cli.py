@@ -200,6 +200,26 @@ def test_reports_do_not_depend_on_the_modulus(capsys, argv):
         assert all(r == reports[0] for r in reports[1:]), (q, moduli)
 
 
+def test_net_report_does_not_depend_on_the_modulus(capsys):
+    """A seeded net does depend on the modulus: the seed draws its point
+    from the field's elements, and the same elements are other field
+    values under another modulus.  At q = 8 with seed 1 the sampled net's
+    d is 22 under 0xB and 21 under 0xD, with other weights and another
+    reading of the distance bound.  So only what every sampled net of the
+    system shares is compared: its length, dimension and sample count,
+    whether every sampled net has rank 3, and whether each matches the
+    expected parameters."""
+    shared = ("n", "k", "samples", "all_rank_3", "matches_expected")
+    reports = []
+    for modulus in ("0xB", "0xD"):
+        _, out = run(capsys, "params", "--system", "net", "--q", "8", "--samples", "4",
+                     "--seed", "1", "--modulus", modulus)
+        rep = json.loads(out)["report"]
+        reports.append({key: rep[key] for key in shared})
+    assert reports[0] == reports[1] == {"n": 28, "k": 3, "samples": 4, "all_rank_3": True,
+                                        "matches_expected": True}
+
+
 def test_spectrum_csv(capsys):
     code, out = run(capsys, "spectrum", "--q", "8", "--family", "parabolas",
                     "--format", "csv")

@@ -4,6 +4,7 @@ direction (a truth check breaking, or a known discrepancy silently
 disappearing) is caught."""
 
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -67,9 +68,9 @@ def test_degeneracy_oracle_chunks_q4(F4, monkeypatch):
     wrong on purpose gives it disagreeing classes to name."""
     from deltacodes import verify
     from deltacodes.geometry import Conic, degenerate_by_singular_point
-    from deltacodes.verify import _Sweep, degeneracy_oracle_sweep
+    from deltacodes.verify import degeneracy_oracle_sweep, factored_class_chunks
     found = []
-    for bc in _Sweep(F4):
+    for _, bc in factored_class_chunks(F4.q, 6, F4.np_dtype):
         mask = degeneracy_oracle_sweep(F4, bc)
         assert mask.shape == np.broadcast_shapes(*(c.shape for c in bc))
         found += mask.ravel().tolist()
@@ -294,6 +295,32 @@ def test_factored_formulas_equal_flat_blocks(h, block, monkeypatch):
                 assert np.array_equal(value, flat[key]), (key, blk)
 
 
+def _term_values(F, terms, pts, s, shift):
+    """Per point, each coefficient's monomial sum divided by X^shift, or 0
+    where the split exponent s drops the coefficient."""
+    from deltacodes.curves import _kept
+    return [
+        tuple(functools.reduce(operator.xor, (F.mul(F.pow(x, i - shift), F.pow(y, j))
+                                              for i, j in coeff_terms)) if keep else 0
+              for coeff_terms, keep in zip(terms, _kept(s)))
+        for x, y in pts
+    ]
+
+
+def quartic_monomials(F, pts, s):
+    """Per point (x, t), the monomial values of F^(s) = F / X^s, aligned
+    with (a11, a12, a22, a13, a23, a33); zero for coefficients F^(s) lacks."""
+    from deltacodes.curves import QUARTIC_TERMS
+    return _term_values(F, QUARTIC_TERMS, pts, s, s)
+
+
+def sheared_monomials(F, pts, s):
+    """Per point (x, v), the monomial values of G^(s), aligned with
+    (a11, a12, a22, a13, a23, a33); zero for coefficients G^(s) lacks."""
+    from deltacodes.curves import SHEARED_TERMS
+    return _term_values(F, SHEARED_TERMS, pts, s, 0)
+
+
 def _zero_counts_at_own_s(F, cols, monomials_at):
     """zero_counts of the monomial set monomials_at(s) on each class, read
     at the class's own split exponent s."""
@@ -326,10 +353,10 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
     expected = {
         "delta": zero_counts(F, 6, sets[0].conic_monomials()),
         "dbar": zero_counts(F, 6, sets[1].conic_monomials()),
-        "n_f": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, grid, s)),
-        "f_axis": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, axis, s)),
-        "n_g": zero_counts(F, 6, curves.sheared_monomials(F, grid, 0)),
-        "g_axis": zero_counts(F, 6, curves.sheared_monomials(F, axis, 0)),
+        "n_f": _zero_counts_at_own_s(F, cols, lambda s: quartic_monomials(F, grid, s)),
+        "f_axis": _zero_counts_at_own_s(F, cols, lambda s: quartic_monomials(F, axis, s)),
+        "n_g": zero_counts(F, 6, sheared_monomials(F, grid, 0)),
+        "g_axis": zero_counts(F, 6, sheared_monomials(F, axis, 0)),
     }
     stop = 0
     for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
@@ -415,8 +442,8 @@ def _walk_oracle(h):
     return sets, {
         "delta": zero_counts(F, 6, sets[0].conic_monomials()),
         "dbar": zero_counts(F, 6, sets[1].conic_monomials()),
-        "n_f": _zero_counts_at_own_s(F, cols, lambda s: curves.quartic_monomials(F, grid, s)),
-        "n_g": zero_counts(F, 6, curves.sheared_monomials(F, grid, 0)),
+        "n_f": _zero_counts_at_own_s(F, cols, lambda s: quartic_monomials(F, grid, s)),
+        "n_g": zero_counts(F, 6, sheared_monomials(F, grid, 0)),
     }
 
 
@@ -485,9 +512,9 @@ def test_curve_on_each_line_sums_to_its_grid_count(h):
     conic = [(F.mul(x, x), F.mul(x, y), F.mul(y, y), x, y, 1) for x, y in grid]
     for terms, monos, counted, slots in (
             (curves.CONIC_TERMS, conic, 0, 3), (curves.CONIC_TERMS, conic, 1, 3),
-            (curves.QUARTIC_TERMS, curves.quartic_monomials(F, grid, 0), 1, 4),
-            (curves.SHEARED_TERMS, curves.sheared_monomials(F, grid, 0), 0, 3),
-            (curves.SHEARED_TERMS, curves.sheared_monomials(F, grid, 0), 1, 4)):
+            (curves.QUARTIC_TERMS, quartic_monomials(F, grid, 0), 1, 4),
+            (curves.SHEARED_TERMS, sheared_monomials(F, grid, 0), 0, 3),
+            (curves.SHEARED_TERMS, sheared_monomials(F, grid, 0), 1, 4)):
         curve = curves.term_columns(cols, terms, counted)
         got = 0
         for v in F.elements():
@@ -513,37 +540,180 @@ def test_counts_are_narrow(F16):
     assert _root_counts(F16, triple).dtype == np.uint8
 
 
+SWEEP_STATS = ("_lemma_stats", "_relations_stats", "_reducibility_stats", "_hasse_stats",
+               "_census_stats")  # the per-chunk statistics of the five conic sweeps
+
+
+@functools.lru_cache(maxsize=None)
+def _field(h):
+    return Field(h)
+
+
+def _class_statistics(F, cols):
+    """The per-class statistics the conic sweeps read, on flat columns."""
+    from deltacodes import curves
+    from deltacodes.geometry import build_delta, degeneracy_columns, exceptional_columns
+    from deltacodes.verify import _delta_counts, _on_line, _quartic_counts, _root_counts
+    from deltacodes.verify import _root_mask_counts
+    s = curves.split_exponent_columns(cols)
+    n_f, f_axis = _quartic_counts(F, cols, s)
+    vbar = curves.vbar_columns(F, cols)
+    h = curves.cubic_h_columns(F, cols, vbar)
+    parabola, vertical = exceptional_columns(F, cols)
+    return {
+        "N(F^(s))": n_f, "F axis": f_axis,
+        "N(G)": _root_mask_counts(F, curves.term_columns(cols, curves.SHEARED_TERMS, 0)),
+        "G axis": _root_counts(F, _on_line(
+            F, curves.term_columns(cols, curves.SHEARED_TERMS, 1), 0)),
+        "N(H)": _root_mask_counts(F, h),
+        "split exponent": s, "lemma case": curves.lemma_case_columns(F, cols),
+        "triples": curves.triples_ok_columns(cols),
+        "applicable": curves.triples_ok_columns(cols) & ((cols[1] != 0) | (cols[2] != 0)),
+        "vbar rational": vbar[1] == 0, "degenerate": degeneracy_columns(F, cols) == 0,
+        "parabola family": parabola, "vertical family": vertical,
+        "Delta": _delta_counts(F, build_delta(F), cols),
+        "DeltaBar": _delta_counts(F, build_delta(F, include_origin=True), cols),
+    }
+
+
+@given(h=st.sampled_from([3, 4]), data=st.data())
+def test_statistics_are_invariant_under_root_scaling(h, data):
+    """The root scaling x -> alpha*x multiplies (a11, a12, a22, a13, a23,
+    a33) by alpha^(2, 3, 4, 1, 2, 0) and fixes Delta, DeltaBar's origin and
+    the axis X = 0: a random class and its renormalised image have the same
+    statistics, the named ones and every one of the five sweeps."""
+    from deltacodes import verify
+    from deltacodes.geometry import make_conic
+    F = _field(h)
+    q = F.q
+    coeffs = data.draw(st.tuples(*[st.integers(0, q - 1)] * 6).filter(any))
+    alpha = data.draw(st.integers(1, q - 1))
+    cls = make_conic(F, coeffs).coeffs()
+    image = make_conic(F, [F.mul(F.pow(alpha, w), c)
+                           for w, c in zip((2, 3, 4, 1, 2, 0), cls)]).coeffs()
+    cols = [np.array(pair, dtype=F.np_dtype) for pair in zip(cls, image)]
+    sweeps = [getattr(verify, name)(F)(cols) for name in SWEEP_STATS]
+    for stats in [_class_statistics(F, cols)] + sweeps:
+        for name, value in stats.items():
+            value = np.broadcast_to(value, (2,))
+            assert value[0] == value[1], (name, cls, image, alpha)
+
+
+def _check_image_slices(F, slices):
+    """For each sweep, each chunk of the a12 = beta slices of the a11 = 1
+    block, beta in `slices`: its statistics on its own columns equal those
+    of the a12 = 1 slice read through _orbit_positions."""
+    from deltacodes import verify
+    from deltacodes.verify import _orbit_positions, factored_class_chunks
+    span = F.q ** 4
+    for name in SWEEP_STATS:
+        stats, rep, checked = getattr(verify, name)(F), {}, 0
+        for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+            beta, start = divmod(blk.start, span)
+            if beta not in slices and beta != 1:
+                continue
+            shape = np.broadcast_shapes(*(c.shape for c in bc))
+            got = {key: _flat(v, shape) for key, v in stats(bc).items()}
+            if beta == 1:
+                for key, v in got.items():
+                    rep.setdefault(key, []).append(v)
+                continue
+            at = _orbit_positions(F, beta, np.arange(start, start + blk.stop - blk.start))
+            for key, v in got.items():
+                if isinstance(rep[key], list):
+                    rep[key] = np.concatenate(rep[key])
+                assert np.array_equal(v, rep[key][at]), (name, key, beta, start)
+            checked += len(at)
+        assert checked == len(slices) * span, name
+
+
+def test_image_chunks_equal_their_own_statistics_q16(F16):
+    """At q = 16 every image chunk of every sweep, the a12 = 2 .. 15 slices,
+    has the statistics of the a12 = 1 slice through the permutation."""
+    _check_image_slices(F16, range(2, 16))
+
+
+@pytest.mark.slow
+def test_image_chunks_equal_their_own_statistics_q32(F32):
+    """At q = 32, where the a12 = 1 slice spans 16 chunks of two a22 values
+    each, a sample of image slices has the statistics of the a12 = 1 slice
+    through the permutation."""
+    _check_image_slices(F32, (2, 17, 31))
+
+
+def test_sweep_walks_each_orbit_once(F16, monkeypatch):
+    """_Sweep runs the statistics only on the a12 = 0 and a12 = 1 slices of
+    the a11 = 1 block and on the blocks with a11 = 0, 2 * 16^4 + 69905 of
+    the 1118481 classes at q = 16, and its report is that of every chunk
+    walked: at a block of 3 * 16^3 classes, where chunks straddle the
+    slices and none is read through the permutation, every class is walked."""
+    from deltacodes import verify
+    walked = []
+
+    def spy(factory):
+        def build(F):
+            stats = factory(F)
+
+            def counted(bc):
+                walked.append(bc)
+                return stats(bc)
+            return counted
+        return build
+
+    monkeypatch.setattr(verify, "_hasse_stats", spy(verify._hasse_stats))
+    default = verify_hasse(F16).to_dict()
+    sizes = [int(np.prod(np.broadcast_shapes(*(c.shape for c in bc)))) for bc in walked]
+    assert sum(sizes) == 2 * 16 ** 4 + (16 ** 5 - 1) // 15
+    assert all(int(bc[0].flat[0]) == 0 or int(bc[1].flat[0]) in (0, 1) for bc in walked)
+    walked.clear()
+    monkeypatch.setattr(verify, "CLASS_BLOCK", 3 * 16 ** 3)
+    assert verify_hasse(F16).to_dict() == default
+    assert sum(int(np.prod(np.broadcast_shapes(*(c.shape for c in bc)))) for bc in walked) \
+        == (16 ** 6 - 1) // 15
+
+
 @pytest.mark.parametrize("k", [5, 40])
 def test_draw_is_the_same_at_any_block(k, monkeypatch, F8):
-    """_Sweep.draw takes, for each of k seeded uniform layout positions, the
-    first set class at or after it, named by its coefficients, with the
+    """_Sweep's draw takes, for each of k seeded uniform layout positions,
+    the first set class at or after it, named by its coefficients, with the
     value there: every draw is the layout's row at that class, the draw
-    repeats, it is the same at the default block and at small ones, and a
-    mask with fewer set classes than k, or none, is handled."""
+    repeats, it is the same at the default block (one chunk for the a11 = 1
+    block), at 4096 (one chunk per a12 slice, the later slices read through
+    the a12 = 1 slice) and at 48 (chunks across slices), and a mask with
+    fewer set classes than k, or none, is handled.  Masks and values are
+    random per root-scaling orbit, as every statistic of the sweeps is: a
+    class (1, b, a22, a13, a23, a33), b != 0, takes those of
+    (1, 1, a22 / b^2, b * a13, a23, b^2 * a33)."""
     import random
     from deltacodes import verify
     from deltacodes.verify import _Sweep
     q, seed = 8, 17
     n = (q ** 6 - 1) // (q - 1)
-    rows = list(zip(*(c.tolist() for c in projective_class_columns(q, 6))))
+    cols = projective_class_columns(q, 6)
+    rows = list(zip(*(c.tolist() for c in cols)))
+    images = [(1, 1, F8.div(a22, F8.mul(b, b)), F8.mul(b, a13), a23, F8.mul(F8.mul(b, b), a33))
+              if a11 == 1 and b else (a11, b, a22, a13, a23, a33)
+              for a11, b, a22, a13, a23, a33 in rows]
+    orbit = class_rank(q, 6, [np.array(c, dtype=np.uint8) for c in zip(*images)])
     rng = np.random.default_rng(11)
-    values = rng.integers(0, 1000, n)
+    values = rng.integers(0, 1000, n)[orbit]
     few = np.zeros(n, dtype=bool)
-    few[[5, 4096, n - 1]] = True  # three set classes in three chunks
+    few[[5, 4096, n - 1]] = True  # nine set classes: (1, 1, 0, ...) has seven in its orbit
     masks = {"dense": rng.random(n) < 0.5, "sparse": rng.random(n) < 1e-3,
              "few": few, "none": np.zeros(n, dtype=bool)}
 
     def draw(block, mask, seed=seed):
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
-        sweep, lo = _Sweep(F8, checked=(k, seed)), 0
-        for bc in sweep:  # chunks come in layout order
+
+        def stats(bc):
             shape = np.broadcast_shapes(*(c.shape for c in bc))
-            blk = slice(lo, lo + int(np.prod(shape)))
-            sweep.draw("checked", mask[blk].reshape(shape), values[blk].reshape(shape))
-            lo = blk.stop
+            at = class_rank(q, 6, [_flat(c, shape) for c in bc]).reshape(shape)
+            return {"mask": mask[at], "value": values[at]}
+        sweep = _Sweep(F8, stats, draw={"checked": (k, seed, "mask", "value")}).run()
         return sweep.drawn["checked"]
 
     for name, mask in masks.items():
+        mask = mask[orbit]
         got = draw(1 << 16, mask)
         assert got == draw(1 << 16, mask), name
         assert got == draw(4096, mask) == draw(48, mask), name
@@ -553,8 +723,8 @@ def test_draw_is_the_same_at_any_block(k, monkeypatch, F8):
         after = np.searchsorted(set_classes, starts)
         expected = [set_classes[j] for j in after if j < len(set_classes)]
         assert got == [(rows[i], int(values[i])) for i in expected], name
-    assert len(draw(1 << 16, masks["few"])) == k  # with replacement
-    assert draw(1 << 16, masks["dense"], seed + 1) != draw(1 << 16, masks["dense"])
+    assert len(draw(1 << 16, masks["few"][orbit])) == k  # with replacement
+    assert draw(1 << 16, masks["dense"][orbit], seed + 1) != draw(1 << 16, masks["dense"][orbit])
 
 
 @pytest.mark.parametrize("h", [2, 3])
