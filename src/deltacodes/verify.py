@@ -1,39 +1,29 @@
-"""Exhaustive verification suites over all conic classes.
+"""Exhaustive verification suites over the conic classes.
 
 Every suite checks stated closed forms and identities against brute-force
-ground truth.  The sweeps are vectorized over projective coefficient
-classes; each conic suite, and the geometry suite's degeneracy check at
-q <= 8, is one loop over factored chunks (`factored_class_chunks`) whose
-coefficients each sit on their own broadcast axis, so a value that
-depends on a few coefficients, such as vbar on (a11, a12, a22), is
-computed once per value of those.  Degeneracy and the exceptional
-families come from the column formulas in `geometry`, degeneracy checked
-at q <= 8 against singular points over GF(q^2) (`degeneracy_oracle_sweep`);
-the coefficient-triple hypothesis, the split exponent, vbar, the curves F,
-G and H and the reducibility quantities from those in `curves`.  Every
-per-class point count (the conic on Delta and DeltaBar, F, G and H) comes
-from one root-mask walk over the lines of the plane (`_root_mask_counts`);
-where a33 lies alone on a chunk's last axis, the walk reads the q classes
-along it as one row of a cached table (`_row_table`); a count on one line
-reads the curve there from its term table (`_on_line`).  One reducer
-(`_Sweep`) takes each chunk's per-class statistics, which a sweep gives as
-one function of the chunk's columns, before the next chunk's to tallies
-and to the classes a report names, a cross-check draws or hasse
-re-examines, each named by its six coefficients.  The root scaling
-x -> a*x fixes Delta, DeltaBar's origin and the axis X = 0, so a class has
-every statistic of its image: in the block with a11 = 1, the a12 = beta
-slice (beta != 0) is the a12 = 1 slice permuted along a22, a13 and a33
-(`_orbit_positions`).  From q = 16 on, the statistics are computed only on
-the a12 = 0 and a12 = 1 slices and on the blocks with a11 = 0, the later
-slices reading the a12 = 1 slice's tallies and, for the classes still
-needed, its arrays: 201 k of the 1.12 M classes at q = 16, 3.18 M of 34.6 M
-at q = 32.  No sweep holds a per-class array beyond one slice.
-`zero_counts` remains the tests' independent count and the kernel of
+ground truth, vectorized over projective coefficient classes.  A layout
+is a list of specs, one per block, each fixing a coefficient or leaving it
+free over GF(q) (`projective_layout`): all conics, the parabola system
+{X^2, X, Y, 1} and the lines.  `class_chunks` puts a layout's free
+coefficients on their own broadcast axes, so a value that depends on a few
+of them, such as vbar on (a11, a12, a22), is computed once per value of
+those.  Every sweep, of a conic suite, the census, the line and parabola
+spectra or the geometry suite, is one reducer (`_Sweep`) over the chunks of
+its layout: it takes a sweep's per-class statistics, given as one function
+of a chunk, to tallies and to the classes a report names or a cross-check
+draws.  The root scaling x -> a*x fixes Delta, DeltaBar's origin and the
+axis X = 0, so from q = 16 on the conic sweeps compute the statistics of
+the q - 1 slices a12 != 0 of the a11 = 1 block once (`_orbit_positions`).
+Every per-class point count (the conic on Delta and DeltaBar, F, G and H)
+comes from one root-mask walk over the lines of the plane
+(`_root_mask_counts`).  Degeneracy and the exceptional families come from
+the column formulas in `geometry`, degeneracy checked at q <= 8 against
+singular points over GF(q^2) (`degeneracy_oracle_sweep`); the curves and
+the reducibility quantities from those in `curves`.  `zero_counts` remains
+the tests' independent count and the kernel of
 `codes.weight_distribution_classes`.
-On a deterministic draw of classes each sweep is cross-checked against
-brute force: point counts by evaluating the curves at every point of the
-plane, and linear components of H by evaluating it at points of each
-candidate line, so a bug in the fast path cannot silently pass.
+On a deterministic draw of classes each sweep is cross-checked against the
+per-conic brute force, so a bug in the fast path cannot silently pass.
 
 A failing check is reported with counterexample data; nothing is patched
 to make a stated claim come out true.
@@ -52,7 +42,6 @@ import numpy as np
 from .field import ExtField, Field
 from .geometry import (
     Conic,
-    DeltaSet,
     build_delta,
     degeneracy_columns,
     degenerate_by_singular_point,
@@ -139,61 +128,82 @@ def _layout_size(q: int, width: int) -> int:
     return (q ** width - 1) // (q - 1)
 
 
-def check_class_budget(q: int, width: int) -> None:
-    """Raise BudgetError when the layout of `projective_class_columns` would
-    hold more than CLASS_BUDGET classes; callers may check before any work."""
-    classes = _layout_size(q, width)
+def check_class_budget(q: int, width: int, classes: Optional[int] = None) -> None:
+    """Raise BudgetError when the layout of `projective_class_columns`, or
+    `classes` classes of that width, would hold more than CLASS_BUDGET
+    classes; callers may check before any work."""
+    classes = _layout_size(q, width) if classes is None else classes
     if classes > CLASS_BUDGET:
         raise BudgetError(f"{classes} projective classes (q = {q}, width {width}) exceed "
                           f"the sweep budget of 2^{CLASS_BUDGET.bit_length() - 1}")
 
 
+def projective_layout(width: int, support: Optional[Sequence[int]] = None) -> list[tuple]:
+    """The projective classes of GF(q)^width that are 0 off `support` (all
+    coordinates by default) as a layout, one spec per leading position in
+    `support`: a spec fixes each coordinate, or leaves it free over GF(q)
+    (None), with 0 before the lead, 1 at it and those of `support` free."""
+    support = range(width) if support is None else support
+    return [tuple(1 if i == lead else None if i > lead and i in support else 0
+                  for i in range(width)) for lead in support]
+
+
+CONIC_LAYOUT = projective_layout(6)  # every conic class (a11, a12, a22, a13, a23, a33)
+PARABOLA_LAYOUT = projective_layout(6, (0, 3, 4, 5))  # the parabola system: a12 = a22 = 0
+# the lines a13*X + a23*Y + a33 = 0: the classes (0, 0, 0, a13, a23, a33) but the constant 1
+LINE_LAYOUT = projective_layout(6, (3, 4, 5))[:-1]
+
+
+def layout_size(q: int, layout: Sequence[tuple]) -> int:
+    """The number of classes of a layout."""
+    return sum(q ** spec.count(None) for spec in layout)
+
+
 def projective_class_columns(q: int, width: int, dtype=np.uint8) -> list[np.ndarray]:
     """Coefficient columns of all (q^width - 1)/(q - 1) projective classes,
     ordered with the leading 1 moving right and the tail in product order
-    (last coordinate fastest): the chunks of `factored_class_chunks`
-    flattened.  Raises BudgetError, before allocating, when there are more
-    than CLASS_BUDGET classes."""
+    (last coordinate fastest): the chunks of `class_chunks` over
+    `projective_layout(width)` flattened.  Raises BudgetError, before
+    allocating, when there are more than CLASS_BUDGET classes."""
     check_class_budget(q, width)
     cols = [np.empty(_layout_size(q, width), dtype=dtype) for _ in range(width)]
-    for blk, chunk in factored_class_chunks(q, width, dtype):
+    for blk, chunk in class_chunks(q, projective_layout(width), dtype):
         shape = np.broadcast_shapes(*(c.shape for c in chunk))
         for col, c in zip(cols, chunk):
             col[blk].reshape(shape)[...] = c
     return cols
 
 
-def factored_class_chunks(q: int, width: int, dtype=np.uint8):
-    """The layout of projective_class_columns(q, width) as (slice, cols)
-    chunks of at most CLASS_BLOCK classes, in layout order, with each
-    column on broadcastable axes instead of at full length.
+def class_chunks(q: int, layout: Sequence[tuple], dtype=np.uint8):
+    """The classes of a layout (`projective_layout`) as (slice, cols) chunks
+    of at most CLASS_BLOCK classes, in layout order, each column on
+    broadcastable axes instead of at full length.
 
-    In the block whose leading 1 sits at `lead`, the coordinates before it
-    are 0 and the t after it run over GF(q), the last fastest.  The last k
-    of those (q^k <= CLASS_BLOCK) each get their own axis of length q, and
-    the first t - k, the prefix, share axis 0, at most CLASS_BLOCK // q^k
-    prefix values per chunk.  A column formula built from broadcasting
-    operations then computes a value that depends on the prefix once per
-    prefix, and flattening a chunk's broadcast in C order gives exactly
-    layout[slice]."""
-    check_class_budget(q, width)
+    In a spec's block the t free coordinates run over GF(q), the last
+    fastest.  The last k of them (q^k <= CLASS_BLOCK) each get their own
+    axis of length q, and the first t - k, the prefix, share axis 0, at most
+    CLASS_BLOCK // q^k prefix values per chunk.  A column formula built from
+    broadcasting operations then computes a value that depends on the
+    prefix once per prefix, and flattening a chunk's broadcast in C order
+    gives exactly layout[slice]."""
+    check_class_budget(q, len(layout[0]), layout_size(q, layout))
     lo = 0
-    for lead in range(width):
-        t = width - lead - 1
-        k = t
+    for spec in layout:
+        free = [i for i, v in enumerate(spec) if v is None]
+        t = k = len(free)
         while q ** k > CLASS_BLOCK:
             k -= 1
         ones = (1,) * (k + 1)
-        fixed = [np.full(ones, int(i == lead), dtype=dtype) for i in range(lead + 1)]
-        tail = [np.arange(q, dtype=dtype).reshape(ones[:1 + i] + (q,) + ones[2 + i:])
-                for i in range(k)]
+        cols = {i: np.full(ones, v, dtype=dtype) for i, v in enumerate(spec) if v is not None}
+        for j, i in enumerate(free[t - k:]):
+            cols[i] = np.arange(q, dtype=dtype).reshape(ones[:1 + j] + (q,) + ones[2 + j:])
         n_prefix, step = q ** (t - k), CLASS_BLOCK // q ** k
         for p0 in range(0, n_prefix, step):
             p = np.arange(p0, min(p0 + step, n_prefix))
-            prefix = [(p // q ** (t - k - 1 - j) % q).astype(dtype).reshape((-1,) + ones[1:])
-                      for j in range(t - k)]
+            for j, i in enumerate(free[:t - k]):
+                cols[i] = (p // q ** (t - k - 1 - j) % q).astype(dtype).reshape((-1,) + ones[1:])
             blk = slice(lo + p0 * q ** k, lo + (p0 + len(p)) * q ** k)
-            yield blk, fixed + prefix + tail
+            yield blk, [cols[i] for i in range(len(spec))]
         lo += q ** t
 
 
@@ -265,9 +275,9 @@ SLOT_EXPONENTS = (0, 1, 2, 4)  # slot k of a root-mask index holds the coefficie
 @functools.lru_cache(maxsize=None)
 def _root_masks(F: Field, slots: int = 3) -> np.ndarray:
     """Entry ((c4*q + c2)*q + c1)*q + c0 has bit t set exactly when
-    c4*t^4 + c2*t^2 + c1*t + c0 = 0 in GF(q); `slots` = 3 builds the first
-    q^3 entries (c4 = 0).  Built by evaluating every t on a broadcast grid
-    of the coefficients."""
+    c4*t^4 + c2*t^2 + c1*t + c0 = 0 in GF(q); fewer `slots` build the first
+    q^slots entries (the higher coefficients 0).  Built by evaluating every
+    t on a broadcast grid of the coefficients."""
     q = F.q
     if q > 64:
         raise ValueError(f"root masks are 64-bit, so q <= 64; got q = {q}")
@@ -361,7 +371,8 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
     set with line masks `points` (_line_masks), as uint16: the one per-class
     point counter of the sweeps.  `curve` maps the exponent (i, j) of each
     T^i V^j to its coefficient's component columns, (c,) in GF(q) or
-    (c0, c1) in GF(q^2); T occurs in degrees 0, 1, 2 and 4.
+    (c0, c1) in GF(q^2); T occurs in degrees 0, 1, 2 and 4, and the mask
+    index has a slot up to the highest of those with a nonzero column.
 
     On the line V = v the points are the common roots in T of the
     components: the popcount of the AND of their root masks and the line's
@@ -374,17 +385,17 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
     the index and reads rows of q entries (_row_table): one gather per q
     classes.  A walk of one such component reads rows of popcounts, one
     table per line mask, so a line costs one XOR, one gather and one add;
-    other walks AND the masks and popcount them, uint16 masks per byte
-    (numpy's popcount of uint16 masks takes about six times as long as
-    that of their bytes).  Rows are read
-    only while the tables stay within ROW_TABLE_BYTES.  The walk holds
-    h + 2 index columns per class and component, so callers pass chunks of
-    at most CLASS_BLOCK classes or a small sub-layout."""
+    other walks AND the masks and popcount them, uint16 masks per byte.
+    Rows are read only while the tables stay within ROW_TABLE_BYTES.  The
+    walk holds h + 2 index columns per class and component, so callers pass
+    chunks of at most CLASS_BLOCK classes."""
     if any(i not in SLOT_EXPONENTS for i, _ in curve):
         raise AssertionError("the root-mask walk needs the counted variable in degrees "
                              f"0, 1, 2 and 4; got {sorted(curve)}")
     q, bits = F.q, F.h
-    slots = 4 if any(i == 4 for i, _ in curve) else 3
+    # a conic with a22 = 0, as every line and parabola, takes q^2 root masks
+    slots = 1 + max((SLOT_EXPONENTS.index(i) for (i, _), coeff in curve.items()
+                     if any(np.any(c) for c in coeff)), default=0)
     masks = _root_masks(F, slots)
     if points is None:  # every point of every line
         points = np.full(q, (1 << q) - 1, dtype=masks.dtype)
@@ -406,7 +417,7 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
         per_line = []  # (column, j, shift) of the terms evaluated on each line
         for (i, j), c in terms.items():
             shift = SLOT_EXPONENTS.index(i) * bits
-            if (i, j) == row or (j and not c.any()):
+            if (i, j) == row or not c.any():
                 continue
             if j == 0:
                 index ^= c.astype(index_dtype) << shift
@@ -450,13 +461,6 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
         counts += np.bitwise_count(hits.view(lane))
     counts = counts.reshape(shape + (lanes,))  # added as views: numpy sums a short axis slowly
     return functools.reduce(np.add, (counts[..., i] for i in range(lanes)))
-
-
-def _delta_counts(F: Field, delta: DeltaSet, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """|C ∩ delta| per class of flat conic columns, as uint16, in one walk:
-    the line and parabola sub-layouts hold at most 266305 classes (q = 64)."""
-    conic = curves.term_columns(cols, curves.CONIC_TERMS, 1)
-    return _root_mask_counts(F, conic, _line_masks(F, delta.points))
 
 
 def _quartic_counts(F: Field, cols: Sequence[np.ndarray], s) -> tuple[np.ndarray, np.ndarray]:
@@ -539,10 +543,21 @@ def _orbit_positions(F: Field, beta: int, pos: np.ndarray) -> np.ndarray:
     return high[pos >> 2 * F.h] << 2 * F.h | low[pos & (F.q * F.q - 1)]
 
 
+def _slice_of(F: Field, cols) -> tuple[Optional[int], int]:
+    """(beta, start) for a chunk that lies in the a12 = beta slice of a block
+    with a11 = 1, read off its own columns: a11 is 1 and a12 one value on
+    the chunk, and start is the slice position (the base-q number
+    a22 a13 a23 a33) of its first class; (None, 0) for any other chunk."""
+    a11, a12 = cols[:2]
+    if (a11 != 1).any() or (a12 != a12.flat[0]).any():
+        return None, 0
+    return int(a12.flat[0]), functools.reduce(lambda n, c: n * F.q + int(c.flat[0]), cols[2:], 0)
+
+
 class _Sweep:
-    """One pass over the conic classes in factored chunks, in layout order
-    (`factored_class_chunks`), each reduced before the next.  `stats` maps
-    a chunk's columns to its per-class statistics by name, each broadcast
+    """One pass over the classes of a layout in factored chunks, in layout
+    order (`class_chunks`), each reduced before the next.  `stats` maps a
+    chunk's columns to its per-class statistics by name, each broadcast
     against the chunk; the pass reduces them as the spec says:
 
     - `count`: a mask's set classes are added to `tally[mask]`; a pair
@@ -562,23 +577,24 @@ class _Sweep:
     beta != 0, is the a12 = 1 slice permuted along a22, a13 and a33.  Where
     each chunk of that block lies in one slice (q >= 16 at the default
     block), `stats` runs only on the a12 = 0 and a12 = 1 slices and on the
-    blocks with a11 = 0.  Each later slice adds the a12 = 1 slice's tally
-    once.  A key that still needs classes there maps the classes it kept
-    from the a12 = 1 slice, which were then all its set classes, and a
-    pending draw reads the a12 = 1 slice's mask and values, both through
-    the permutation; the coefficients come from the chunk's own columns.
-    Those arrays are the a12 = 1 chunk's own where the slice is one chunk
-    (q = 16), and q^4-entry copies above.  A chunk that no pending key or
-    draw reaches costs nothing."""
+    blocks with a11 = 0; a chunk's slice is read off its own a11 and a12
+    (_slice_of), so the line and parabola layouts, whose a12 is 0, are
+    walked in full.  Each later slice adds the a12 = 1 slice's tally once.
+    A key that still needs classes there maps the classes it kept from the
+    a12 = 1 slice, which were then all its set classes, and a pending draw
+    reads the a12 = 1 slice's mask and values, both through the
+    permutation; the coefficients come from the chunk's own columns.  Those
+    arrays are the a12 = 1 chunk's own where the slice is one chunk
+    (q = 16), and q^4-entry copies above."""
 
-    def __init__(self, F: Field, stats: Callable[[list], dict], count: Sequence = (),
-                 keep: Optional[dict] = None, draw: Optional[dict] = None):
-        self.F, self._stats, self._count = F, stats, count
+    def __init__(self, F: Field, layout: Sequence[tuple], stats: Callable[[list], dict],
+                 count: Sequence = (), keep: Optional[dict] = None, draw: Optional[dict] = None):
+        self.F, self.layout, self._stats, self._count = F, layout, stats, count
         self._keep, self._draw = keep or {}, draw or {}
         self.tally: Counter = Counter()
         self.kept: dict[str, list[tuple]] = {key: [] for key in self._keep}
         self.drawn: dict[str, list[tuple]] = {key: [] for key in self._draw}
-        size = _layout_size(F.q, 6)
+        size = layout_size(F.q, layout)
         self._targets = {key: sorted(map(random.Random(seed).randrange, [size] * k))
                          for key, (k, seed, *_) in self._draw.items()}
 
@@ -591,25 +607,27 @@ class _Sweep:
         rep: dict[str, np.ndarray] = {}  # the a12 = 1 slice's arrays that pending draws read
         rep_kept: dict[str, list] = {}  # its kept classes: slice positions and values
         rep_tally, rep_filled = Counter(), 0
-        for blk, cols in factored_class_chunks(F.q, 6, F.np_dtype):
+        for blk, cols in class_chunks(F.q, self.layout, F.np_dtype):
             shape = np.broadcast_shapes(*(c.shape for c in cols))
             size = blk.stop - blk.start
-            beta, start = divmod(blk.start, span)
-            in_slice = beta < F.q and size <= span - start
-            if in_slice and beta > 1 and rep_filled == span:
+            beta, start = _slice_of(F, cols)
+            if beta and beta > 1 and rep_filled == span:
                 if not start:
                     self.tally.update(rep_tally)
                 self._reduce(blk, cols, shape, self._image_reader(rep, rep_kept, beta, start, size))
                 continue
-            if beta > 1 and rep_filled:  # walked past the a12 = 1 slice: its arrays are done
+            if beta != 1 and rep_filled:  # walked past the a12 = 1 slice: its arrays are done
                 rep.clear()
                 rep_kept.clear()
             st = self._stats(cols)
             tally = self._tallied(st, shape)
             self.tally.update(tally)
             kept = self._reduce(blk, cols, shape, self._chunk_reader(st, shape))
-            if in_slice and beta == 1:
-                for name in self._drawn_names(span) if not start else list(rep):
+            if beta == 1:  # keep what the draws pending before the a11 = 1 block ends read
+                end = blk.start - start + (F.q - 1) * span
+                names = dict.fromkeys(v for key, (_, _, *values) in self._draw.items()
+                                      if any(t < end for t in self._targets[key]) for v in values)
+                for name in names if not start else list(rep):
                     flat = np.broadcast_to(st[name], shape).reshape(-1)
                     if size == span:  # the slice is one chunk: its arrays are read in place
                         rep[name] = flat
@@ -633,23 +651,20 @@ class _Sweep:
             tally.update({(mask, c): int(n) for c, n in enumerate(np.bincount(values)) if n})
         return tally
 
-    def _drawn_names(self, span: int) -> list[str]:
-        """The statistics of the draws still pending before the end of the
-        a11 = 1 block."""
-        return list(dict.fromkeys(
-            name for key, (_, _, *names) in self._draw.items()
-            if any(t < self.F.q * span for t in self._targets[key]) for name in names))
-
     @staticmethod
     def _chunk_reader(st: dict, shape):
         """(at, found) on a chunk's own statistics: `at(name, idx)` the
         values at flat positions, `found(mask, values, limit)` the first
-        `limit` set positions of a mask (all for None) and the values there."""
+        `limit` set positions of a mask (all for None) and the values there,
+        a limited search in windows (_set_positions), so that a dense mask
+        does not list every set position."""
         def at(name, idx):
             return np.broadcast_to(st[name], shape)[np.unravel_index(idx, shape)]
 
         def found(mask, values, limit):
-            idx = np.flatnonzero(np.broadcast_to(st[mask], shape))[:limit]
+            flat = np.broadcast_to(st[mask], shape).reshape(-1)
+            idx = np.flatnonzero(flat) if limit is None else np.array(
+                _set_positions(lambda lo, hi: flat[lo:hi], 0, flat.size, limit), dtype=np.int64)
             return idx, [at(v, idx) for v in values]
         return at, found
 
@@ -694,25 +709,25 @@ class _Sweep:
         for key, (_, _, mask, *values) in self._draw.items():
             targets = self._targets[key]
             while targets and targets[0] < blk.stop:
-                i = _first_set(at, mask, max(targets[0] - blk.start, 0), blk.stop - blk.start)
-                if i is None:
+                hit = _set_positions(lambda lo, hi: at(mask, np.arange(lo, hi)),
+                                     max(targets[0] - blk.start, 0), blk.stop - blk.start, 1)
+                if not hit:
                     break  # the pending positions wait for the next chunk
-                self.drawn[key] += named([i], [at(v, [i]) for v in values])
+                self.drawn[key] += named(hit, [at(v, hit) for v in values])
                 targets.pop(0)
         return taken
 
 
-def _first_set(at, mask: str, i: int, size: int) -> Optional[int]:
-    """The first flat position from i on where `mask` is set, or None,
-    read in windows that double from 64 classes."""
-    width = 64
-    while i < size:
-        window = np.arange(i, min(i + width, size))
-        hit = np.flatnonzero(at(mask, window))
-        if len(hit):
-            return int(window[hit[0]])
-        i, width = int(window[-1]) + 1, width * 2
-    return None
+def _set_positions(read, i: int, size: int, limit: int) -> list[int]:
+    """Up to `limit` flat positions from i on where a mask is set, in order,
+    reading `read(lo, hi)`, the mask on [lo, hi), in windows that double
+    from 64 classes."""
+    hits, width = [], 64
+    while i < size and len(hits) < limit:
+        hi = min(i + width, size)
+        hits += (i + np.flatnonzero(read(i, hi))[:limit - len(hits)]).tolist()
+        i, width = hi, width * 2
+    return hits
 
 
 # ----------------------------------------------------------------------
@@ -806,57 +821,28 @@ def verify_geometry(F: Field) -> SuiteReport:
         rep.add("symmetric map is exactly 2-to-1 on distinguished points",
                 all(v == 2 for v in image.values()))
 
-    # line closed forms: the stated case list against brute force.  As the
-    # conic (0, 0, 0, a, b, c), Y = m*X + m^2 with m != 0 is the parabola
-    # orbit with a != 0, and a slanted line through the origin has c = 0.
-    # Each line falls in the first of: unexplained (the verified closed
-    # form misses brute force), squared intercept (missing from the case
-    # list), slanted through the origin (stated chain inconsistent), generic.
-    cols, stated, nd, nb = _line_sweep(F, delta, dbar)
-    a13, a23, a33 = cols[3:]
-    td = parabola_count_closed_form(F, cols)
-    tb = td + (a33 == 0)
-    unexplained = (td != nd) | (tb != nb)
-    square = ~unexplained & exceptional_columns(F, cols)[0] & (a13 != 0)
-    origin = ~unexplained & ~square & (a13 != 0) & (a23 != 0) & (a33 == 0)
-    generic = ~(unexplained | square | origin)
-    n_unexplained = int(np.count_nonzero(unexplained))
-    first = [(tuple(int(c[i]) for c in cols[3:]), int(td[i]), int(tb[i]), int(nd[i]), int(nb[i]))
-             for i in np.flatnonzero(unexplained)[:3]]
-    rep.add("verified line closed form matches brute force on every line",
-            not n_unexplained, 0, n_unexplained,
-            note=f"first: {first}" if first else "")
+    # line closed forms: the stated case list against brute force, by family
+    sweep = _Sweep(F, LINE_LAYOUT, _line_stats(F),
+                   count=("unexplained", "generic_wrong", "origin", "origin_wrong", "square",
+                          "square_wrong", ("square", "nd")),
+                   keep={"unexplained": (3, "td", "tb", "nd", "nb")}).run()
+    tally, n_square = sweep.tally, sweep.tally["square"]
+    first = [(coeffs[3:], *counts) for coeffs, *counts in sweep.kept["unexplained"]]
+    rep.add("verified line closed form matches brute force on every line", not tally["unexplained"],
+            0, tally["unexplained"], note=f"first: {first}" if first else "")
     rep.add("stated line case list matches brute force outside the two flagged families",
-            (stated == nb)[generic].all())
-    rep.add(
-        "flagged family 1: slanted lines through the origin",
-        ((nb == q // 2) & (nd == (q - 2) // 2) & (stated == (q - 2) // 2))[origin].all(),
-        note=(
-            f"{np.count_nonzero(origin)} lines: stated chain gives both (q-2)/2+1 and q/2-2 "
-            f"for the origin-included count; brute force gives q/2 = {q // 2} "
-            f"(origin-excluded {(q - 2) // 2})"
-        ),
-    )
-    rep.add(
-        "flagged family 2: squared-intercept lines meet the set in q-1 points",
-        square.any() and ((nd == q - 1) & (nb == q - 1))[square].all(),
-        q - 1,
-        np.unique(nd[square]).tolist(),
-        note=(
-            f"{np.count_nonzero(square)} lines Y = m*X + m^2 (m != 0): these are images of the "
-            f"coordinate-line pairs {{X1 = m}} ∪ {{X2 = m}}"
-        ),
-    )
-    rep.add(
-        "stated case list covers the squared-intercept family",
-        not square.any(),
-        (q - 2) // 2,
-        q - 1,
-        note=(
-            "stated value (q-2)/2 disagrees with brute force q-1 on "
-            f"{np.count_nonzero(square)} lines; reported, not patched"
-        ) if square.any() else "",
-    )
+            not tally["generic_wrong"])
+    rep.add("flagged family 1: slanted lines through the origin", not tally["origin_wrong"],
+            note=f"{tally['origin']} lines: stated chain gives both (q-2)/2+1 and q/2-2 for the "
+                 f"origin-included count; brute force gives q/2 = {q // 2} "
+                 f"(origin-excluded {(q - 2) // 2})")
+    rep.add("flagged family 2: squared-intercept lines meet the set in q-1 points",
+            n_square and not tally["square_wrong"], q - 1, list(sweep.histogram("square")),
+            note=f"{n_square} lines Y = m*X + m^2 (m != 0): these are images of the "
+                 "coordinate-line pairs {X1 = m} ∪ {X2 = m}")
+    rep.add("stated case list covers the squared-intercept family", not n_square, (q - 2) // 2,
+            q - 1, note=f"stated value (q-2)/2 disagrees with brute force q-1 on {n_square} "
+                        "lines; reported, not patched" if n_square else "")
 
     # parabola-family closed forms (a12 = a22 = 0), every class, both sets
     mismatches = parabola_spectrum(F)["closed_form_mismatches"]
@@ -871,7 +857,7 @@ def verify_geometry(F: Field) -> SuiteReport:
             return {"found": found, "every": True,
                     "disagree": found != (degeneracy_columns(F, bc) == 0)}
 
-        sweep = _Sweep(F, oracle, count=("disagree",), keep={"disagree": (3,)},
+        sweep = _Sweep(F, CONIC_LAYOUT, oracle, count=("disagree",), keep={"disagree": (3,)},
                        draw={"spot": (12, q + 13, "every", "found")}).run()
         n_bad, bad = sweep.tally["disagree"], [coeffs for coeffs, in sweep.kept["disagree"]]
         rep.add("degeneracy criterion agrees with the singular-point oracle",
@@ -918,7 +904,7 @@ def _lemma_stats(F: Field) -> Callable[[list], dict]:
 def verify_lemma(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("lemma", q, F.modulus)
-    sweep = _Sweep(F, _lemma_stats(F), count=("checked", "odd", "wrong"),
+    sweep = _Sweep(F, CONIC_LAYOUT, _lemma_stats(F), count=("checked", "odd", "wrong"),
                    keep={"wrong": (3, "count")},
                    draw={"checked": (SAMPLE_CHECKS, q * 7 + 1, "checked", "count")}).run()
     n_bad, bad = sweep.tally["wrong"], sweep.kept["wrong"]
@@ -962,7 +948,7 @@ def _relations_stats(F: Field) -> Callable[[list], dict]:
 def verify_relations(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("relations", q, F.modulus)
-    sweep = _Sweep(F, _relations_stats(F), count=("checked", "wrong", "off_axis"),
+    sweep = _Sweep(F, CONIC_LAYOUT, _relations_stats(F), count=("checked", "wrong", "off_axis"),
                    keep={"wrong": (3, "diff", "predicted")},
                    draw={"checked": (SAMPLE_CHECKS, q * 7 + 2, "checked", "nf", "ng")}).run()
     n_bad, bad = sweep.tally["wrong"], sweep.kept["wrong"]
@@ -1046,7 +1032,7 @@ def verify_reducibility(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("reducibility", q, F.modulus)
     # 40 applicable classes, and 8 more from the gap where there is one
-    sweep = _Sweep(F, _reducibility_stats(F),
+    sweep = _Sweep(F, CONIC_LAYOUT, _reducibility_stats(F),
                    count=("checked", "disagree", "mismatch", "gap", "identity_q12",
                           "identity_q13"),
                    keep={"disagree": (5, "stated", "degenerate"),
@@ -1126,7 +1112,7 @@ def verify_hasse(F: Field) -> SuiteReport:
     rep = SuiteReport("hasse", q, F.modulus)
     # reduced to tallies, the first violators and the coefficients of the
     # rational-vbar window violators
-    sweep = _Sweep(F, _hasse_stats(F),
+    sweep = _Sweep(F, CONIC_LAYOUT, _hasse_stats(F),
                    count=("applicable", "rational", "unequal", "outside", "rational_in_window",
                           "quadratic", "quadratic_in_window", "transfer"),
                    keep={"unequal": (3, "ng", "nh"), "outside": (5, "nh"), "violators": (None,)},
@@ -1208,7 +1194,7 @@ def _census_stats(F: Field) -> Callable[[list], dict]:
 def conic_spectrum(F: Field) -> dict:
     """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
     window and exceptional-family accounting, reduced chunk by chunk."""
-    sweep = _Sweep(F, _census_stats(F),
+    sweep = _Sweep(F, CONIC_LAYOUT, _census_stats(F),
                    count=("parabola", ("nondeg", "counts"), ("violations", "counts")),
                    keep={"violations": (8, "counts")}).run()
     hist, viol_hist = sweep.histogram("nondeg"), sweep.histogram("violations")
@@ -1223,57 +1209,70 @@ def conic_spectrum(F: Field) -> dict:
     }
 
 
-def _line_sweep(F: Field, delta: DeltaSet, dbar: DeltaSet):
-    """The q^2 + q lines a*X + b*Y + c = 0 as the conic columns
-    (0, 0, 0, a, b, c), with their stated closed-form count and their
-    brute-force counts on the set and on the origin-included set.
+def _parabola_stats(F: Field) -> Callable[[list], dict]:
+    """The per-class statistics of a chunk of PARABOLA_LAYOUT (or of
+    LINE_LAYOUT, its classes with a11 = 0): the counts nd and nb on Delta
+    and DeltaBar by the walk, the closed form for both, td and tb (plus the
+    origin where a33 = 0), and the classes where they differ."""
+    masks = [_line_masks(F, build_delta(F, include_origin=io).points) for io in (False, True)]
 
-    The lines are the width-3 layout over (a13, a23, a33) minus its last
-    class (0, 0, 1), the constant 1: the lines (1, b, c), then (0, 1, c),
-    each in product order."""
-    a13, a23, a33 = (c[:-1] for c in projective_class_columns(F.q, 3, F.np_dtype))
-    zero = np.zeros_like(a13)
-    cols = [zero, zero, zero, a13, a23, a33]
-    nd, nb = (_delta_counts(F, s, cols) for s in (delta, dbar))
-    return cols, line_delta_count_closed_form(F, cols[3:]), nd, nb
+    def stats(bc):
+        conic = curves.term_columns(bc, curves.CONIC_TERMS, 1)
+        nd, nb = (_root_mask_counts(F, conic, m) for m in masks)
+        td = parabola_count_closed_form(F, bc)
+        tb = td + (bc[5] == 0)
+        return {"every": True, "nd": nd, "nb": nb, "td": td, "tb": tb,
+                "unexplained": (td != nd) | (tb != nb)}
+    return stats
+
+
+def _line_stats(F: Field) -> Callable[[list], dict]:
+    """The per-class statistics of a chunk of LINE_LAYOUT: those of
+    _parabola_stats, the stated case list and the lines it misses on both
+    sets.  Each line falls in the first of: unexplained (the verified
+    closed form misses brute force), squared intercept Y = m*X + m^2, m != 0
+    (the parabola orbit, missing from the case list), slanted through the
+    origin (stated chain inconsistent), generic; a "_wrong" mask holds the
+    lines of a family that miss its stated counts."""
+    q, closed = F.q, _parabola_stats(F)
+
+    def stats(bc):
+        st = closed(bc)
+        a13, a23, a33 = bc[3:]
+        nd, nb, unexplained = st["nd"], st["nb"], st["unexplained"]
+        stated = line_delta_count_closed_form(F, bc[3:])
+        square = ~unexplained & exceptional_columns(F, bc)[0] & (a13 != 0)
+        origin = ~unexplained & ~square & (a13 != 0) & (a23 != 0) & (a33 == 0)
+        generic = ~(unexplained | square | origin)
+        chain = (nb == q // 2) & (nd == (q - 2) // 2) & (stated == (q - 2) // 2)
+        return st | {"stated": stated, "flagged": (stated != nd) & (stated != nb),
+                     "generic_wrong": generic & (stated != nb),
+                     "origin": origin, "origin_wrong": origin & ~chain,
+                     "square": square, "square_wrong": square & ((nd != q - 1) | (nb != q - 1))}
+    return stats
 
 
 def line_spectrum(F: Field) -> dict:
-    cols, stated, nd, nb = _line_sweep(F, build_delta(F, include_origin=False),
-                                       build_delta(F, include_origin=True))
-    flagged = np.flatnonzero((stated != nd) & (stated != nb))
-    return {
-        "q": F.q,
-        "lines": len(nd),
-        "histogram_delta": {int(c): int(n) for c, n in enumerate(np.bincount(nd)) if n},
-        "stated_mismatches": [(tuple(int(c[i]) for c in cols[3:]), int(stated[i]), int(nd[i]),
-                               int(nb[i])) for i in flagged],
-    }
+    """Brute-force counts on Delta over the q^2 + q lines, and the lines
+    where the stated case list misses both sets."""
+    sweep = _Sweep(F, LINE_LAYOUT, _line_stats(F), count=(("every", "nd"),),
+                   keep={"flagged": (None, "stated", "nd", "nb")}).run()
+    hist = sweep.histogram("every")
+    return {"q": F.q, "lines": sum(hist.values()), "histogram_delta": hist,
+            "stated_mismatches": [(c[3:], *counts) for c, *counts in sweep.kept["flagged"]]}
 
 
 def parabola_spectrum(F: Field) -> dict:
     """Brute-force counts over every class with a12 = a22 = 0 (vectorized),
     compared against the closed form and its origin rule."""
-    a11, a13, a23, a33 = projective_class_columns(F.q, 4, F.np_dtype)
-    zero = np.zeros_like(a11)
-    cols = [a11, zero, zero, a13, a23, a33]
-    counts_d, counts_b = (_delta_counts(F, build_delta(F, include_origin=io), cols)
-                          for io in (False, True))
-    pred_d = parabola_count_closed_form(F, cols)
-    pred_b = pred_d + (cols[5] == 0)
-    mismatches = [
-        (tuple(int(c[i]) for c in cols), io, int(pred[i]), int(actual[i]))
-        for i in np.flatnonzero((pred_d != counts_d) | (pred_b != counts_b))
-        for io, pred, actual in ((False, pred_d, counts_d), (True, pred_b, counts_b))
-        if pred[i] != actual[i]
-    ]
-    hist = np.bincount(counts_d)
-    return {
-        "q": F.q,
-        "classes": len(counts_d),
-        "histogram_delta": {int(c): int(n) for c, n in enumerate(hist) if n},
-        "closed_form_mismatches": mismatches,
-    }
+    sweep = _Sweep(F, PARABOLA_LAYOUT, _parabola_stats(F), count=(("every", "nd"),),
+                   keep={"unexplained": (None, "td", "nd", "tb", "nb")}).run()
+    hist = sweep.histogram("every")
+    mismatches = [(coeffs, io, pred, actual) for coeffs, *counts in sweep.kept["unexplained"]
+                  for io, pred, actual in ((False, *counts[:2]), (True, *counts[2:]))
+                  if pred != actual]
+    return {"q": F.q, "classes": sum(hist.values()), "histogram_delta": hist,
+            "closed_form_mismatches": mismatches}
 
 
 SUITES: dict[str, Callable[[Field], SuiteReport]] = {

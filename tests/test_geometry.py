@@ -20,7 +20,7 @@ from deltacodes.geometry import (
     parabola_count_closed_form,
     pi_map,
 )
-from deltacodes.verify import _line_sweep, projective_class_columns
+from deltacodes.verify import LINE_LAYOUT, _line_stats, _Sweep, projective_class_columns
 
 
 def make_line(F, a, b, c):
@@ -83,24 +83,31 @@ def test_line_closed_form_literal_cases(F8):
     assert line_delta_count_closed_form(F8, make_line(F8, 2, 1, 5)) == (q - 2) // 2
 
 
+def _swept_lines(F):
+    """Every line of the line sweep, in its order, as (coefficients, stated
+    count, count on Delta, count on DeltaBar)."""
+    sweep = _Sweep(F, LINE_LAYOUT, _line_stats(F), keep={"every": (None, "stated", "nd", "nb")})
+    return sweep.run().kept["every"]
+
+
 @pytest.mark.parametrize("h", [2, 3, 4, 5])
 def test_line_counts_match_brute_force(h):
-    # the verified closed form and the column sweep against the scalar
-    # count on every line
+    # the verified closed form and the line sweep against the scalar count
+    # on every line
     F = Field(h)
     delta = build_delta(F)
     dbar = build_delta(F, include_origin=True)
-    cols, stated, sweep_nd, sweep_nb = _line_sweep(F, delta, dbar)
-    assert len(sweep_nd) == F.q * F.q + F.q
+    swept = _swept_lines(F)
+    assert len(swept) == F.q * F.q + F.q
     lines = list(zip(*(c.tolist() for c in projective_class_columns(F.q, 3))))
-    for k in range(F.q * F.q + F.q):
+    for k, (coeffs, stated, sweep_nd, sweep_nb) in enumerate(swept):
         line = lines[k]
         nd = count_on_delta(F, Conic(0, 0, 0, *line), delta)
         nb = count_on_delta(F, Conic(0, 0, 0, *line), dbar)
         assert line_counts(F, line) == (nd, nb), line
-        assert tuple(int(c[k]) for c in cols) == (0, 0, 0, *line), line
-        assert (sweep_nd[k], sweep_nb[k]) == (nd, nb), line
-        assert stated[k] == line_delta_count_closed_form(F, line), line
+        assert coeffs == (0, 0, 0, *line), line
+        assert (sweep_nd, sweep_nb) == (nd, nb), line
+        assert stated == line_delta_count_closed_form(F, line), line
 
 
 @pytest.mark.parametrize("h", [2, 3, 4])
@@ -110,9 +117,9 @@ def test_lines_are_the_width3_layout(h):
     # in the order (1, b, c), then (0, 1, c)
     F = Field(h)
     q = F.q
-    cols = _line_sweep(F, build_delta(F), build_delta(F, include_origin=True))[0]
-    assert all(not c.any() for c in cols[:3])
-    layout = list(zip(*(c.tolist() for c in cols[3:])))
+    cols = [coeffs for coeffs, *_ in _swept_lines(F)]
+    assert all(c[:3] == (0, 0, 0) for c in cols)
+    layout = [c[3:] for c in cols]
     assert layout == ([(1, b, c) for b in range(q) for c in range(q)]
                       + [(0, 1, c) for c in range(q)])
     position = {line: k for k, line in enumerate(layout)}

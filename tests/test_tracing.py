@@ -15,9 +15,10 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # from a traced call, so that renaming a wrapped function fails here
 REQUIRED_LAYERS = {
     ("verify", "--suite", "geometry", "--q", "4"): (
-        {"verify.class_columns"}, {"geometry.parabola_count_closed_form"}),
+        set(), {"geometry.parabola_count_closed_form"}),
     ("verify", "--suite", "lemma", "--q", "4"): ({"geometry.count_on_delta"}, set()),
-    ("net", "--q", "4", "--seed", "1"): ({"constructions.net"}, set()),
+    # build_net takes its lambda columns from projective_class_columns
+    ("net", "--q", "4", "--seed", "1"): ({"constructions.net", "verify.class_columns"}, set()),
     ("params", "--system", "conics", "--q", "4"): (
         {"constructions.report", "codes.enumerate", "codes.evaluate_system"}, {"codes.gf_rank"}),
 }

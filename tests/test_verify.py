@@ -12,8 +12,12 @@ from hypothesis import given, strategies as st
 
 from deltacodes.field import Field
 from deltacodes.verify import (
+    CONIC_LAYOUT,
+    LINE_LAYOUT,
+    PARABOLA_LAYOUT,
     SUITES,
     BudgetError,
+    class_chunks,
     class_rank,
     conic_spectrum,
     line_spectrum,
@@ -68,9 +72,9 @@ def test_degeneracy_oracle_chunks_q4(F4, monkeypatch):
     wrong on purpose gives it disagreeing classes to name."""
     from deltacodes import verify
     from deltacodes.geometry import Conic, degenerate_by_singular_point
-    from deltacodes.verify import degeneracy_oracle_sweep, factored_class_chunks
+    from deltacodes.verify import degeneracy_oracle_sweep
     found = []
-    for _, bc in factored_class_chunks(F4.q, 6, F4.np_dtype):
+    for _, bc in class_chunks(F4.q, CONIC_LAYOUT, F4.np_dtype):
         mask = degeneracy_oracle_sweep(F4, bc)
         assert mask.shape == np.broadcast_shapes(*(c.shape for c in bc))
         found += mask.ravel().tolist()
@@ -223,14 +227,14 @@ def test_factored_chunks_tile_the_layout(h, block, monkeypatch):
     computes positions arithmetically, maps them to arange: the layout is
     filled from these chunks, so only that pins their order."""
     from deltacodes import verify
-    from deltacodes.verify import factored_class_chunks
+    from deltacodes.verify import projective_layout
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     q = 1 << h
     for width in range(1, 7):
         layout = projective_class_columns(q, width)
         stop, parts = 0, [[] for _ in range(width)]
-        for blk, cols in factored_class_chunks(q, width):
+        for blk, cols in class_chunks(q, projective_layout(width)):
             shape = np.broadcast_shapes(*(c.shape for c in cols))
             assert blk.start == stop
             assert blk.stop - blk.start == np.prod(shape) <= verify.CLASS_BLOCK
@@ -242,6 +246,116 @@ def test_factored_chunks_tile_the_layout(h, block, monkeypatch):
         assert np.array_equal(class_rank(q, width, joined), np.arange(stop)), width
         for part, col in zip(joined, layout):
             assert part.dtype == col.dtype and np.array_equal(part, col), width
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_layouts_are_their_normalized_classes(h):
+    """Flattened, the chunks of each layout are the normalized classes with
+    its fixed coefficients as itertools enumerates them: zero off the
+    layout's coefficients, leading coordinate 1, by leading position and
+    then in product order, the line layout without the constant 1.
+    class_rank inverts the conic layout."""
+    import itertools
+    q = 1 << h
+    for layout, support, drop in ((CONIC_LAYOUT, range(6), 0),
+                                  (PARABOLA_LAYOUT, (0, 3, 4, 5), 0), (LINE_LAYOUT, (3, 4, 5), 1)):
+        classes = [c for c in itertools.product(range(q), repeat=6)
+                   if any(c) and not any(c[i] for i in range(6) if i not in support)]
+        lead = {c: next(i for i, v in enumerate(c) if v) for c in classes}
+        expected = sorted((c for c in classes if c[lead[c]] == 1), key=lambda c: (lead[c], c))
+        parts = [[] for _ in range(6)]
+        for _, bc in class_chunks(q, layout):
+            shape = np.broadcast_shapes(*(c.shape for c in bc))
+            for part, col in zip(parts, bc):
+                part.append(_flat(col, shape))
+        cols = [np.concatenate(part) for part in parts]
+        assert list(zip(*(c.tolist() for c in cols))) == expected[:len(expected) - drop], support
+        if layout is CONIC_LAYOUT:
+            assert np.array_equal(class_rank(q, 6, cols), np.arange(len(expected)))
+
+
+def test_sub_layout_sweeps_walk_every_class(F16, monkeypatch):
+    """At q = 16, where the conic sweeps walk 2 of the 16 a12 slices of the
+    a11 = 1 block, the line and parabola sweeps, whose a12 is fixed at 0,
+    pass every class of their layout to their statistics: the root-scaling
+    reuse never fires there."""
+    from deltacodes import verify
+    from deltacodes.verify import layout_size
+    sizes = []
+
+    def spy(factory):
+        def build(F):
+            stats = factory(F)
+
+            def counted(bc):
+                sizes.append(int(np.prod(np.broadcast_shapes(*(c.shape for c in bc)))))
+                return stats(bc)
+            return counted
+        return build
+
+    for name, run, layout in (("_line_stats", line_spectrum, LINE_LAYOUT),
+                              ("_line_stats", verify_geometry, LINE_LAYOUT),
+                              ("_parabola_stats", parabola_spectrum, PARABOLA_LAYOUT)):
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, spy(getattr(verify, name)))
+            sizes.clear()
+            run(F16)
+        assert sum(sizes) == layout_size(16, layout), (name, run.__name__)
+
+
+def test_sub_layout_draws_are_layout_rows(F8):
+    """A draw on the line or parabola layout takes its seeded positions
+    over that layout's size: with every class set, each drawn class is the
+    layout's row at its position."""
+    import random
+    from deltacodes.verify import _Sweep, layout_size
+    for layout, support in ((PARABOLA_LAYOUT, (0, 3, 4, 5)), (LINE_LAYOUT, (3, 4, 5))):
+        n = layout_size(8, layout)
+        flat = projective_class_columns(8, len(support))
+        rows = [tuple(int(flat[support.index(i)][k]) if i in support else 0 for i in range(6))
+                for k in range(n)]
+        sweep = _Sweep(F8, layout, lambda bc: {"every": True}, draw={"d": (20, 5, "every")}).run()
+        rng = random.Random(5)
+        positions = sorted(rng.randrange(n) for _ in range(20))
+        assert [coeffs for coeffs, in sweep.drawn["d"]] == [rows[k] for k in positions], support
+
+
+def _check_sub_layout_counts(F):
+    """The counts on Delta and DeltaBar of the line and parabola sweeps'
+    statistics, chunk by chunk, equal one walk over the sub-layout's flat
+    columns padded with zero columns."""
+    from deltacodes.geometry import build_delta
+    from deltacodes.verify import _line_stats, _parabola_stats, layout_size
+    sets = [build_delta(F, include_origin=io) for io in (False, True)]
+    for layout, support, stats in ((LINE_LAYOUT, (3, 4, 5), _line_stats(F)),
+                                   (PARABOLA_LAYOUT, (0, 3, 4, 5), _parabola_stats(F))):
+        n = layout_size(F.q, layout)
+        flat = projective_class_columns(F.q, len(support), F.np_dtype)
+        cols = [flat[support.index(i)][:n] if i in support else np.zeros(n, dtype=F.np_dtype)
+                for i in range(6)]
+        got = {"coeffs": [], "nd": [], "nb": []}
+        for _, bc in class_chunks(F.q, layout, F.np_dtype):
+            shape = np.broadcast_shapes(*(c.shape for c in bc))
+            st = stats(bc)
+            got["coeffs"].append([_flat(c, shape) for c in bc])
+            got["nd"].append(_flat(st["nd"], shape))
+            got["nb"].append(_flat(st["nb"], shape))
+        for col, part in zip(cols, zip(*got["coeffs"])):
+            assert np.array_equal(np.concatenate(part), col), support
+        for key, delta in zip(("nd", "nb"), sets):
+            assert np.array_equal(np.concatenate(got[key]), _flat_delta_counts(F, delta, cols)), (
+                key, support)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_sub_layout_counts_equal_flat_oracle(h):
+    _check_sub_layout_counts(_field(h))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("h", [5, 6])
+def test_sub_layout_counts_equal_flat_oracle_large(h):
+    _check_sub_layout_counts(_field(h))
 
 
 def _class_formulas(F, cols):
@@ -275,12 +389,11 @@ def test_factored_formulas_equal_flat_blocks(h, block, monkeypatch):
     equal the same formulas on the flat projective_class_columns block; the
     identity flags are compared where the suite reads them."""
     from deltacodes import verify
-    from deltacodes.verify import factored_class_chunks
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = Field(h)
     cols = projective_class_columns(F.q, 6, F.np_dtype)
-    for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+    for blk, bc in class_chunks(F.q, CONIC_LAYOUT, F.np_dtype):
         shape = np.broadcast_shapes(*(c.shape for c in bc))
         factored = _class_formulas(F, bc)
         flat = _class_formulas(F, [c[blk] for c in cols])
@@ -341,8 +454,8 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
     Delta and DeltaBar on the line and parabola sub-layouts."""
     from deltacodes import curves, verify
     from deltacodes.geometry import build_delta
-    from deltacodes.verify import (_delta_counts, _line_masks, _on_line, _quartic_counts,
-                                   _root_counts, _root_mask_counts, factored_class_chunks)
+    from deltacodes.verify import (_line_masks, _on_line, _quartic_counts, _root_counts,
+                                   _root_mask_counts, layout_size)
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = Field(h)
@@ -359,7 +472,7 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
         "g_axis": zero_counts(F, 6, sheared_monomials(F, axis, 0)),
     }
     stop = 0
-    for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+    for blk, bc in class_chunks(F.q, CONIC_LAYOUT, F.np_dtype):
         shape = np.broadcast_shapes(*(c.shape for c in bc))
         n_f, f_axis = _quartic_counts(F, bc, curves.split_exponent_columns(bc))
         conic = curves.term_columns(bc, curves.CONIC_TERMS, 1)
@@ -378,22 +491,24 @@ def test_g_walk_equals_grid_zero_counts(h, block, monkeypatch):
             assert np.array_equal(_flat(value, shape), expected[key][blk]), (key, blk)
         stop = blk.stop
     assert stop == len(cols[0])
-    for kept in ((3, 4, 5), (0, 3, 4, 5)):  # lines and the parabola family
-        sub = projective_class_columns(F.q, len(kept), F.np_dtype)
-        conic = [sub[kept.index(i)] if i in kept else np.zeros_like(sub[0]) for i in range(6)]
+    # lines and the parabola family, the line layout without the constant 1
+    for layout, kept in ((LINE_LAYOUT, (3, 4, 5)), (PARABOLA_LAYOUT, (0, 3, 4, 5))):
         for delta in sets:
+            got = [_flat(_root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1),
+                                           _line_masks(F, delta.points)),
+                         np.broadcast_shapes(*(c.shape for c in bc)))
+                   for _, bc in class_chunks(F.q, layout, F.np_dtype)]
             monos = [[m[i] for i in kept] for m in delta.conic_monomials()]
-            assert np.array_equal(_delta_counts(F, delta, conic),
-                                  zero_counts(F, len(kept), monos)), kept
+            assert np.array_equal(np.concatenate(got), zero_counts(F, len(kept), monos)[
+                :layout_size(F.q, layout)]), kept
 
 
 @functools.lru_cache(maxsize=None)
 def _layout(h):
     """GF(2^h), its conic class columns and their factored chunks."""
-    from deltacodes.verify import factored_class_chunks
     F = Field(h)
     return (F, projective_class_columns(F.q, 6, F.np_dtype),
-            list(factored_class_chunks(F.q, 6, F.np_dtype)))
+            list(class_chunks(F.q, CONIC_LAYOUT, F.np_dtype)))
 
 
 @given(h=st.sampled_from([2, 3, 4]), data=st.data())
@@ -456,7 +571,6 @@ def test_row_walk_equals_element_walk(h, block, monkeypatch):
     zero_counts.  Rows are read on exactly the chunks with a33 on the last
     axis; the lead-5 chunk, whose a33 is fixed, reads none."""
     from deltacodes import verify
-    from deltacodes.verify import factored_class_chunks
     if block:
         monkeypatch.setattr(verify, "CLASS_BLOCK", block)
     F = _layout(h)[0]
@@ -464,7 +578,7 @@ def test_row_walk_equals_element_walk(h, block, monkeypatch):
     built, row_table = [], verify._row_table
     monkeypatch.setattr(verify, "_row_table", lambda *args: built.append(args) or row_table(*args))
     stop = 0
-    for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+    for blk, bc in class_chunks(F.q, CONIC_LAYOUT, F.np_dtype):
         shape = np.broadcast_shapes(*(c.shape for c in bc))
         built.clear()
         rows = _chunk_walks(F, bc, sets)
@@ -549,12 +663,20 @@ def _field(h):
     return Field(h)
 
 
+def _flat_delta_counts(F, delta, cols):
+    """|C ∩ delta| per class of flat conic columns, in one root-mask walk
+    with no row term: the flat oracle of the chunked counts."""
+    from deltacodes import curves
+    from deltacodes.verify import _line_masks, _root_mask_counts
+    return _root_mask_counts(F, curves.term_columns(cols, curves.CONIC_TERMS, 1),
+                             _line_masks(F, delta.points))
+
+
 def _class_statistics(F, cols):
     """The per-class statistics the conic sweeps read, on flat columns."""
     from deltacodes import curves
     from deltacodes.geometry import build_delta, degeneracy_columns, exceptional_columns
-    from deltacodes.verify import _delta_counts, _on_line, _quartic_counts, _root_counts
-    from deltacodes.verify import _root_mask_counts
+    from deltacodes.verify import _on_line, _quartic_counts, _root_counts, _root_mask_counts
     s = curves.split_exponent_columns(cols)
     n_f, f_axis = _quartic_counts(F, cols, s)
     vbar = curves.vbar_columns(F, cols)
@@ -571,8 +693,8 @@ def _class_statistics(F, cols):
         "applicable": curves.triples_ok_columns(cols) & ((cols[1] != 0) | (cols[2] != 0)),
         "vbar rational": vbar[1] == 0, "degenerate": degeneracy_columns(F, cols) == 0,
         "parabola family": parabola, "vertical family": vertical,
-        "Delta": _delta_counts(F, build_delta(F), cols),
-        "DeltaBar": _delta_counts(F, build_delta(F, include_origin=True), cols),
+        "Delta": _flat_delta_counts(F, build_delta(F), cols),
+        "DeltaBar": _flat_delta_counts(F, build_delta(F, include_origin=True), cols),
     }
 
 
@@ -604,11 +726,11 @@ def _check_image_slices(F, slices):
     block, beta in `slices`: its statistics on its own columns equal those
     of the a12 = 1 slice read through _orbit_positions."""
     from deltacodes import verify
-    from deltacodes.verify import _orbit_positions, factored_class_chunks
+    from deltacodes.verify import _orbit_positions
     span = F.q ** 4
     for name in SWEEP_STATS:
         stats, rep, checked = getattr(verify, name)(F), {}, 0
-        for blk, bc in factored_class_chunks(F.q, 6, F.np_dtype):
+        for blk, bc in class_chunks(F.q, CONIC_LAYOUT, F.np_dtype):
             beta, start = divmod(blk.start, span)
             if beta not in slices and beta != 1:
                 continue
@@ -709,7 +831,7 @@ def test_draw_is_the_same_at_any_block(k, monkeypatch, F8):
             shape = np.broadcast_shapes(*(c.shape for c in bc))
             at = class_rank(q, 6, [_flat(c, shape) for c in bc]).reshape(shape)
             return {"mask": mask[at], "value": values[at]}
-        sweep = _Sweep(F8, stats, draw={"checked": (k, seed, "mask", "value")}).run()
+        sweep = _Sweep(F8, CONIC_LAYOUT, stats, draw={"checked": (k, seed, "mask", "value")}).run()
         return sweep.drawn["checked"]
 
     for name, mask in masks.items():
@@ -918,8 +1040,8 @@ def test_cubic_h_walk_on_broadcast_h_q8(F8):
     grid evaluation of the same H flattened; the second component, whose
     coefficients do not involve a33, keeps a smaller shape."""
     from deltacodes import curves
-    from deltacodes.verify import _root_mask_counts, factored_class_chunks
-    for blk, bc in factored_class_chunks(F8.q, 6, F8.np_dtype):
+    from deltacodes.verify import _root_mask_counts
+    for blk, bc in class_chunks(F8.q, CONIC_LAYOUT, F8.np_dtype):
         shape = np.broadcast_shapes(*(c.shape for c in bc))
         h = curves.cubic_h_columns(F8, bc, curves.vbar_columns(F8, bc))
         if len(shape) > 1 and shape[-1] > 1:  # a33 on the last axis
