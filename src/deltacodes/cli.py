@@ -142,19 +142,15 @@ def write_csv(payload: dict, fh) -> None:
 # ----------------------------------------------------------------------
 
 def params_report(F: Field, args) -> dict:
-    if args.system == "lines":
-        return line_code(F)
-    if args.system == "parabolas":
-        return construction2_code(F)
-    if args.system == "conics":
-        return full_conic_code(F)
+    codes = {"lines": line_code, "parabolas": construction2_code, "conics": full_conic_code}
+    if args.system in codes:
+        return codes[args.system](F)
     samples = construction1_samples(F, args.samples, seed=args.seed)
-    d_hist = Counter(rep["d"] for rep in samples)
-    dual_hist = Counter(rep["dual_distance"] for rep in samples)
     report = samples[0]
     report["samples"] = len(samples)
-    report["d_histogram"] = {str(k): v for k, v in sorted(d_hist.items())}
-    report["dual_distance_histogram"] = {str(k): v for k, v in sorted(dual_hist.items())}
+    for key in ("d", "dual_distance"):
+        hist = Counter(rep[key] for rep in samples)
+        report[key + "_histogram"] = {str(k): v for k, v in sorted(hist.items())}
     report["all_rank_3"] = all(rep["k"] == 3 for rep in samples)
     report["matches_expected"] = report["all_rank_3"] and all(
         rep["n"] == F.q * (F.q - 1) // 2 for rep in samples)
@@ -194,12 +190,8 @@ def cmd_spectrum(args) -> int:
         spec = conic_spectrum(F)
         histogram = spec["histogram"]
         clean = spec["window_violations"] == 0
-        extra = {
-            "window_violations": spec["window_violations"],
-            "violation_counts": spec["violation_counts"],
-            "violation_examples": spec["violation_examples"],
-            "exceptional_parabola_classes": spec["exceptional_parabola_classes"],
-        }
+        extra = {key: spec[key] for key in ("window_violations", "violation_counts",
+                                            "violation_examples", "exceptional_parabola_classes")}
     payload = {
         "kind": "spectrum",
         "q": F.q,

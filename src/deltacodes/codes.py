@@ -3,13 +3,14 @@ distributions, minimum distance, and small dual distances.
 
 A linear system of degree-at-most-2 polynomials in two variables is a list
 of coefficient 6-tuples (a11, a12, a22, a13, a23, a33); evaluating it on
-the ordered point set produces the generator matrix.  Weight distributions
-are computed two independent ways, by enumerating all q^k messages (a
-table of suffix codewords against one prefix per projective prefix class)
-and per projective message class through zero counting, and the two are
-required to agree in the test suites.  Both do about (q^k - 1)/(q - 1)
-times n work, so both are admitted by the one class budget of
-`verify.check_class_budget`.
+the ordered point set produces the generator matrix.  A weight
+distribution comes from the projective message classes counted by the
+points where they vanish (`class_weight_distribution`), as the sweeps of
+`verify` count them for the line, parabola and conic systems, or from all
+q^k messages (a table of suffix codewords against one prefix per
+projective prefix class), the net code's route and the tests' check of the
+sweeps.  Enumeration does about (q^k - 1)/(q - 1) times n work, so the
+class budget of `verify.check_class_budget` admits it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .field import Field
 from .geometry import Coeffs6, DeltaSet
-from .verify import BudgetError, check_class_budget, zero_counts
+from .verify import BudgetError, check_class_budget
 
 
 @dataclass
@@ -114,9 +115,9 @@ def weight_distribution_enumerate(g: GeneratorMatrix) -> Counter:
     counts q - 1 times: (q^k1 - 1)/(q - 1) passes instead of q^k1.  A pass
     adds the representative's codeword to the whole table; the sum is
     nonzero exactly where the table differs from that codeword, so it is
-    compared into one reused mask whose row sums are the weights.  Zero
-    counting is not involved, so this stays independent of
-    `weight_distribution_classes`.  Raises BudgetError, before building
+    compared into one reused mask whose row sums are the weights.  No
+    point is counted per class, so this stays independent of the sweeps
+    behind `class_weight_distribution`.  Raises BudgetError, before building
     anything, when the code has more projective message classes than the
     class budget.
     """
@@ -146,18 +147,12 @@ def weight_distribution_enumerate(g: GeneratorMatrix) -> Counter:
     return Counter({w: int(c) for w, c in enumerate(hist) if c})
 
 
-def weight_distribution_classes(g: GeneratorMatrix) -> Counter:
-    """Exact weight distribution through projective message classes: each
-    class contributes q - 1 codewords of weight n - (zeros of the class
-    combination), plus the zero word."""
-    F = g.field
-    q, k, n = F.q, g.k, g.n
-    zeros = zero_counts(F, k, g.entries.T)
-    # bincount widens to intp, so it takes the zero counts in slices (34.6 M at q = 32)
-    hist = sum(np.bincount(zeros[lo:lo + (1 << 20)], minlength=n + 1)
-               for lo in range(0, len(zeros), 1 << 20))[::-1] * (q - 1)
-    hist[0] += 1
-    return Counter({w: int(c) for w, c in enumerate(hist) if c})
+def class_weight_distribution(q: int, n: int, zeros: dict[int, int]) -> Counter:
+    """Exact weight distribution of a code on n points from its projective
+    message classes, zeros[c] of which vanish on c points: each class gives
+    q - 1 codewords of weight n - c, A_(n - c) = (q - 1) * zeros[c], plus
+    the zero word."""
+    return Counter({n - c: (q - 1) * count for c, count in zeros.items()}) + Counter([0])
 
 
 def min_distance(distribution: Counter) -> int:
@@ -179,16 +174,9 @@ def dual_distance_upto(g: GeneratorMatrix) -> Optional[int]:
     cols = [tuple(int(v) for v in g.entries[:, j]) for j in range(g.n)]
     if any(all(v == 0 for v in col) for col in cols):
         return 1
-    normalized = []
-    for col in cols:
-        lead = next(v for v in col if v)
-        inv = F.inv(lead)
-        normalized.append(tuple(F.mul(inv, v) for v in col))
-    seen: dict[tuple, int] = {}
-    for j, col in enumerate(normalized):
-        if col in seen:
-            return 2
-        seen[col] = j
+    # two columns are dependent when they agree once each is scaled to lead with 1
+    if len({tuple(F.div(v, next(x for x in col if x)) for v in col) for col in cols}) < g.n:
+        return 2
     for w in (3, 4):
         if w > g.rank:
             return w  # more columns than the rank are always dependent

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,13 +32,15 @@ from .geometry import (
 from .codes import (
     ConicSystem,
     GeneratorMatrix,
+    class_weight_distribution,
     dual_distance_upto,
     evaluate_system,
     min_distance,
     singleton_ok,
     weight_distribution_enumerate,
 )
-from .verify import check_class_budget, projective_class_columns
+from .verify import (check_class_budget, conic_spectrum, line_spectrum, parabola_spectrum,
+                     projective_class_columns)
 
 # basis polynomials as coefficient 6-tuples (a11, a12, a22, a13, a23, a33)
 POLY_X2: Coeffs6 = (1, 0, 0, 0, 0, 0)
@@ -249,10 +252,17 @@ def net_basis(F: Field, ctx: NetContext) -> ConicSystem:
 def _report(F: Field, name: str, system: ConicSystem,
             expected: Optional[dict] = None) -> tuple[dict, GeneratorMatrix]:
     """The code's parameters and weight distribution on Delta, with its
-    generator matrix.  Stated parameters, when given, are reported under
+    generator matrix.  The sweeps count the message classes of the line,
+    parabola and conic systems by their points on Delta (the line layout
+    lacks the constant class, which meets none); the net enumerates its
+    messages.  Stated parameters, when given, are reported under
     `expected` and compared key by key into `matches_expected`."""
     g = evaluate_system(system, build_delta(F))
-    dist = weight_distribution_enumerate(g)
+    zeros = {"lines": lambda: Counter(line_spectrum(F)["histogram_delta"]) + Counter([0]),
+             "parabolas": lambda: parabola_spectrum(F)["histogram_delta"],
+             "conics": lambda: conic_spectrum(F)["histogram_every_class"]}.get(name)
+    dist = (weight_distribution_enumerate(g) if zeros is None
+            else class_weight_distribution(F.q, g.n, zeros()))
     d = min_distance(dist)
     report = {
         "q": F.q,
@@ -327,15 +337,13 @@ def construction1_code(F: Field, point: ProjPoint3) -> dict:
     # claimed bound: 2d >= q^2 - 2q + 1 - 2*sqrt(q), compared exactly
     gap = q * q - 2 * q + 1 - 2 * d
     report["distance_bound_holds"] = gap <= 0 or gap * gap <= 4 * q
-    max_count = n - min(w for w, _ in report["weights"] if w > 0)
-    report["max_point_count"] = max_count
+    report["max_point_count"] = n - d
     # claimed weight window, probed in its literal reading (on w) and in the
     # intersection reading (on n - w); both results are reported
-    nonzero_weights = [w for w, _ in report["weights"] if w > 0]
     report["weights_in_window_literal"] = all(
-        in_sqrt_window(2 * w, q) for w in nonzero_weights)
+        in_sqrt_window(2 * w, q) for w in report["weight_set"])
     report["weights_in_window_as_counts"] = all(
-        in_sqrt_window(2 * (n - w), q) for w in nonzero_weights)
+        in_sqrt_window(2 * (n - w), q) for w in report["weight_set"])
     return report
 
 

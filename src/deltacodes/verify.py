@@ -19,9 +19,9 @@ comes from one root-mask walk over the lines of the plane
 (`_root_mask_counts`).  Degeneracy and the exceptional families come from
 the column formulas in `geometry`, degeneracy checked at q <= 8 against
 singular points over GF(q^2) (`degeneracy_oracle_sweep`); the curves and
-the reducibility quantities from those in `curves`.  `zero_counts` remains
-the tests' independent count and the kernel of
-`codes.weight_distribution_classes`.
+the reducibility quantities from those in `curves`; the code reports read
+the spectra's histograms.  `zero_counts` remains the tests' independent
+count of the walk.
 On a deterministic draw of classes each sweep is cross-checked against the
 per-conic brute force, so a bug in the fast path cannot silently pass.
 
@@ -123,16 +123,11 @@ def _jsonable(v):
 # Vectorized class enumeration and zero counting
 # ----------------------------------------------------------------------
 
-def _layout_size(q: int, width: int) -> int:
-    """The number of projective classes of GF(q)^width."""
-    return (q ** width - 1) // (q - 1)
-
-
 def check_class_budget(q: int, width: int, classes: Optional[int] = None) -> None:
     """Raise BudgetError when the layout of `projective_class_columns`, or
     `classes` classes of that width, would hold more than CLASS_BUDGET
     classes; callers may check before any work."""
-    classes = _layout_size(q, width) if classes is None else classes
+    classes = layout_size(q, projective_layout(width)) if classes is None else classes
     if classes > CLASS_BUDGET:
         raise BudgetError(f"{classes} projective classes (q = {q}, width {width}) exceed "
                           f"the sweep budget of 2^{CLASS_BUDGET.bit_length() - 1}")
@@ -166,7 +161,7 @@ def projective_class_columns(q: int, width: int, dtype=np.uint8) -> list[np.ndar
     `projective_layout(width)` flattened.  Raises BudgetError, before
     allocating, when there are more than CLASS_BUDGET classes."""
     check_class_budget(q, width)
-    cols = [np.empty(_layout_size(q, width), dtype=dtype) for _ in range(width)]
+    cols = [np.empty(layout_size(q, projective_layout(width)), dtype) for _ in range(width)]
     for blk, chunk in class_chunks(q, projective_layout(width), dtype):
         shape = np.broadcast_shapes(*(c.shape for c in chunk))
         for col, c in zip(cols, chunk):
@@ -247,7 +242,7 @@ def zero_counts(F: Field, width: int, point_monomials: Sequence[Sequence[int]]) 
     check_class_budget(q, width)
     monos = [[int(m) for m in point] for point in point_monomials]
     elems = np.arange(q, dtype=F.np_dtype)
-    counts = np.zeros(_layout_size(q, width), dtype=np.min_scalar_type(len(monos)))
+    counts = np.zeros(layout_size(q, projective_layout(width)), np.min_scalar_type(len(monos)))
     lo = 0
     for lead in range(width):
         half = lead + 1 + (width - lead - 1) // 2
@@ -332,25 +327,28 @@ def _line_masks(F: Field, points) -> np.ndarray:
 # bytes of row tables one walk may read; above it the walk gathers single
 # masks (q = 64, where one conic row table is 16 MiB per line mask)
 ROW_TABLE_BYTES = 1 << 25
+_ROW_TABLES: dict[tuple, np.ndarray] = {}  # by (F, shift, line), for the most slots asked
 
 
-@functools.lru_cache(maxsize=None)
 def _row_table(F: Field, slots: int, shift: int, line: Optional[int]) -> np.ndarray:
     """Entry [b, c] is root mask b ^ (c << shift), or, given a line's point
     mask, the popcount of that root mask AND the line mask, as uint8.  Slot
     shift / h of the index runs over GF(q) along a row, so the q classes
     that differ only in a coefficient entering that slot alone read one
     row.  Built by q gathers of q-entry permutations, with no index array
-    of the table's size."""
-    q, k = F.q, shift // F.h
-    table = _root_masks(F, slots)
-    if line is not None:
-        table = np.bitwise_count(table & table.dtype.type(line))
-    table = table.reshape(-1, q, q ** k)  # axis 1 is slot k
-    rows = np.empty(table.shape + (q,), dtype=table.dtype)
-    for c in range(q):
-        rows[..., c] = table[:, np.arange(q) ^ c]
-    return rows.reshape(-1, q)
+    of the table's size.  As with the root masks, fewer slots take the head
+    of the table of more, so one per (shift, line) is kept, the largest."""
+    q, k, key = F.q, shift // F.h, (F, shift, line)
+    if len(_ROW_TABLES.get(key, ())) < q ** slots:
+        table = _root_masks(F, slots)
+        if line is not None:
+            table = np.bitwise_count(table & table.dtype.type(line))
+        table = table.reshape(-1, q, q ** k)  # axis 1 is slot k
+        rows = np.empty(table.shape + (q,), dtype=table.dtype)
+        for c in range(q):
+            rows[..., c] = table[:, np.arange(q) ^ c]
+        _ROW_TABLES[key] = rows.reshape(-1, q)
+    return _ROW_TABLES[key][:q ** slots]
 
 
 def _row_term(terms: dict[tuple[int, int], np.ndarray], q: int) -> Optional[tuple[int, int]]:
@@ -386,9 +384,12 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
     classes.  A walk of one such component reads rows of popcounts, one
     table per line mask, so a line costs one XOR, one gather and one add;
     other walks AND the masks and popcount them, uint16 masks per byte.
-    Rows are read only while the tables stay within ROW_TABLE_BYTES.  The
-    walk holds h + 2 index columns per class and component, so callers pass
-    chunks of at most CLASS_BLOCK classes."""
+    Rows are read only while the tables stay within ROW_TABLE_BYTES, and
+    those still to build within the chunk's share of it, classes /
+    CLASS_BLOCK: a few small chunks, as the 4160 lines at q = 64, gather
+    single masks rather than build 16 MiB of tables.  The walk holds h + 2
+    index columns per class and component, so callers pass chunks of at
+    most CLASS_BLOCK classes."""
     if any(i not in SLOT_EXPONENTS for i, _ in curve):
         raise AssertionError("the root-mask walk needs the counted variable in degrees "
                              f"0, 1, 2 and 4; got {sorted(curve)}")
@@ -405,8 +406,13 @@ def _root_mask_counts(F: Field, curve: dict[tuple[int, int], tuple],
                   for t in range(len(next(iter(curve.values()))))]
     rows = [_row_term(terms, q) for terms in components]
     counted = len(components) == 1  # one table of popcounts per line mask
-    row_bytes = q ** (slots + 1) * (len(lines) if counted else masks.itemsize)
-    if sum(row is not None for row in rows) * row_bytes > ROW_TABLE_BYTES:
+    table_bytes = q ** (slots + 1) * (1 if counted else masks.itemsize)
+    tables = [(F, SLOT_EXPONENTS.index(row[0]) * bits, line) for row in rows if row is not None
+              for line in (lines if counted else [None])]
+    unbuilt = {key for key in tables if len(_ROW_TABLES.get(key, ())) < q ** slots}
+    classes = np.prod(np.broadcast_shapes(*(c.shape for t in components for c in t.values())))
+    if (len(tables) * table_bytes > ROW_TABLE_BYTES
+            or len(unbuilt) * table_bytes * CLASS_BLOCK > ROW_TABLE_BYTES * classes):
         rows = [None] * len(rows)
     counted &= rows[0] is not None
     walks = []
@@ -1186,22 +1192,27 @@ def _census_stats(F: Field) -> Callable[[list], dict]:
         counts = _root_mask_counts(F, curves.term_columns(bc, curves.CONIC_TERMS, 1), masks)
         nondeg = degeneracy_columns(F, bc) != 0
         family_parabola, family_vertical = exceptional_columns(F, bc)
-        return {"counts": counts, "nondeg": nondeg, "parabola": nondeg & family_parabola,
+        return {"every": True, "counts": counts, "nondeg": nondeg,
+                "parabola": nondeg & family_parabola,
                 "violations": nondeg & ~(in_win[counts] | family_parabola | family_vertical)}
     return stats
 
 
 def conic_spectrum(F: Field) -> dict:
-    """Histogram of |Delta ∩ C| over all non-degenerate conic classes, with
-    window and exceptional-family accounting, reduced chunk by chunk."""
+    """Histograms of |Delta ∩ C| over the non-degenerate conic classes, with
+    window and exceptional-family accounting, and over every class, reduced
+    chunk by chunk; BudgetError before any table is built."""
+    check_class_budget(F.q, 6)
     sweep = _Sweep(F, CONIC_LAYOUT, _census_stats(F),
-                   count=("parabola", ("nondeg", "counts"), ("violations", "counts")),
+                   count=("parabola", ("nondeg", "counts"), ("violations", "counts"),
+                          ("every", "counts")),
                    keep={"violations": (8, "counts")}).run()
     hist, viol_hist = sweep.histogram("nondeg"), sweep.histogram("violations")
     return {
         "q": F.q,
         "nondegenerate_classes": sum(hist.values()),
         "histogram": hist,
+        "histogram_every_class": sweep.histogram("every"),
         "window_violations": sum(viol_hist.values()),
         "violation_counts": viol_hist,
         "violation_examples": sweep.kept["violations"],

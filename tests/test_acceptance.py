@@ -32,7 +32,6 @@ from deltacodes.geometry import (
 from deltacodes.codes import (
     ConicSystem,
     evaluate_system,
-    weight_distribution_classes,
     weight_distribution_enumerate,
 )
 from deltacodes.curves import (
@@ -346,12 +345,13 @@ def test_criterion_10_full_conic_code():
     t0 = time.perf_counter()
     reports = {q: full_conic_code(field(q)) for q in (8, 16)}
     # the two weight-distribution routes must agree regardless: the report's
-    # weights come from full message enumeration
+    # weights come from the all-class census, and message enumeration is the
+    # independent route
     F = field(16)
     monomials = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
                  (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
     g = evaluate_system(ConicSystem(F, monomials), build_delta(F))
-    assert dict(reports[16]["weights"]) == weight_distribution_classes(g)
+    assert dict(reports[16]["weights"]) == weight_distribution_enumerate(g)
     # the stated d = q(q-3)/2 stays on record but cannot hold: two crossing
     # lines of the family Y = m*X + m^2 meet at one point of Delta, so their
     # product vanishes on 2q-3 points and d = (q-2)(q-3)/2
@@ -370,8 +370,8 @@ def test_criterion_10_full_conic_code():
                       "[28,6,15] at q=8 and [120,6,91] at q=16, d = (q-2)(q-3)/2 "
                       "attained by two crossing lines Y = m*X + m^2",
               f"achieved {achieved}; two-line witness weights {witness_weights}; "
-              f"enumeration of 16^6 words done in {time.perf_counter() - t0:.2f}s; "
-              f"both counting methods agree")
+              f"census and enumeration of 16^6 words done in "
+              f"{time.perf_counter() - t0:.2f}s; both counting methods agree")
 
 
 def test_criterion_11_construction2():

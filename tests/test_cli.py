@@ -149,6 +149,26 @@ def test_restriction_and_field_reports_are_pinned(capsys, argv, exit_code, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The same for the line, parabola and conic code reports, recorded while
+# they still enumerated their messages, before they read the spectra
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    ("params --system conics --q 16", EXIT_MISMATCH,
+     "efcc9280b98b8f7e86c2e61581d79b0455f1e0a05cf404c7cba0d093cd4486d4"),
+    ("params --system lines --q 32", EXIT_OK,
+     "68aadb3304db50fc9938c012349aa5b0218f65f6899c90ac57cc3639e4974d46"),
+    ("params --system lines --q 64", EXIT_OK,
+     "74b1b6f6b97bf90cf62bf1a9bf9852dd65143a7fd33827e4b6b16598bc783a75"),
+    ("params --system parabolas --q 32", EXIT_OK,
+     "70cf2d6bd6e997f805b7d28ce6b9e709b272fd0e022f4c3b75984ed5156ef84e"),
+    ("params --system parabolas --q 64", EXIT_OK,
+     "de5d7598629807f09f2bc92333f1e3bbb63bb39697be2ef4225c4d404d9143e4"),
+])
+def test_code_reports_from_the_spectra_are_pinned(capsys, argv, exit_code, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, "params", "--q", "7", "--system", "lines")
     assert code == EXIT_USAGE

@@ -6,18 +6,19 @@ from itertools import product
 import numpy as np
 import pytest
 
+from deltacodes import curves, verify
 from deltacodes.field import Field
 from deltacodes.geometry import Conic, DeltaSet, build_delta, count_on_delta
 from deltacodes.codes import (
     BudgetError,
     ConicSystem,
     GeneratorMatrix,
+    class_weight_distribution,
     dual_distance_upto,
     evaluate_system,
     gf_rank,
     min_distance,
     singleton_ok,
-    weight_distribution_classes,
     weight_distribution_enumerate,
 )
 from deltacodes.constructions import (
@@ -27,6 +28,7 @@ from deltacodes.constructions import (
     POLY_XY,
     POLY_Y,
     POLY_Y2,
+    construction2_code,
 )
 
 FULL = [POLY_X2, POLY_XY, POLY_Y2, POLY_X, POLY_Y, POLY_1]
@@ -69,12 +71,28 @@ def test_weight_distribution_line_code(F8):
     assert min_distance(dist) == 21
 
 
+def _sweep_distribution(F, g, support) -> Counter:
+    """The weight distribution of the unit-monomial system on the
+    coefficients `support`, from its classes (`projective_layout(6,
+    support)`) counted on Delta by the walk."""
+    masks = verify._line_masks(F, build_delta(F).points)
+
+    def stats(bc):
+        conic = curves.term_columns(bc, curves.CONIC_TERMS, 1)
+        return {"every": True, "zeros": verify._root_mask_counts(F, conic, masks)}
+
+    sweep = verify._Sweep(F, verify.projective_layout(6, support), stats,
+                          count=(("every", "zeros"),)).run()
+    return class_weight_distribution(F.q, g.n, sweep.histogram("every"))
+
+
 def test_weight_distribution_methods_agree(F8):
     delta = build_delta(F8)
     for basis in ([POLY_1], [POLY_X, POLY_1], LINES, [POLY_X2, POLY_X, POLY_Y, POLY_1],
                   [POLY_X2, POLY_Y2, POLY_X, POLY_Y, POLY_1], FULL):
         g = evaluate_system(ConicSystem(F8, basis), delta)
-        assert weight_distribution_enumerate(g) == weight_distribution_classes(g)
+        support = sorted(FULL.index(poly) for poly in basis)
+        assert weight_distribution_enumerate(g) == _sweep_distribution(F8, g, support)
 
 
 def _naive_distribution(g) -> Counter:
@@ -107,7 +125,7 @@ def test_parabola_code_q64():
     F64 = Field(6)
     g = evaluate_system(ConicSystem(F64, [POLY_X2, POLY_X, POLY_Y, POLY_1]), build_delta(F64))
     dist = weight_distribution_enumerate(g)
-    assert dist == weight_distribution_classes(g)
+    assert dist == dict(construction2_code(F64)["weights"])
     assert min_distance(dist) == 1952 == 64 * 61 // 2
 
 

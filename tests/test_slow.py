@@ -1,18 +1,19 @@
 """The q = 32 data of README "What the verification finds", and the full
 scan of PG(2, GF(8^3)) behind `net --scan-count`, outside tier-1.
 
-Deselected by default; run with `pytest -m slow` (about 40 s and a
-160 MiB peak RSS on a 2-core Xeon host whose speed varies between runs;
-the class route of the full conic code,
-`codes.weight_distribution_classes`, sets the peak).
+Deselected by default; run with `pytest -m slow` (about 15 s and a
+190 MiB peak RSS on a 2-core Xeon host whose speed varies between runs;
+the row tables of the root-mask walks, cached from one q = 32 test to the
+next, set the peak).
 """
 
+import hashlib
 import json
 
 import pytest
 
 from deltacodes.cli import EXIT_MISMATCH, EXIT_OK, main
-from deltacodes.codes import ConicSystem, evaluate_system, weight_distribution_classes
+from deltacodes.codes import ConicSystem, evaluate_system, weight_distribution_enumerate
 from deltacodes.constructions import (
     POLY_1,
     POLY_X,
@@ -30,14 +31,19 @@ pytestmark = pytest.mark.slow
 
 
 def test_full_conic_code_q32(F32, capsys):
-    # runs without a flag: 32^6 messages are 34.6 M projective classes
+    # runs without a flag: 32^6 messages are 34.6 M projective classes; the
+    # report reads the all-class census, and message enumeration checks it
     code = main(["params", "--system", "conics", "--q", "32"])
-    rep = json.loads(capsys.readouterr().out)["report"]
+    out = capsys.readouterr().out
+    rep = json.loads(out)["report"]
     assert code == EXIT_MISMATCH
     assert (rep["n"], rep["k"], rep["d"]) == (496, 6, 435) == (496, 6, 30 * 29 // 2)
     full = [POLY_X2, POLY_XY, POLY_Y2, POLY_X, POLY_Y, POLY_1]
     g = evaluate_system(ConicSystem(F32, full), build_delta(F32))
-    assert {w: c for w, c in rep["weights"]} == weight_distribution_classes(g)
+    assert {w: c for w, c in rep["weights"]} == weight_distribution_enumerate(g)
+    # SHA-256 of stdout, recorded while the report still enumerated its messages
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7d5046fedf96cea2bfbfaf9b85d3f3ef9dde9bf92cd7c9bf84b4ce01fd338324"
 
 
 def test_all_conics_window_census_q32(capsys):

@@ -19,7 +19,10 @@ REQUIRED_LAYERS = {
     ("verify", "--suite", "lemma", "--q", "4"): ({"geometry.count_on_delta"}, set()),
     # build_net takes its lambda columns from projective_class_columns
     ("net", "--q", "4", "--seed", "1"): ({"constructions.net", "verify.class_columns"}, set()),
+    # the conic code reads the census; the net code enumerates its messages
     ("params", "--system", "conics", "--q", "4"): (
+        {"constructions.report", "codes.evaluate_system", "verify.spectrum"}, {"codes.gf_rank"}),
+    ("params", "--system", "net", "--q", "4", "--samples", "1", "--seed", "1"): (
         {"constructions.report", "codes.enumerate", "codes.evaluate_system"}, {"codes.gf_rank"}),
 }
 
@@ -35,6 +38,7 @@ def cli(*args):
     ("spectrum", "--family", "all-conics", "--q", "4"),
     ("verify", "--suite", "geometry", "--q", "4"),
     ("params", "--system", "conics", "--q", "4"),
+    ("params", "--system", "net", "--q", "4", "--samples", "1", "--seed", "1"),
     ("net", "--q", "4", "--seed", "1"),
     ("verify", "--suite", "lemma", "--q", "4"),
 ])
