@@ -13,7 +13,9 @@ its layout: it takes a sweep's per-class statistics, given as one function
 of a chunk, to tallies and to the classes a report names or a cross-check
 draws.  The root scaling x -> a*x fixes Delta, DeltaBar's origin and the
 axis X = 0, so from q = 16 on the conic sweeps compute the statistics of
-the q - 1 slices a12 != 0 of the a11 = 1 block once (`_orbit_positions`).
+the q - 1 slices a12 != 0 of the a11 = 1 block once: the later slices add
+the a12 = 1 slice's tallies and serve draws (`_orbit_positions`), and kept
+classes come only from a chunk's own statistics.
 Every per-class point count (the conic on Delta and DeltaBar, F, G and H)
 comes from one root-mask walk over the lines of the plane
 (`_root_mask_counts`).  Degeneracy and the exceptional families come from
@@ -543,7 +545,7 @@ def _orbit_positions(F: Field, beta: int, pos: np.ndarray) -> np.ndarray:
     scaling x -> x / beta: (1, beta, a22, a13, a23, a33) goes to
     (1, 1, a22 / beta^2, beta * a13, a23, beta^2 * a33), which has every
     per-class statistic of the sweeps.  A slice position is the base-q
-    number a22 a13 a23 a33; at 1 / beta the map goes back."""
+    number a22 a13 a23 a33."""
     high, low = _orbit_tables(F, beta)
     pos = np.asarray(pos, dtype=np.int64)
     return high[pos >> 2 * F.h] << 2 * F.h | low[pos & (F.q * F.q - 1)]
@@ -585,13 +587,13 @@ class _Sweep:
     block), `stats` runs only on the a12 = 0 and a12 = 1 slices and on the
     blocks with a11 = 0; a chunk's slice is read off its own a11 and a12
     (_slice_of), so the line and parabola layouts, whose a12 is 0, are
-    walked in full.  Each later slice adds the a12 = 1 slice's tally once.
-    A key that still needs classes there maps the classes it kept from the
-    a12 = 1 slice, which were then all its set classes, and a pending draw
-    reads the a12 = 1 slice's mask and values, both through the
-    permutation; the coefficients come from the chunk's own columns.  Those
-    arrays are the a12 = 1 chunk's own where the slice is one chunk
-    (q = 16), and q^4-entry copies above."""
+    walked in full.  Each later slice adds the a12 = 1 slice's tally once,
+    and a pending draw reads copies of the a12 = 1 slice's mask and values
+    through the permutation, the coefficients from the chunk's own columns.
+    Kept classes are named only from a chunk's own statistics: a key still
+    short of classes after taking some from the a12 = 1 slice would find
+    more in every later slice, so the sweep then walks the rest of the
+    layout chunk by chunk."""
 
     def __init__(self, F: Field, layout: Sequence[tuple], stats: Callable[[list], dict],
                  count: Sequence = (), keep: Optional[dict] = None, draw: Optional[dict] = None):
@@ -610,40 +612,41 @@ class _Sweep:
 
     def run(self) -> "_Sweep":
         F, span = self.F, self.F.q ** 4  # classes of one a12 slice of the a11 = 1 block
-        rep: dict[str, np.ndarray] = {}  # the a12 = 1 slice's arrays that pending draws read
-        rep_kept: dict[str, list] = {}  # its kept classes: slice positions and values
-        rep_tally, rep_filled = Counter(), 0
+        names = dict.fromkeys(v for _, _, *values in self._draw.values() for v in values)
+        rep: dict[str, np.ndarray] = {}  # the a12 = 1 slice's draw arrays
+        rep_tally, rep_filled, before = Counter(), 0, {}
         for blk, cols in class_chunks(F.q, self.layout, F.np_dtype):
             shape = np.broadcast_shapes(*(c.shape for c in cols))
-            size = blk.stop - blk.start
             beta, start = _slice_of(F, cols)
-            if beta and beta > 1 and rep_filled == span:
-                if not start:
+            if beta and beta > 1 and rep_filled == span and not start:
+                if any(before[key] < len(self.kept[key]) < (np.inf if k is None else k)
+                       for key, (k, *_) in self._keep.items()):
+                    rep_filled = 0  # a key takes classes from every slice: walk on
+                else:
                     self.tally.update(rep_tally)
-                self._reduce(blk, cols, shape, self._image_reader(rep, rep_kept, beta, start, size))
+            if beta and beta > 1 and rep_filled == span:
+                self._draw_from(blk, cols, shape, lambda name, idx:
+                                rep[name][_orbit_positions(F, beta, start + np.asarray(idx))])
                 continue
-            if beta != 1 and rep_filled:  # walked past the a12 = 1 slice: its arrays are done
+            if beta != 1:  # walked past the a12 = 1 slice: its arrays are done
                 rep.clear()
-                rep_kept.clear()
             st = self._stats(cols)
             tally = self._tallied(st, shape)
             self.tally.update(tally)
-            kept = self._reduce(blk, cols, shape, self._chunk_reader(st, shape))
-            if beta == 1:  # keep what the draws pending before the a11 = 1 block ends read
-                end = blk.start - start + (F.q - 1) * span
-                names = dict.fromkeys(v for key, (_, _, *values) in self._draw.items()
-                                      if any(t < end for t in self._targets[key]) for v in values)
-                for name in names if not start else list(rep):
+            if beta == 1 and not start:
+                before = {key: len(kept) for key, kept in self.kept.items()}
+
+            def at(name, idx):  # a statistic of this chunk at flat positions
+                return np.broadcast_to(st[name], shape)[np.unravel_index(idx, shape)]
+            self._keep_from(cols, shape, st, at)
+            self._draw_from(blk, cols, shape, at)
+            if beta == 1:  # copy what the draws of the later slices read
+                for name in names:
                     flat = np.broadcast_to(st[name], shape).reshape(-1)
-                    if size == span:  # the slice is one chunk: its arrays are read in place
-                        rep[name] = flat
-                    else:
-                        rep.setdefault(name, np.empty(span, flat.dtype))[start:start + size] = flat
-                for key, (idx, vals) in kept.items():
-                    rep_kept.setdefault(key, []).append((start + idx, vals))
+                    rep.setdefault(name, np.empty(span, flat.dtype))[start:start + flat.size] = flat
                 rep_tally.update(tally)
-                rep_filled += size
-            del st, kept  # before the next chunk's statistics are computed
+                rep_filled += blk.stop - blk.start
+            del st  # before the next chunk's statistics are computed
         return self
 
     def _tallied(self, st: dict, shape) -> Counter:
@@ -657,61 +660,23 @@ class _Sweep:
             tally.update({(mask, c): int(n) for c, n in enumerate(np.bincount(values)) if n})
         return tally
 
-    @staticmethod
-    def _chunk_reader(st: dict, shape):
-        """(at, found) on a chunk's own statistics: `at(name, idx)` the
-        values at flat positions, `found(mask, values, limit)` the first
-        `limit` set positions of a mask (all for None) and the values there,
-        a limited search in windows (_set_positions), so that a dense mask
-        does not list every set position."""
-        def at(name, idx):
-            return np.broadcast_to(st[name], shape)[np.unravel_index(idx, shape)]
-
-        def found(mask, values, limit):
-            flat = np.broadcast_to(st[mask], shape).reshape(-1)
-            idx = np.flatnonzero(flat) if limit is None else np.array(
-                _set_positions(lambda lo, hi: flat[lo:hi], 0, flat.size, limit), dtype=np.int64)
-            return idx, [at(v, idx) for v in values]
-        return at, found
-
-    def _image_reader(self, rep: dict, rep_kept: dict, beta: int, start: int, size: int):
-        """(at, found) on the `size` classes of the a12 = beta slice from
-        slice position `start` on, read from the a12 = 1 slice: its arrays
-        for draws, and its kept classes for a key that still needs classes,
-        as the a12 = 1 slice then held fewer set classes than the key takes."""
-        F = self.F
-
-        def at(name, idx):
-            return rep[name][_orbit_positions(F, beta, start + np.asarray(idx))]
-
-        def found(mask, values, limit):
-            parts = rep_kept.get(mask, [])
-            if not parts:
-                return [], []
-            pos = _orbit_positions(F, F.inv(beta), np.concatenate([p for p, _ in parts])) - start
-            inside = np.flatnonzero((pos >= 0) & (pos < size))
-            order = inside[np.argsort(pos[inside])][:limit]
-            return pos[order], [np.concatenate(v)[order] for v in zip(*(v for _, v in parts))]
-        return at, found
-
-    def _reduce(self, blk: slice, cols, shape, reader) -> dict:
-        """Keep and draw from one chunk through its reader; returns, by key,
-        the flat positions and values of the classes kept from it."""
-        at, found = reader
-
-        def named(idx, vals) -> list[tuple]:
-            where = np.unravel_index(idx, shape)
-            coeffs = [np.broadcast_to(c, shape)[where].tolist() for c in cols]
-            return list(zip(zip(*coeffs), *(v.tolist() for v in vals)))
-
-        taken = {}
+    def _keep_from(self, cols, shape, st: dict, at: Callable) -> None:
+        """Keep the set classes of a chunk's own statistics that each key
+        still takes, a limited search in windows (_set_positions), so that a
+        dense mask does not list every set position."""
         for key, (k, *values) in self._keep.items():
             kept = self.kept[key]
             if k is None or len(kept) < k:
-                idx, vals = found(key, values, None if k is None else k - len(kept))
+                flat = np.broadcast_to(st[key], shape).reshape(-1)
+                idx = np.flatnonzero(flat) if k is None else np.array(
+                    _set_positions(lambda lo, hi: flat[lo:hi], 0, flat.size, k - len(kept)),
+                    dtype=np.int64)
                 if len(idx):  # naming costs tens of microseconds even when empty
-                    kept += named(idx, vals)
-                    taken[key] = idx, vals
+                    kept += _named(cols, shape, idx, [at(v, idx) for v in values])
+
+    def _draw_from(self, blk: slice, cols, shape, at: Callable) -> None:
+        """Draw the pending positions of one chunk; `at(name, idx)` reads a
+        statistic at flat positions of the chunk."""
         for key, (_, _, mask, *values) in self._draw.items():
             targets = self._targets[key]
             while targets and targets[0] < blk.stop:
@@ -719,9 +684,16 @@ class _Sweep:
                                      max(targets[0] - blk.start, 0), blk.stop - blk.start, 1)
                 if not hit:
                     break  # the pending positions wait for the next chunk
-                self.drawn[key] += named(hit, [at(v, hit) for v in values])
+                self.drawn[key] += _named(cols, shape, hit, [at(v, hit) for v in values])
                 targets.pop(0)
-        return taken
+
+
+def _named(cols, shape, idx, vals) -> list[tuple]:
+    """The classes at flat positions `idx` of a chunk, each as its six
+    coefficients followed by its `vals` there."""
+    where = np.unravel_index(idx, shape)
+    coeffs = [np.broadcast_to(c, shape)[where].tolist() for c in cols]
+    return list(zip(zip(*coeffs), *(v.tolist() for v in vals)))
 
 
 def _set_positions(read, i: int, size: int, limit: int) -> list[int]:
@@ -1080,8 +1052,9 @@ def verify_reducibility(F: Field) -> SuiteReport:
 
 def _hasse_stats(F: Field) -> Callable[[list], dict]:
     """The hasse sweep's per-class statistics of a chunk: applicability,
-    vbar, G, H, both counts by the root-mask walk, the windows and the
-    corrected transfer."""
+    vbar, G, H, both counts by the root-mask walk, the windows, the
+    corrected transfer, and the rational-vbar window violators whose H has
+    a line (the candidate-line search on their columns alone)."""
     q = F.q
     in_win = np.array([in_sqrt_window(x, q) or curves.in_rational_affine_window(x, q)
                        for x in range(q * q + 1)])  # N(H) <= q^2
@@ -1106,8 +1079,20 @@ def _hasse_stats(F: Field) -> Callable[[list], dict]:
             corrected = (ng.astype(np.int32) - _root_counts(F, _on_line(F, g, vbar[0]))
                          + _root_counts(F, _on_line(F, {key: p[:1] for key, p in h.items()}, 0)))
             transfer = rat & (corrected == nh)
+        violators = rat & ~win
+        line = np.zeros_like(violators)
+        if violators.any():
+            # the window can only fail where H is secretly reducible: an
+            # irreducible cubic obeys the stated bounds
+            where = np.nonzero(violators)
+            vc = [np.broadcast_to(c, violators.shape)[where] for c in bc]
+            v_vbar = curves.vbar_columns(F, vc)
+            v_h = curves.cubic_h_columns(F, vc, v_vbar)
+            line[where] = _honest_linear_sweep(
+                F, vc, v_h, curves.reducibility_columns(F, vc, v_vbar, v_h))
         return {"applicable": app, "rational": rat, "unequal": app & (ng != nh),
-                "outside": app & ~win, "violators": rat & ~win, "rational_in_window": rat & win,
+                "outside": app & ~win, "violators": violators, "violators_line": line,
+                "rational_in_window": rat & win,
                 "quadratic": app & ~rat, "quadratic_in_window": app & ~rat & win,
                 "transfer": transfer, "ng": ng, "nh": nh}
     return stats
@@ -1116,12 +1101,11 @@ def _hasse_stats(F: Field) -> Callable[[list], dict]:
 def verify_hasse(F: Field) -> SuiteReport:
     q = F.q
     rep = SuiteReport("hasse", q, F.modulus)
-    # reduced to tallies, the first violators and the coefficients of the
-    # rational-vbar window violators
     sweep = _Sweep(F, CONIC_LAYOUT, _hasse_stats(F),
                    count=("applicable", "rational", "unequal", "outside", "rational_in_window",
-                          "quadratic", "quadratic_in_window", "transfer"),
-                   keep={"unequal": (3, "ng", "nh"), "outside": (5, "nh"), "violators": (None,)},
+                          "quadratic", "quadratic_in_window", "transfer", "violators",
+                          "violators_line"),
+                   keep={"unequal": (3, "ng", "nh"), "outside": (5, "nh")},
                    draw={"checked": (SAMPLE_CHECKS, q * 7 + 4, "applicable", "ng", "nh")}).run()
     tally = sweep.tally
     n_app, n_rational = tally["applicable"], tally["rational"]
@@ -1154,16 +1138,9 @@ def verify_hasse(F: Field) -> SuiteReport:
                 note="N(H) counts base-field points of a curve with extension "
                      "coefficients; the cubic-curve windows do not govern them")
 
-    # the window can only fail where H is secretly reducible: an irreducible
-    # cubic obeys the stated bounds, so every violator must carry a line
-    viol_cols = list(np.array([c for c, in sweep.kept["violators"]], dtype=F.np_dtype)
-                     .reshape(-1, 6).T)
-    viol_vbar = curves.vbar_columns(F, viol_cols)
-    viol_h = curves.cubic_h_columns(F, viol_cols, viol_vbar)
-    has_line = _honest_linear_sweep(
-        F, viol_cols, viol_h, curves.reducibility_columns(F, viol_cols, viol_vbar, viol_h))
     rep.add("every rational-vbar window violation comes from a reducible cubic",
-            bool(has_line.all()), len(has_line), int(has_line.sum()),
+            tally["violators_line"] == tally["violators"], tally["violators"],
+            tally["violators_line"],
             note="their conics are non-degenerate, so the stated reducibility "
                  "criteria do not see these lines")
 

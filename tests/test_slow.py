@@ -48,11 +48,26 @@ def test_full_conic_code_q32(F32, capsys):
 
 def test_all_conics_window_census_q32(capsys):
     code = main(["spectrum", "--family", "all-conics", "--q", "32"])
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert code == EXIT_MISMATCH
     assert payload["window_violations"] == 509392
     assert payload["violation_counts"] == {
         "0": 15376, "8": 42160, "9": 327360, "22": 109120, "29": 7440, "31": 7936}
+    # SHA-256 of stdout, its examples and notes included: at q = 32 an a12
+    # slice of the a11 = 1 block spans 16 chunks
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f63cf7e3501a7a2475db630431e8f5bf2b5a1183a379d44397b9d8398bbaaa56"
+
+
+def test_verify_all_q32_is_pinned(capsys):
+    """Every suite at q = 32, notes, examples and draws included, as SHA-256
+    of stdout."""
+    code = main(["verify", "--suite", "all", "--q", "32"])
+    out = capsys.readouterr().out
+    assert code == EXIT_MISMATCH
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "529359310867463371a24b8f393652c682302f69b9173711045d724bb83fa64b"
 
 
 def _verify_q32(suite, capsys):

@@ -763,13 +763,26 @@ def test_image_chunks_equal_their_own_statistics_q32(F32):
     _check_image_slices(F32, (2, 17, 31))
 
 
-def test_sweep_walks_each_orbit_once(F16, monkeypatch):
-    """_Sweep runs the statistics only on the a12 = 0 and a12 = 1 slices of
-    the a11 = 1 block and on the blocks with a11 = 0, 2 * 16^4 + 69905 of
-    the 1118481 classes at q = 16, and its report is that of every chunk
+CONIC_SWEEPS = {  # the five conic sweeps: their statistics and their reports
+    "lemma": ("_lemma_stats", lambda F: verify_lemma(F).to_dict()),
+    "relations": ("_relations_stats", lambda F: verify_relations(F).to_dict()),
+    "reducibility": ("_reducibility_stats", lambda F: verify_reducibility(F).to_dict()),
+    "hasse": ("_hasse_stats", lambda F: verify_hasse(F).to_dict()),
+    "census": ("_census_stats", conic_spectrum),
+}
+
+
+@pytest.mark.parametrize("sweep", list(CONIC_SWEEPS))
+def test_sweep_walks_each_orbit_once(sweep, F16, monkeypatch):
+    """Each conic sweep's _Sweep runs the statistics only on the a12 = 0 and
+    a12 = 1 slices of the a11 = 1 block and on the blocks with a11 = 0,
+    2 * 16^4 + 69905 of the 1118481 classes at q = 16 (no key it keeps
+    walks on past the a12 = 1 slice), and its report is that of every chunk
     walked: at a block of 3 * 16^3 classes, where chunks straddle the
-    slices and none is read through the permutation, every class is walked."""
+    slices and none is replayed from the a12 = 1 slice, every class is
+    walked."""
     from deltacodes import verify
+    factory, report = CONIC_SWEEPS[sweep]
     walked = []
 
     def spy(factory):
@@ -782,16 +795,68 @@ def test_sweep_walks_each_orbit_once(F16, monkeypatch):
             return counted
         return build
 
-    monkeypatch.setattr(verify, "_hasse_stats", spy(verify._hasse_stats))
-    default = verify_hasse(F16).to_dict()
+    monkeypatch.setattr(verify, factory, spy(getattr(verify, factory)))
+    default = report(F16)
     sizes = [int(np.prod(np.broadcast_shapes(*(c.shape for c in bc)))) for bc in walked]
     assert sum(sizes) == 2 * 16 ** 4 + (16 ** 5 - 1) // 15
     assert all(int(bc[0].flat[0]) == 0 or int(bc[1].flat[0]) in (0, 1) for bc in walked)
     walked.clear()
     monkeypatch.setattr(verify, "CLASS_BLOCK", 3 * 16 ** 3)
-    assert verify_hasse(F16).to_dict() == default
+    assert report(F16) == default
     assert sum(int(np.prod(np.broadcast_shapes(*(c.shape for c in bc)))) for bc in walked) \
         == (16 ** 6 - 1) // 15
+
+
+def test_key_short_after_the_a12_1_slice_walks_on(F16, monkeypatch):
+    """A keep key still short of classes after taking some from the a12 = 1
+    slice finds more in every later slice, so _Sweep walks the rest of the
+    layout: with a mask set on two root-scaling orbits, 2 classes of the
+    a12 = 1 slice and 30 in all, keeping 5 gives the first 5 set rows of
+    the layout and their values, and the tally of all 30, at one chunk per
+    slice (16^4), at 16 chunks per slice (16^3, as at q = 32) and at a
+    block where no slice is replayed (3 * 16^3)."""
+    from deltacodes import verify
+    from deltacodes.verify import _Sweep
+    q, span = 16, 16 ** 4
+    n = (q ** 6 - 1) // (q - 1)
+    rng = np.random.default_rng(7)
+    # the a12 = beta slice of the a11 = 1 block holds positions beta * span on;
+    # its class (1, beta, a22, a13, a23, a33) has the orbit of
+    # (1, 1, a22 / beta^2, beta * a13, a23, beta^2 * a33) in the a12 = 1 slice
+    digits = [np.arange(span) >> 4 * (3 - i) & 15 for i in range(4)]
+    chosen = rng.choice(span, 2, replace=False)
+    slice_values = rng.integers(1, 1000, span)
+    mask, values = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    for beta in range(1, q):
+        b2 = F16.mul(beta, beta)
+        a22, a13, a23, a33 = (F16.mul_col(d.astype(np.uint8), c)
+                              for d, c in zip(digits, (F16.inv(b2), beta, 1, b2)))
+        image = ((a22.astype(np.int64) * q + a13) * q + a23) * q + a33
+        mask[beta * span:(beta + 1) * span] = np.isin(image, chosen)
+        values[beta * span:(beta + 1) * span] = slice_values[image]
+    assert mask[span:2 * span].sum() == 2 and mask.sum() == 30
+    walked = []
+
+    def stats(bc):
+        shape = np.broadcast_shapes(*(c.shape for c in bc))
+        walked.append(int(np.prod(shape)))
+        at = class_rank(q, 6, [_flat(c, shape) for c in bc]).reshape(shape)
+        return {"m": mask[at], "v": values[at]}
+
+    def run(block):
+        monkeypatch.setattr(verify, "CLASS_BLOCK", block)
+        walked.clear()
+        sweep = _Sweep(F16, CONIC_LAYOUT, stats, count=("m",), keep={"m": (5, "v")}).run()
+        assert sum(walked) == n, block  # walked on from the a12 = 2 slice
+        return sweep.kept["m"], sweep.tally
+
+    cols = projective_class_columns(q, 6)
+    first = np.flatnonzero(mask)[:5]
+    oracle = [(tuple(int(c[i]) for c in cols), int(values[i])) for i in first]
+    full = run(3 * 16 ** 3)
+    assert full == (oracle, {"m": 30})
+    assert run(16 ** 4) == full
+    assert run(16 ** 3) == full
 
 
 @pytest.mark.parametrize("k", [5, 40])
